@@ -63,6 +63,8 @@ _THRESHOLD_DEFAULTS = {
     "tmin": (5.0, "below", "all"),
 }
 
+_SYNC_KEYS = ("tau_max", "n_shuffles", "link_quantile", "simultaneous_weight")
+
 STAGES = ("events", "network", "metrics", "surrogate", "correct", "compare")
 
 
@@ -114,7 +116,6 @@ class RunConfig:
                 "n_shuffles": self.sync.n_shuffles,
                 "link_quantile": self.sync.link_quantile,
                 "simultaneous_weight": self.sync.simultaneous_weight,
-                "memoize": self.sync.memoize,
             },
             "surrogate": {
                 "ensemble_size": self.ensemble_size,
@@ -176,6 +177,11 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         seed = 0
 
     sdoc = _get(doc, "sync", {})
+    if not isinstance(sdoc, dict):
+        problems.append("sync must be an object")
+        sdoc = {}
+    for key in sorted(set(sdoc) - set(_SYNC_KEYS)):
+        problems.append(f"unknown key sync.{key}; expected from {_SYNC_KEYS}")
     try:
         sync = SyncParams(
             tau_max=int(_get(sdoc, "tau_max", 0)),
@@ -183,7 +189,6 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
             link_quantile=float(_get(sdoc, "link_quantile", 0.995)),
             seed=seed,
             simultaneous_weight=float(_get(sdoc, "simultaneous_weight", 1.0)),
-            memoize=bool(_get(sdoc, "memoize", True)),
         )
     except (ValueError, TypeError) as e:
         problems.append(f"sync: {e}")
@@ -389,7 +394,7 @@ def stage_network(cfg: RunConfig, out_dir: Path) -> None:
     grid_path = _require(out_dir / "grid.csv", "grid artifact")
     series, sidecar = read_event_series(events_path)
     grid = read_grid_csv(grid_path)
-    net = build_network(series, grid, cfg.sync, threads=cfg.threads)
+    net = build_network(series, grid, cfg.sync)
     edges_path = out_dir / "edges.csv"
     write_edge_list(net.edge_array(), edges_path)
     _write_manifest(

@@ -62,11 +62,10 @@ class Network:
 
     def edge_array(self) -> np.ndarray:
         """All edges as (m, 2) with i < j, lexicographically sorted."""
-        out = []
-        for i, nbrs in enumerate(self.neighbors):
-            for j in nbrs[nbrs > i]:
-                out.append((i, int(j)))
-        return np.asarray(out, dtype=np.int64).reshape(-1, 2)
+        src = np.repeat(np.arange(self.n, dtype=np.int64), [a.size for a in self.neighbors])
+        dst = np.concatenate(self.neighbors) if self.neighbors else src
+        keep = src < dst
+        return np.stack([src[keep], dst[keep]], axis=1)
 
     def has_edge(self, i: int, j: int) -> bool:
         a = self.neighbors[i]

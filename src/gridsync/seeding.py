@@ -1,7 +1,7 @@
 """Deterministic RNG stream derivation and ordered parallel mapping.
 
 Every stochastic component derives its own stream from a global seed plus
-integer context (node pair, ensemble member index, ...) so that results do
+integer context (null-model key, ensemble member index, ...) so that results do
 not depend on evaluation order or thread count.
 """
 
@@ -14,8 +14,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# Stream namespace tags, so e.g. member 3 of the surrogate ensemble and node
-# pair (0, 3) never collide on the same stream.
+# Stream namespace tags, so e.g. member 3 of the surrogate ensemble and the
+# null key (T, 3, 3) never collide on the same stream.
 NULL_MODEL_TAG = 0x6E756C6C  # "null"
 SURROGATE_TAG = 0x73757272  # "surr"
 SYNTH_TAG = 0x73796E74  # "synt"

@@ -6,6 +6,10 @@ time scale tau, half the smallest inter-event gap adjacent to either event.
 A link is established when the pair's synchronization count reaches the
 chosen quantile of a Monte-Carlo null built by re-drawing each node's event
 days uniformly from its season-day universe.
+
+At zero lag (the default) ES is w * |A & B|, since strictly increasing event
+days make every local tau at least 0.5: all pairs come from one event-matrix
+product, and a shuffle's overlap is Hypergeom(T, n_lo, n_hi) distributed.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from .events import EventSeries
 from .grid_io import GridSpec
 from .netmetrics import Network
-from .seeding import NULL_MODEL_TAG, mix64, ordered_map, stream
+from .seeding import NULL_MODEL_TAG, stream
 
 
 @dataclass(frozen=True)
@@ -28,7 +32,6 @@ class SyncParams:
     link_quantile: float = 0.995
     seed: int = 0
     simultaneous_weight: float = 1.0
-    memoize: bool = True
 
     def __post_init__(self):
         if self.tau_max < 0:
@@ -154,12 +157,22 @@ def _null_sample(
     params: SyncParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Null ES sample: re-draw both event-day sets uniformly, n_shuffles times."""
+    """Null ES sample: re-draw both event-day sets uniformly, n_shuffles times.
+
+    Over a shared universe the counts are taken as (n_lo, n_hi); at zero lag
+    the overlaps are then drawn as Hypergeom(T, n_lo, n_hi), their exact law.
+    """
+    w = params.simultaneous_weight
+    if np.array_equal(universe_i, universe_j):
+        n_i, n_j = sorted((n_i, n_j))
+        if params.tau_max == 0:
+            T = universe_i.size
+            return w * rng.hypergeometric(n_i, T - n_i, n_j, params.n_shuffles)
     out = np.empty(params.n_shuffles)
     for k in range(params.n_shuffles):
         a = np.sort(rng.choice(universe_i, size=n_i, replace=False))
         b = np.sort(rng.choice(universe_j, size=n_j, replace=False))
-        out[k] = _es_days(a, b, params.tau_max, params.simultaneous_weight)
+        out[k] = _es_days(a, b, params.tau_max, w)
     return out
 
 
@@ -179,7 +192,9 @@ def null_threshold(
     Each shuffle draws the two nodes' event counts without replacement from
     their own season-day universes (independently, no re-deduplication) and
     recomputes ES; the threshold is the link_quantile nearest-rank order
-    statistic. Empty series give threshold 0 (and can never link).
+    statistic; with a shared universe and tau_max = 0 one hypergeometric draw
+    of the same law stands in for the shuffles. Empty series give threshold
+    0 (and can never link).
     """
     n_i, n_j = ei.n_events, ej.n_events
     if n_i == 0 or n_j == 0:
@@ -239,28 +254,51 @@ def pair_sync(
 # network construction
 
 
-def _shared_universe(all_series) -> np.ndarray | None:
-    """The common season-day universe, or None if the nodes disagree."""
-    first = all_series[0].season_days
-    for es in all_series[1:]:
-        if es.season_days.shape != first.shape or not np.array_equal(es.season_days, first):
-            return None
-    return first
+def _es_matrix(all_series: list[EventSeries], universe: np.ndarray, params: SyncParams) -> np.ndarray:
+    """All-pairs ES as a float64 n x n matrix; the upper triangle is complete.
+
+    At tau_max = 0 it is w * (E @ E.T) for the n x T float32 0/1 event matrix
+    E: sums of 0/1 below 2**24 are exact in any BLAS order, and scaling them
+    in float64 gives what _es_days gives. Lagged ES keeps the per-pair count.
+    """
+    n, w = len(all_series), params.simultaneous_weight
+    if params.tau_max == 0:
+        e = np.zeros((n, universe.size), dtype=np.float32)
+        for i, es in enumerate(all_series):
+            e[i, np.searchsorted(universe, es.event_days)] = 1.0
+        return np.multiply(e @ e.T, w, dtype=np.float64)
+    es = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            es[i, j] = _es_days(all_series[i].event_days, all_series[j].event_days, params.tau_max, w)
+    return es
 
 
-def build_network(
-    all_series: list[EventSeries],
-    grid: GridSpec,
-    params: SyncParams,
-    threads: int = 1,
-) -> Network:
+def _threshold_table(counts: np.ndarray, universe: np.ndarray, params: SyncParams) -> np.ndarray:
+    """Null thresholds indexed by two event counts; +inf where no pair is tested.
+
+    One threshold per distinct (n_lo, n_hi) key among pairs of nodes with
+    events, each from the key's own stream, independent of the other keys.
+    """
+    vals, mult = np.unique(counts[counts > 0], return_counts=True)
+    table = np.full((int(counts.max(initial=0)) + 1,) * 2, np.inf)
+    ia, ib = np.triu_indices(vals.size)
+    keep = (ia != ib) | (mult[ia] > 1)
+    for n_lo, n_hi in zip(vals[ia[keep]].tolist(), vals[ib[keep]].tolist()):
+        rng = stream(params.seed, NULL_MODEL_TAG, universe.size, n_lo, n_hi)
+        sample = _null_sample(universe, universe, n_lo, n_hi, params, rng)
+        table[n_lo, n_hi] = table[n_hi, n_lo] = _nearest_rank(sample, params.link_quantile)
+    return table
+
+
+def build_network(all_series: list[EventSeries], grid: GridSpec, params: SyncParams) -> Network:
     """Undirected unweighted network: edge (i, j) iff ES >= null threshold.
 
-    Deterministic for a fixed params.seed independent of thread count. With
-    memoization on (default, tau_max = 0) the null RNG stream is derived from
-    the cache key (T, N_lo, N_hi), so every pair with the same event counts
-    shares one threshold and the cache cannot alter results; with memoization
-    off each pair gets its own stream derived from (seed, i, j).
+    All nodes must share one season-day universe of T days. A pair's null
+    then depends only on (T, n_lo, n_hi): one threshold is drawn per distinct
+    key from the stream mix64(seed, NULL_MODEL_TAG, T, n_lo, n_hi), so edge
+    (i, j) is pair_sync(ei, ej, params, <key seed>).significant. Pairs with
+    an empty series never link. Deterministic for a fixed params.seed.
     """
     n = grid.n
     if len(all_series) != n:
@@ -268,57 +306,13 @@ def build_network(
     for i, es in enumerate(all_series):
         if es.node_id != i:
             raise ValueError(f"series at position {i} has node_id {es.node_id}")
+    universe = all_series[0].season_days if n else np.empty(0, dtype=np.int64)
+    for es in all_series:
+        if not np.array_equal(es.season_days, universe):
+            raise ValueError(f"node {es.node_id} has a different season-day universe than node 0")
 
-    counts = np.array([es.n_events for es in all_series])
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if counts[i] > 0 and counts[j] > 0
-    ]
-
-    def pair_es(ij):
-        i, j = ij
-        return _es_days(
-            all_series[i].event_days,
-            all_series[j].event_days,
-            params.tau_max,
-            params.simultaneous_weight,
-        )
-
-    es_vals = ordered_map(pair_es, pairs, threads)
-
-    universe = _shared_universe(all_series) if params.memoize else None
-    use_cache = params.tau_max == 0 and params.memoize and universe is not None
-
-    if use_cache:
-        T = int(universe.size)
-        keys = sorted(
-            {(int(min(counts[i], counts[j])), int(max(counts[i], counts[j]))) for i, j in pairs}
-        )
-
-        def key_threshold(key):
-            n_lo, n_hi = key
-            rng = stream(params.seed, NULL_MODEL_TAG, T, n_lo, n_hi)
-            sample = _null_sample(universe, universe, n_lo, n_hi, params, rng)
-            return _nearest_rank(sample, params.link_quantile)
-
-        cache = dict(zip(keys, ordered_map(key_threshold, keys, threads)))
-        thresholds = [
-            cache[(int(min(counts[i], counts[j])), int(max(counts[i], counts[j])))]
-            for i, j in pairs
-        ]
-    else:
-
-        def pair_threshold(ij):
-            i, j = ij
-            return null_threshold(
-                all_series[i], all_series[j], params, mix64(params.seed, i, j)
-            )
-
-        thresholds = ordered_map(pair_threshold, pairs, threads)
-
-    edges = [
-        (i, j) for (i, j), es, thr in zip(pairs, es_vals, thresholds) if es >= thr
-    ]
-    return Network.from_edges(grid, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    counts = np.array([es.n_events for es in all_series], dtype=np.int64)
+    thr = _threshold_table(counts, universe, params)
+    linked = _es_matrix(all_series, universe, params) >= thr[np.ix_(counts, counts)]
+    i, j = np.nonzero(np.triu(linked, 1))
+    return Network.from_edges(grid, np.stack([i, j], axis=1))

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import gridsync
 from gridsync.cli import ConfigError, load_config, main, validate_config
 
 
@@ -86,6 +87,16 @@ def test_config_overrides(tmp_path):
     assert cfg.sync.seed == 123
     assert cfg.threads == 1
     assert cfg.out.endswith("other")
+
+
+def test_config_rejects_unknown_sync_key(tmp_path):
+    # the per-pair null switch is gone; asking for it must fail, not be ignored
+    with pytest.raises(ConfigError, match="sync.memoize"):
+        validate_config({"seed": 1, "sync": {"memoize": False}})
+    with pytest.raises(ConfigError, match="sync must be an object"):
+        validate_config({"seed": 1, "sync": 5})
+    cfg = base_config(tmp_path, sync={"n_shuffles": 200, "memoize": False})
+    assert main(["network", "--config", str(cfg)]) == 1
 
 
 def test_config_missing_file():
@@ -231,4 +242,4 @@ def test_console_entry_point():
         [sys.executable, "-m", "gridsync.cli", "--version"], capture_output=True, text=True
     )
     assert out.returncode == 0
-    assert "gridsync" in out.stdout
+    assert out.stdout.split() == ["gridsync", gridsync.__version__]

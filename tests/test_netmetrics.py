@@ -293,6 +293,20 @@ def test_network_rejects_bad_edges():
         Network.from_edges(grid, np.array([[0, 1], [0, 1]]))
 
 
+def test_edge_array_roundtrip_with_isolated_nodes(rng):
+    # nodes 0, 3 and 7 are isolated; shuffled input comes back sorted i < j
+    grid = random_grid(8, 11)
+    edges = np.array([[5, 6], [1, 2], [4, 6], [1, 5], [2, 6], [1, 4]])
+    net = Network.from_edges(grid, edges[rng.permutation(len(edges))])
+    out = net.edge_array()
+    assert out.dtype == np.int64
+    assert out.tolist() == sorted(edges.tolist())
+    loop = [(i, int(j)) for i, nbrs in enumerate(net.neighbors) for j in nbrs if j > i]
+    assert [tuple(e) for e in out.tolist()] == loop
+    assert Network.from_edges(grid, out).edge_array().tolist() == out.tolist()
+    assert Network.from_edges(grid, np.empty((0, 2))).edge_array().shape == (0, 2)
+
+
 # ---------------------------------------------------------------------------
 # log transform
 

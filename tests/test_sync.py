@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridsync.events import EventSeries
 from gridsync.grid_io import GridSpec
 from gridsync.seeding import NULL_MODEL_TAG, mix64, stream
 from gridsync.sync import (
     SyncParams,
+    _es_days,
+    _es_matrix,
     build_network,
     delay_pair,
     event_sync,
@@ -160,6 +164,22 @@ def test_null_threshold_matches_hypergeometric(rng):
     assert hits >= 18
 
 
+def test_null_threshold_unequal_counts_match_hypergeometric():
+    # the direct hypergeometric draw must respect which count is which
+    T = 600
+    universe = np.arange(T, dtype=np.int64)
+    params = SyncParams(n_shuffles=1000, link_quantile=0.995)
+    exact = null_threshold_exact(T, 40, 300, 0.995)
+    for n_i, n_j in ((40, 300), (300, 40)):
+        a = EventSeries(0, universe[:n_i], universe)
+        b = EventSeries(1, universe[:n_j], universe)
+        hits = sum(
+            abs(null_threshold(a, b, params, pair_seed=mix64(8, t)) - exact) <= 1
+            for t in range(20)
+        )
+        assert hits >= 18
+
+
 def test_null_threshold_exact_edge_cases():
     assert null_threshold_exact(10, 0, 5, 0.995) == 0
     assert null_threshold_exact(10, 5, 5, 1.0) == 5
@@ -219,12 +239,12 @@ def test_build_network_two_heavy_series():
     assert null_threshold_exact(T, 200, 200, 0.995) < 200
 
 
-def test_build_network_deterministic_across_threads(rng):
+def test_build_network_rerun_deterministic(rng):
     n, T = 12, 400
     series = [random_event_series(i, T, 0.06, rng) for i in range(n)]
     grid = random_grid(n, 4)
     params = SyncParams(n_shuffles=200, seed=11)
-    nets = [build_network(series, grid, params, threads=k) for k in (1, 4)]
+    nets = [build_network(series, grid, params) for _ in range(2)]
     assert nets[0].edge_array().tolist() == nets[1].edge_array().tolist()
 
 
@@ -246,17 +266,85 @@ def test_memoized_threshold_equals_fresh_compute(rng):
         assert direct == again
 
 
-def test_build_network_memoize_off_uses_pair_streams(rng):
-    # with memoization off every pair draws from its (seed, i, j) stream
-    n, T = 6, 300
-    series = [random_event_series(i, T, 0.08, rng) for i in range(n)]
-    grid = random_grid(n, 8)
-    params = SyncParams(n_shuffles=150, seed=9, memoize=False)
+def key_seed(params, series, i, j):
+    """Seed of the null stream build_network uses for pair (i, j)."""
+    lo, hi = sorted((series[i].n_events, series[j].n_events))
+    return mix64(params.seed, NULL_MODEL_TAG, series[i].n_days_in_season, lo, hi)
+
+
+def assert_matches_pair_sync(series, grid, params):
     net = build_network(series, grid, params)
+    n = len(series)
+    linked = 0
     for i in range(n):
         for j in range(i + 1, n):
-            r = pair_sync(series[i], series[j], params, mix64(params.seed, i, j))
-            assert net.has_edge(i, j) == r.significant
+            r = pair_sync(series[i], series[j], params, key_seed(params, series, i, j))
+            assert net.has_edge(i, j) == r.significant, (i, j, r)
+            linked += r.significant
+    assert net.edge_count == linked
+    return net
+
+
+def test_build_network_matches_pair_sync_oracle(rng):
+    # every edge decision equals the one-pair path seeded with the pair's key
+    # stream; an empty node and mixed event rates give several keys
+    n, T = 14, 300
+    series = [random_event_series(i, T, rng.uniform(0.03, 0.12), rng) for i in range(n)]
+    series[3] = EventSeries(3, np.empty(0, dtype=np.int64), series[0].season_days)
+    grid = random_grid(n, 8)
+    for weight in (1.0, 0.5):
+        params = SyncParams(n_shuffles=150, seed=9, simultaneous_weight=weight)
+        net = assert_matches_pair_sync(series, grid, params)
+        assert net.neighbors[3].size == 0
+
+
+def test_build_network_heavy_pairs_match_pair_sync_oracle():
+    # planted shared days make some pairs link, so the oracle is not vacuous
+    T = 300
+    universe = np.arange(T, dtype=np.int64)
+    base = np.arange(0, T, 6, dtype=np.int64)
+    series = [EventSeries(i, np.sort(np.union1d(base[i % 2::2], universe[i + 1::37])), universe)
+              for i in range(8)]
+    net = assert_matches_pair_sync(series, random_grid(8, 5), SyncParams(n_shuffles=200, seed=3))
+    assert net.edge_count > 0
+
+
+def test_build_network_lagged_matches_pair_sync_oracle(rng):
+    # tau_max > 0 keeps the per-pair count and the shuffle sampler but uses
+    # the same per-key threshold table
+    n, T = 8, 200
+    series = [random_event_series(i, T, rng.uniform(0.05, 0.12), rng) for i in range(n)]
+    series[5] = EventSeries(5, series[2].event_days, series[2].season_days)
+    grid = random_grid(n, 12)
+    net = assert_matches_pair_sync(series, grid, SyncParams(tau_max=1, n_shuffles=100, seed=4))
+    assert net.has_edge(2, 5)
+
+
+def test_build_network_rejects_mixed_universes():
+    T = 100
+    days = np.arange(T, dtype=np.int64)
+    series = [EventSeries(i, np.array([i, 50]), days) for i in range(4)]
+    series[2] = EventSeries(2, np.array([2, 50]), np.arange(1, T + 1, dtype=np.int64))
+    with pytest.raises(ValueError, match="node 2 has a different season-day universe"):
+        build_network(series, random_grid(4, 2), SyncParams(n_shuffles=100))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sets(st.integers(0, 59), max_size=25), min_size=1, max_size=6),
+    st.sampled_from([1.0, 0.5]),
+)
+def test_es_matrix_equals_pairwise_es(day_sets, weight):
+    # w * (E @ E.T) equals the pairwise zero-lag count, empty and singleton
+    # series included
+    universe = np.arange(60, dtype=np.int64)
+    series = [EventSeries(i, np.array(sorted(d), dtype=np.int64), universe)
+              for i, d in enumerate(day_sets)]
+    params = SyncParams(simultaneous_weight=weight)
+    es = _es_matrix(series, universe, params)
+    for i, a in enumerate(series):
+        for j, b in enumerate(series):
+            assert es[i, j] == _es_days(a.event_days, b.event_days, 0, weight)
 
 
 def test_false_link_rate(rng):
