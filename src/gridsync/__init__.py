@@ -5,16 +5,14 @@ synchronization with a shuffle null -> network metrics -> surrogate
 ensembles -> boundary corrections -> method comparison statistics.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .correction import CorrectedField, DegenerateFieldError, correct_divide, correct_subtract, paired_fields
 from .events import EventSeries, InsufficientSupportError, ThresholdSpec, compute_threshold, dedup_consecutive, extract_events, to_event_series
 from .grid_io import GriddedSeries, GridIOError, GridSpec, extract_season, load_gridded, read_metric_field, write_gridded, write_metric_field
 from .netmetrics import (
     MetricField,
-    NeighborhoodStats,
     Network,
-    ShortestPathCounts,
     betweenness,
     clustering,
     compute_metric,
@@ -22,8 +20,6 @@ from .netmetrics import (
     haversine,
     log_bc,
     mean_geo_distance,
-    neighborhood_links,
-    single_source_paths,
 )
 from .stats import ComparisonReport, TestResult, compare_methods, ks_two_sample, paired_t_test
 from .surrogate import DistanceProfile, SurrogateStats, ensemble_stats, estimate_profile, sample_surrogate

@@ -63,7 +63,15 @@ _THRESHOLD_DEFAULTS = {
     "tmin": (5.0, "below", "all"),
 }
 
-_SYNC_KEYS = ("tau_max", "n_shuffles", "link_quantile", "simultaneous_weight")
+_TOP_KEYS = (
+    "input", "format", "variable", "season", "threshold", "seed", "sync", "surrogate",
+    "corrections", "metrics", "alpha", "use_normalized", "out", "threads", "synth",
+)
+_BLOCK_KEYS = {
+    "threshold": ("percentile", "direction", "support", "positive_floor", "min_support"),
+    "sync": ("tau_max", "n_shuffles", "link_quantile", "simultaneous_weight"),
+    "surrogate": ("ensemble_size", "bin_width_km"),
+}
 
 STAGES = ("events", "network", "metrics", "surrogate", "correct", "compare")
 
@@ -134,11 +142,34 @@ def _get(d: dict, key: str, default):
     return default if v is None else v
 
 
+def _block(doc: dict, name: str, problems: list[str]) -> dict:
+    """The object doc[name] ({} when absent); a non-object or unknown keys are problems."""
+    block = _get(doc, name, {})
+    if not isinstance(block, dict):
+        problems.append(f"{name} must be an object")
+        return {}
+    for key in sorted(set(block) - set(_BLOCK_KEYS[name])):
+        problems.append(f"unknown key {name}.{key}; expected from {_BLOCK_KEYS[name]}")
+    return block
+
+
+def _number(d: dict, key: str, default, cast, label: str, problems: list[str]):
+    try:
+        return cast(_get(d, key, default))
+    except (ValueError, TypeError):
+        problems.append(f"{label} must be a number, got {d[key]!r}")
+        return default
+
+
 def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from a JSON document, collecting every problem."""
+    if not isinstance(doc, dict):
+        raise ConfigError(["config must be a JSON object"])
     problems: list[str] = []
     overrides = overrides or {}
     doc = dict(doc)
+    for key in sorted(set(doc) - set(_TOP_KEYS)):
+        problems.append(f"unknown key {key}; expected from {_TOP_KEYS}")
     for k in ("seed", "threads", "out"):
         if overrides.get(k) is not None:
             doc[k] = overrides[k]
@@ -153,7 +184,7 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         season = "JJA"
 
     p_def, dir_def, sup_def = _THRESHOLD_DEFAULTS[variable]
-    tdoc = _get(doc, "threshold", {})
+    tdoc = _block(doc, "threshold", problems)
     try:
         threshold = ThresholdSpec(
             percentile=float(_get(tdoc, "percentile", p_def)),
@@ -176,12 +207,7 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         problems.append(f"seed must be an integer, got {seed!r}")
         seed = 0
 
-    sdoc = _get(doc, "sync", {})
-    if not isinstance(sdoc, dict):
-        problems.append("sync must be an object")
-        sdoc = {}
-    for key in sorted(set(sdoc) - set(_SYNC_KEYS)):
-        problems.append(f"unknown key sync.{key}; expected from {_SYNC_KEYS}")
+    sdoc = _block(doc, "sync", problems)
     try:
         sync = SyncParams(
             tau_max=int(_get(sdoc, "tau_max", 0)),
@@ -194,12 +220,12 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         problems.append(f"sync: {e}")
         sync = SyncParams(seed=seed)
 
-    gdoc = _get(doc, "surrogate", {})
-    ensemble_size = int(_get(gdoc, "ensemble_size", 1000))
+    gdoc = _block(doc, "surrogate", problems)
+    ensemble_size = _number(gdoc, "ensemble_size", 1000, int, "surrogate.ensemble_size", problems)
     if ensemble_size < 1:
         problems.append(f"surrogate.ensemble_size must be >= 1, got {ensemble_size}")
         ensemble_size = 1
-    bin_width_km = float(_get(gdoc, "bin_width_km", 50.0))
+    bin_width_km = _number(gdoc, "bin_width_km", 50.0, float, "surrogate.bin_width_km", problems)
     if bin_width_km <= 0:
         problems.append(f"surrogate.bin_width_km must be positive, got {bin_width_km}")
         bin_width_km = 50.0
@@ -213,7 +239,7 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         if m not in METRIC_NAMES:
             problems.append(f"unknown metric {m!r}; expected from {METRIC_NAMES}")
 
-    alpha = float(_get(doc, "alpha", 0.05))
+    alpha = _number(doc, "alpha", 0.05, float, "alpha", problems)
     if not 0.0 < alpha < 1.0:
         problems.append(f"alpha must lie in (0, 1), got {alpha}")
         alpha = 0.05
@@ -223,8 +249,7 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         problems.append(f"format must be 'binary' or 'csv', got {fmt!r}")
         fmt = "binary"
 
-    threads = doc.get("threads")
-    threads = os.cpu_count() or 1 if threads is None else int(threads)
+    threads = _number(doc, "threads", os.cpu_count() or 1, int, "threads", problems)
     if threads < 1:
         problems.append(f"threads must be >= 1, got {threads}")
         threads = 1

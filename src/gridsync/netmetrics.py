@@ -24,10 +24,14 @@ METRIC_NAMES = ("DC", "CC", "MGD", "BC")
 
 @dataclass(frozen=True)
 class Network:
-    """Undirected unweighted graph over grid nodes, as sorted neighbor lists."""
+    """Undirected unweighted graph over grid nodes in CSR form.
+
+    Node i's neighbors are indices[indptr[i]:indptr[i + 1]], sorted ascending.
+    """
 
     grid: GridSpec
-    neighbors: tuple
+    indptr: np.ndarray  # int64, length n + 1
+    indices: np.ndarray  # int64, length 2 * edge_count
 
     @property
     def n(self) -> int:
@@ -35,40 +39,62 @@ class Network:
 
     @property
     def edge_count(self) -> int:
-        return sum(a.size for a in self.neighbors) // 2
+        return self.indices.size // 2
+
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def neighbors(self, i: int) -> np.ndarray:
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     @staticmethod
     def from_edges(grid: GridSpec, edges: np.ndarray) -> "Network":
         """Build from an (m, 2) array of i < j pairs; duplicates rejected."""
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        n = grid.n
-        if n == 0:
-            return Network(grid=grid, neighbors=())
+        i, j = edges[:, 0], edges[:, 1]
         if edges.size:
-            if edges.min() < 0 or edges.max() >= n:
+            if edges.min() < 0 or edges.max() >= grid.n:
                 raise ValueError("edge endpoint out of range")
-            if (edges[:, 0] >= edges[:, 1]).any():
+            if (i >= j).any():
                 raise ValueError("edges must satisfy i < j (no self-loops)")
-            if np.unique(edges, axis=0).shape[0] != edges.shape[0]:
+            if np.unique(i * grid.n + j).size != i.size:
                 raise ValueError("duplicate edges")
-        src = np.concatenate([edges[:, 0], edges[:, 1]])
-        dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        counts = np.bincount(src, minlength=n)
-        splits = np.cumsum(counts)[:-1]
-        nbrs = tuple(a.copy() for a in np.split(dst, splits))
-        return Network(grid=grid, neighbors=nbrs)
+        return Network._from_pairs(grid, i, j)
+
+    @staticmethod
+    def from_pair_mask(grid: GridSpec, linked: np.ndarray) -> "Network":
+        """Build from one flag per unordered pair, in np.triu_indices(n, 1) order."""
+        n = grid.n
+        if np.shape(linked) != (n * (n - 1) // 2,):
+            raise ValueError(f"expected {n * (n - 1) // 2} pair flags for {n} nodes")
+        rank = np.flatnonzero(linked)
+        row_start = np.arange(n, dtype=np.int64) * (2 * n - np.arange(n) - 1) // 2
+        i = np.searchsorted(row_start, rank, side="right") - 1
+        return Network._from_pairs(grid, i, rank - row_start[i] + i + 1)
+
+    @staticmethod
+    def _from_pairs(grid: GridSpec, i: np.ndarray, j: np.ndarray) -> "Network":
+        """Symmetric CSR from valid, duplicate-free pairs i < j."""
+        n = grid.n
+        key = np.sort(np.concatenate([i * n + j, j * n + i]))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+        return Network(grid=grid, indptr=indptr, indices=key % n)
 
     def edge_array(self) -> np.ndarray:
         """All edges as (m, 2) with i < j, lexicographically sorted."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), [a.size for a in self.neighbors])
-        dst = np.concatenate(self.neighbors) if self.neighbors else src
-        keep = src < dst
-        return np.stack([src[keep], dst[keep]], axis=1)
+        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+        keep = src < self.indices
+        return np.stack([src[keep], self.indices[keep]], axis=1)
+
+    def adjacency(self) -> np.ndarray:
+        """Dense n x n bool adjacency matrix."""
+        a = np.zeros((self.n, self.n), dtype=bool)
+        a[np.repeat(np.arange(self.n), self.degrees()), self.indices] = True
+        return a
 
     def has_edge(self, i: int, j: int) -> bool:
-        a = self.neighbors[i]
+        a = self.neighbors(i)
         k = np.searchsorted(a, j)
         return k < a.size and a[k] == j
 
@@ -105,71 +131,74 @@ def haversine(a: tuple[float, float], b: tuple[float, float]) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
+def _great_circle(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """Haversine distance in km between points in radians (broadcasting)."""
+    s1 = np.sin(0.5 * (lat1 - lat2))
+    s2 = np.sin(0.5 * (lon1 - lon2))
+    h = s1 * s1 + np.cos(lat1) * np.cos(lat2) * s2 * s2
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+
+
 def haversine_matrix(grid: GridSpec) -> np.ndarray:
     """Full n x n great-circle distance matrix in km."""
     lat = np.radians(grid.lat)
     lon = np.radians(grid.lon)
-    s1 = np.sin(0.5 * (lat[:, None] - lat[None, :]))
-    s2 = np.sin(0.5 * (lon[:, None] - lon[None, :]))
-    h = s1 * s1 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * s2 * s2
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+    return _great_circle(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
 
 
-def pair_distances(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upper-triangle pair index arrays (iu, ju) and their distances in km."""
-    d = haversine_matrix(grid)
-    iu, ju = np.triu_indices(grid.n, k=1)
-    return iu, ju, d[iu, ju]
+def pair_distances(grid: GridSpec) -> np.ndarray:
+    """Distances in km of all pairs i < j, in np.triu_indices(n, 1) order.
 
-
-@dataclass(frozen=True)
-class NeighborhoodStats:
-    """Per-node count of links realized among the node's neighbors."""
-
-    links_among_neighbors: np.ndarray
+    Equal bit for bit to haversine_matrix(grid)[np.triu_indices(n, 1)], but
+    computed in row blocks, so no n x n matrix is built.
+    """
+    n = grid.n
+    lat = np.radians(grid.lat)
+    lon = np.radians(grid.lon)
+    out = np.empty(n * (n - 1) // 2)
+    rows = max(1, (1 << 20) // max(n, 1))
+    pos = 0
+    for r0 in range(0, n - 1, rows):
+        r1 = min(r0 + rows, n - 1)
+        # rows r0..r1-1 against columns r0+1..n-1; keep column > row
+        block = _great_circle(lat[r0:r1, None], lon[r0:r1, None], lat[None, r0 + 1 :], lon[None, r0 + 1 :])
+        upper = block[np.arange(r1 - r0)[:, None] <= np.arange(n - r0 - 1)[None, :]]
+        out[pos : pos + upper.size] = upper
+        pos += upper.size
+    return out
 
 
 def degree(net: Network) -> MetricField:
     """Number of links per node."""
-    vals = np.array([a.size for a in net.neighbors], dtype=float)
-    return MetricField("DC", vals)
+    return MetricField("DC", net.degrees().astype(float))
 
 
-def _sorted_intersection_size(a: np.ndarray, b: np.ndarray) -> int:
-    return int(np.intersect1d(a, b, assume_unique=True).size)
-
-
-def neighborhood_links(net: Network) -> NeighborhoodStats:
-    """Links among each node's neighbors (each unordered pair counted once)."""
-    n = net.n
-    if n <= 2048:
-        # dense path: (A @ A) * A row sums give twice the count; exact integers
-        a = np.zeros((n, n))
-        for i, nbrs in enumerate(net.neighbors):
-            a[i, nbrs] = 1.0
-        twice_links = ((a @ a) * a).sum(axis=1)
-    else:
-        twice_links = np.zeros(n)
-        for i, nbrs in enumerate(net.neighbors):
-            if nbrs.size < 2:
-                continue
-            twice_links[i] = sum(
-                _sorted_intersection_size(net.neighbors[int(u)], nbrs) for u in nbrs
-            )
-    return NeighborhoodStats(links_among_neighbors=(twice_links / 2).astype(np.int64))
+# set bits of every byte value; np.bitwise_count needs numpy >= 2.0
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def clustering(net: Network) -> MetricField:
     """Fraction of realized links among each node's neighbor pairs.
 
-    Nodes with degree < 2 get value 0 and the undefined flag.
+    Each edge's common-neighbor count is the popcount of the AND of its two
+    bit-packed adjacency rows; summed over a node's edges it counts every
+    link among the node's neighbors twice. Nodes with degree < 2 get value 0
+    and the undefined flag.
     """
-    deg = np.array([a.size for a in net.neighbors], dtype=np.int64)
+    n = net.n
+    deg = net.degrees()
+    edges = net.edge_array()
+    bits = np.packbits(net.adjacency(), axis=1)
+    common = np.empty(edges.shape[0], dtype=np.int64)
+    step = max(1, (1 << 22) // max(bits.shape[1], 1))
+    for e0 in range(0, edges.shape[0], step):
+        i, j = edges[e0 : e0 + step, 0], edges[e0 : e0 + step, 1]
+        common[e0 : e0 + step] = _POPCOUNT[bits[i] & bits[j]].sum(axis=1)
+    twice_links = np.bincount(edges.ravel(), np.repeat(common, 2), minlength=n)
     undef = deg < 2
-    vals = np.zeros(net.n)
-    links = neighborhood_links(net).links_among_neighbors
+    vals = np.zeros(n)
     good = ~undef
-    vals[good] = 2.0 * links[good] / (deg[good] * (deg[good] - 1))
+    vals[good] = twice_links[good] / (deg[good] * (deg[good] - 1))
     return MetricField("CC", vals, undef)
 
 
@@ -178,73 +207,17 @@ def mean_geo_distance(net: Network) -> MetricField:
 
     Isolated nodes get value 0 and the undefined flag.
     """
-    n = net.n
-    vals = np.zeros(n)
-    undef = np.zeros(n, dtype=bool)
-    lat, lon = net.grid.lat, net.grid.lon
-    for i, nbrs in enumerate(net.neighbors):
-        if nbrs.size == 0:
-            undef[i] = True
-            continue
-        d = _haversine_one_to_many(lat[i], lon[i], lat[nbrs], lon[nbrs])
-        vals[i] = float(d.mean())
+    deg = net.degrees()
+    edges = net.edge_array()
+    lat = np.radians(net.grid.lat)
+    lon = np.radians(net.grid.lon)
+    i, j = edges[:, 0], edges[:, 1]
+    d = _great_circle(lat[i], lon[i], lat[j], lon[j])
+    total = np.bincount(edges.ravel(), np.repeat(d, 2), minlength=net.n)
+    undef = deg == 0
+    vals = np.zeros(net.n)
+    vals[~undef] = total[~undef] / deg[~undef]
     return MetricField("MGD", vals, undef)
-
-
-def _haversine_one_to_many(lat0, lon0, lats, lons) -> np.ndarray:
-    la0, lo0 = math.radians(lat0), math.radians(lon0)
-    la = np.radians(lats)
-    lo = np.radians(lons)
-    s1 = np.sin(0.5 * (la - la0))
-    s2 = np.sin(0.5 * (lo - lo0))
-    h = s1 * s1 + math.cos(la0) * np.cos(la) * s2 * s2
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
-
-
-@dataclass(frozen=True)
-class ShortestPathCounts:
-    """BFS shortest-path bookkeeping from one source."""
-
-    source: int
-    dist: np.ndarray  # -1 where unreachable
-    sigma: np.ndarray  # number of shortest paths from the source
-    dependency: np.ndarray  # accumulated pair dependency of each node
-
-
-def single_source_paths(net: Network, s: int) -> ShortestPathCounts:
-    """Distances, path counts, and dependencies from source s."""
-    n = net.n
-    nbr_lists = [a.tolist() for a in net.neighbors]
-    dist = [-1] * n
-    sigma = [0.0] * n
-    dist[s] = 0
-    sigma[s] = 1.0
-    order: list[int] = []
-    preds: list[list[int]] = [[] for _ in range(n)]
-    q = deque([s])
-    while q:
-        v = q.popleft()
-        order.append(v)
-        dv1 = dist[v] + 1
-        for w in nbr_lists[v]:
-            if dist[w] < 0:
-                dist[w] = dv1
-                q.append(w)
-            if dist[w] == dv1:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    delta = [0.0] * n
-    for w in reversed(order):
-        coeff = (1.0 + delta[w]) / sigma[w]
-        for v in preds[w]:
-            delta[v] += sigma[v] * coeff
-    delta[s] = 0.0
-    return ShortestPathCounts(
-        source=s,
-        dist=np.asarray(dist, dtype=np.int64),
-        sigma=np.asarray(sigma),
-        dependency=np.asarray(delta),
-    )
 
 
 def _brandes_source(neighbors: list[list[int]], s: int, n: int) -> np.ndarray:
@@ -294,7 +267,9 @@ def betweenness(net: Network, threads: int = 1) -> MetricField:
     n = net.n
     if n < 3:
         raise ValueError("betweenness requires at least 3 nodes")
-    nbr_lists = [a.tolist() for a in net.neighbors]
+    ptr = net.indptr.tolist()
+    idx = net.indices.tolist()
+    nbr_lists = [idx[ptr[v] : ptr[v + 1]] for v in range(n)]
     total = np.zeros(n)
     chunk = 256
     for start in range(0, n, chunk):

@@ -69,15 +69,12 @@ def estimate_profile(net: Network, bin_width_km: float = 50.0) -> DistanceProfil
         raise ValueError("bin width must be positive")
     if net.edge_count == 0:
         raise ValueError("cannot estimate a link-probability profile from an edgeless network")
-    iu, ju, d = pair_distances(net.grid)
+    d = pair_distances(net.grid)
     n_bins = int(np.floor(d.max() / bin_width_km)) + 1
     idx = _bin_index(d, bin_width_km, n_bins)
     pair_count = np.bincount(idx, minlength=n_bins)
     edges = net.edge_array()
-    linked = np.zeros(iu.size, dtype=bool)
-    if edges.size:
-        linked[_pair_rank(edges[:, 0], edges[:, 1], net.n)] = True
-    link_count = np.bincount(idx[linked], minlength=n_bins)
+    link_count = np.bincount(idx[_pair_rank(edges[:, 0], edges[:, 1], net.n)], minlength=n_bins)
     with np.errstate(invalid="ignore", divide="ignore"):
         prob = np.where(pair_count > 0, link_count / np.maximum(pair_count, 1), 0.0)
     edges = np.arange(n_bins + 1, dtype=float) * bin_width_km
@@ -89,32 +86,23 @@ def estimate_profile(net: Network, bin_width_km: float = 50.0) -> DistanceProfil
     )
 
 
-def pair_link_probabilities(
-    profile: DistanceProfile, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(iu, ju, p) for every unordered pair; pairs beyond the last bin get 0."""
-    iu, ju, d = pair_distances(grid)
-    w = profile.bin_width_km
-    idx = np.floor(d / w).astype(np.int64)
-    p = np.zeros(d.size)
-    inside = idx < profile.n_bins
-    p[inside] = profile.bin_prob[idx[inside]]
-    return iu, ju, p
+def pair_link_probabilities(profile: DistanceProfile, grid: GridSpec) -> np.ndarray:
+    """Link probability of every pair i < j, in np.triu_indices(n, 1) order.
+
+    Pairs beyond the last bin get 0.
+    """
+    idx = _bin_index(pair_distances(grid), profile.bin_width_km, profile.n_bins + 1)
+    return np.append(profile.bin_prob, 0.0)[idx]
 
 
-def _draw_member(
-    iu: np.ndarray, ju: np.ndarray, p: np.ndarray, grid: GridSpec, member_seed: int
-) -> Network:
+def _draw_member(p: np.ndarray, grid: GridSpec, member_seed: int) -> Network:
     rng = np.random.Generator(np.random.PCG64(member_seed))
-    mask = rng.random(p.size) < p
-    edges = np.stack([iu[mask], ju[mask]], axis=1)
-    return Network.from_edges(grid, edges)
+    return Network.from_pair_mask(grid, rng.random(p.size) < p)
 
 
 def sample_surrogate(profile: DistanceProfile, grid: GridSpec, member_seed: int) -> Network:
     """One surrogate: independent Bernoulli draw per pair at its bin probability."""
-    iu, ju, p = pair_link_probabilities(profile, grid)
-    return _draw_member(iu, ju, p, grid, member_seed)
+    return _draw_member(pair_link_probabilities(profile, grid), grid, member_seed)
 
 
 def ensemble_stats(
@@ -134,10 +122,10 @@ def ensemble_stats(
     """
     if ensemble_size < 1:
         raise ValueError("ensemble_size must be >= 1")
-    iu, ju, p = pair_link_probabilities(profile, grid)
+    p = pair_link_probabilities(profile, grid)
 
     def member_fields(k: int) -> dict[str, np.ndarray]:
-        net = _draw_member(iu, ju, p, grid, mix64(seed, SURROGATE_TAG, k))
+        net = _draw_member(p, grid, mix64(seed, SURROGATE_TAG, k))
         return {m: compute_metric(net, m).values for m in metrics}
 
     sums = {m: np.zeros(grid.n) for m in metrics}

@@ -98,11 +98,9 @@ def gen_embedded_network(spec: SynthNetSpec) -> Network:
     grid = spec.layout if isinstance(spec.layout, GridSpec) else lattice_grid(spec.layout)
     if grid.n < 3:
         raise ValueError("layout must place at least 3 nodes")
-    iu, ju, d = pair_distances(grid)
-    p = link_probability(spec.link_model, d)
+    p = link_probability(spec.link_model, pair_distances(grid))
     rng = stream(spec.seed, SYNTH_TAG, 1)
-    mask = rng.random(p.size) < p
-    return Network.from_edges(grid, np.stack([iu[mask], ju[mask]], axis=1))
+    return Network.from_pair_mask(grid, rng.random(p.size) < p)
 
 
 def gen_event_field(spec: SynthEventSpec) -> list[EventSeries]:

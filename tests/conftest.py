@@ -30,8 +30,8 @@ def random_event_series(node_id, T, rate, rng, start=0) -> EventSeries:
 
 def dense_adjacency(net: Network) -> np.ndarray:
     a = np.zeros((net.n, net.n), dtype=bool)
-    for i, nbrs in enumerate(net.neighbors):
-        a[i, nbrs] = True
+    e = net.edge_array()
+    a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = True
     return a
 
 

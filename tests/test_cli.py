@@ -99,6 +99,34 @@ def test_config_rejects_unknown_sync_key(tmp_path):
     assert main(["network", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"alhpa": 0.01}, "unknown key alhpa"),
+    ({"threshold": {"pct": 90}}, "unknown key threshold.pct"),
+    ({"surrogate": {"members": 10}}, "unknown key surrogate.members"),
+    ({"threshold": 95}, "threshold must be an object"),
+    ({"surrogate": [1000]}, "surrogate must be an object"),
+    ({"surrogate": {"ensemble_size": "abc"}}, "surrogate.ensemble_size must be a number"),
+    ({"surrogate": {"bin_width_km": "abc"}}, "surrogate.bin_width_km must be a number"),
+    ({"alpha": "abc"}, "alpha must be a number"),
+    ({"threads": "abc"}, "threads must be a number"),
+])
+def test_config_rejects_bad_document(tmp_path, capsys, doc, message):
+    # each mistake is a config error (exit 1), never a silent default or a crash (exit 2)
+    with pytest.raises(ConfigError, match=message):
+        validate_config({"seed": 1, **doc})
+    assert main(["synth", "--config", str(base_config(tmp_path))]) == 0
+    assert main(["synth", "--config", str(base_config(tmp_path, **doc))]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_config_rejects_non_object_document(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="JSON object"):
+        load_config(p)
+    assert main(["network", "--config", str(p)]) == 1
+
+
 def test_config_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_config("/nonexistent/run.json")

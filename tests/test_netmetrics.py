@@ -16,7 +16,9 @@ from gridsync.netmetrics import (
     haversine_matrix,
     log_bc,
     mean_geo_distance,
+    pair_distances,
 )
+from gridsync.synth import Exponential, RectLattice, SynthNetSpec, gen_embedded_network
 
 from conftest import dense_adjacency, random_grid, random_network
 
@@ -35,7 +37,7 @@ def bfs_counts(net, s):
     q = deque([s])
     while q:
         v = q.popleft()
-        for w in net.neighbors[v]:
+        for w in net.neighbors(v):
             w = int(w)
             if dist[w] < 0:
                 dist[w] = dist[v] + 1
@@ -245,39 +247,107 @@ def test_handshake_lemma(rng):
         assert degree(net).values.sum() == 2 * net.edge_count
 
 
-def test_neighborhood_links_invariant(rng):
-    from gridsync.netmetrics import neighborhood_links
-
+def test_clustering_links_within_neighbor_pairs(rng):
+    # CC * k(k-1)/2 is the whole number of links among a node's k neighbors
     for seed in range(10):
         net = random_network(25, 0.3, seed + 600)
-        links = neighborhood_links(net).links_among_neighbors
         deg = degree(net).values
+        links = clustering(net).values * deg * (deg - 1) / 2
+        assert np.allclose(links, np.round(links), atol=1e-9)
         assert np.all(links >= 0)
         assert np.all(links <= deg * (deg - 1) / 2)
 
 
-def test_single_source_paths_invariants(rng):
-    from gridsync.netmetrics import single_source_paths
+def to_networkx(net):
+    import networkx as nx
 
-    net = random_network(20, 0.25, 700)
-    total = np.zeros(net.n)
-    for s in range(net.n):
-        sp = single_source_paths(net, s)
-        assert sp.sigma[s] == 1.0
-        assert sp.dist[s] == 0
-        assert np.all((sp.sigma > 0) == (sp.dist >= 0))
-        total += sp.dependency
-    bc = betweenness(net).values
-    assert np.allclose(total / ((net.n - 1) * (net.n - 2)), bc, atol=1e-12)
+    g = nx.Graph()
+    g.add_nodes_from(range(net.n))
+    g.add_edges_from(net.edge_array().tolist())
+    return g
+
+
+def test_bc_matches_networkx_oracle(rng):
+    import networkx as nx
+
+    grid = random_grid(9, 5)
+    # two components, a pendant node (8) and two isolated nodes (6, 7)
+    split = Network.from_edges(grid, np.array([[0, 1], [0, 2], [1, 2], [2, 3], [3, 8], [4, 5]]))
+    nets = [split] + [random_network(int(rng.integers(5, 60)), rng.uniform(0.03, 0.3), s + 710) for s in range(8)]
+    for net in nets:
+        oracle = nx.betweenness_centrality(to_networkx(net), normalized=True)
+        expect = np.array([oracle[v] for v in range(net.n)])
+        assert np.allclose(betweenness(net).values, expect, rtol=1e-12, atol=1e-15)
+    assert betweenness(split).values[[6, 7, 8]].tolist() == [0.0, 0.0, 0.0]
+
+
+def large_network(seed):
+    """A 46 x 46 lattice network (n = 2,116 > 2,048, not a multiple of 8) with
+    isolated nodes 0 and 700, degree-1 nodes 5 and 1,000, and all other nodes
+    embedded as in the CONUS workload."""
+    layout = RectLattice(rows=46, cols=46, spacing_km=50.0)
+    net = gen_embedded_network(SynthNetSpec(layout, Exponential(0.8, 100.0), seed=seed))
+    e = net.edge_array()
+    cut = np.isin(e, [0, 5, 700, 1000]).any(axis=1)
+    keep = e[~cut].tolist() + [[5, 6], [999, 1000]]
+    return Network.from_edges(net.grid, np.array(sorted(keep)))
+
+
+def test_metrics_match_networkx_and_haversine_loop_above_2048_nodes():
+    import networkx as nx
+
+    net = large_network(3)
+    assert net.n > 2048 and net.n % 8 != 0
+    g = to_networkx(net)
+    deg = np.array([g.degree(v) for v in range(net.n)])
+    assert degree(net).values.tolist() == deg.tolist()
+    assert deg[[0, 700]].tolist() == [0, 0] and deg[[5, 1000]].tolist() == [1, 1]
+
+    cc = clustering(net)
+    tri = nx.triangles(g)
+    links = np.array([tri[v] for v in range(net.n)])
+    assert np.array_equal(cc.undefined, deg < 2)
+    good = deg >= 2
+    # bit-exact: integer link counts over the same integer denominator
+    assert np.array_equal(cc.values[good], 2.0 * links[good] / (deg[good] * (deg[good] - 1)))
+    assert np.all(cc.values[~good] == 0.0)
+    nx_cc = nx.clustering(g)
+    assert np.allclose(cc.values, [nx_cc[v] for v in range(net.n)], rtol=1e-14, atol=0)
+
+    mgd = mean_geo_distance(net)
+    assert np.array_equal(mgd.undefined, deg == 0)
+    for i in range(net.n):
+        nbrs = net.neighbors(i).tolist()
+        if not nbrs:
+            assert mgd.values[i] == 0.0
+            continue
+        pts = [(net.grid.lat[j], net.grid.lon[j]) for j in nbrs]
+        expect = math.fsum(haversine((net.grid.lat[i], net.grid.lon[i]), q) for q in pts) / len(pts)
+        assert mgd.values[i] == pytest.approx(expect, rel=1e-12)
+    assert mgd.values[5] == pytest.approx(haversine((net.grid.lat[5], net.grid.lon[5]),
+                                                    (net.grid.lat[6], net.grid.lon[6])), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1500])
+def test_pair_distances_bitwise_equal_to_matrix_triangle(n):
+    # 1500 nodes span three row blocks
+    grid = random_grid(n, 40 + n)
+    got = pair_distances(grid)
+    expect = haversine_matrix(grid)[np.triu_indices(n, 1)]
+    assert got.dtype == np.float64 and got.shape == (n * (n - 1) // 2,)
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_network_structure_invariants(rng):
     net = random_network(25, 0.3, 500)
-    for i, nbrs in enumerate(net.neighbors):
+    assert net.indptr.dtype == net.indices.dtype == np.int64
+    assert net.indptr[0] == 0 and net.indptr[-1] == net.indices.size
+    for i in range(net.n):
+        nbrs = net.neighbors(i)
         assert (np.diff(nbrs) > 0).all()  # sorted, duplicate-free
         assert i not in nbrs  # zero diagonal
         for j in nbrs:
-            assert i in net.neighbors[int(j)]  # symmetric
+            assert i in net.neighbors(int(j))  # symmetric
     a = dense_adjacency(net)
     assert np.array_equal(a, a.T)
     assert not a.diagonal().any()
@@ -291,6 +361,8 @@ def test_network_rejects_bad_edges():
         Network.from_edges(grid, np.array([[0, 9]]))
     with pytest.raises(ValueError, match="duplicate"):
         Network.from_edges(grid, np.array([[0, 1], [0, 1]]))
+    with pytest.raises(ValueError, match="6 pair flags"):
+        Network.from_pair_mask(grid, np.ones(5, dtype=bool))
 
 
 def test_edge_array_roundtrip_with_isolated_nodes(rng):
@@ -301,7 +373,7 @@ def test_edge_array_roundtrip_with_isolated_nodes(rng):
     out = net.edge_array()
     assert out.dtype == np.int64
     assert out.tolist() == sorted(edges.tolist())
-    loop = [(i, int(j)) for i, nbrs in enumerate(net.neighbors) for j in nbrs if j > i]
+    loop = [(i, int(j)) for i in range(net.n) for j in net.neighbors(i) if j > i]
     assert [tuple(e) for e in out.tolist()] == loop
     assert Network.from_edges(grid, out).edge_array().tolist() == out.tolist()
     assert Network.from_edges(grid, np.empty((0, 2))).edge_array().shape == (0, 2)

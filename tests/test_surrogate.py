@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -104,10 +106,59 @@ def test_sample_deterministic_per_seed():
     assert a.tolist() != c.tolist()
 
 
+def test_pair_link_probabilities_follow_bins():
+    net = random_network(30, 0.3, 21)
+    w = 150.0
+    prof = estimate_profile(net, bin_width_km=w)
+    p = pair_link_probabilities(prof, net.grid)
+    d = haversine_matrix(net.grid)[np.triu_indices(net.n, k=1)]
+    assert p.tolist() == [prof.bin_prob[math.floor(x / w)] for x in d]
+    # pairs beyond the last bin of a narrower profile get 0
+    short = DistanceProfile(prof.bin_edges[:3], prof.bin_prob[:2], prof.bin_pair_count[:2], prof.bin_link_count[:2])
+    q = pair_link_probabilities(short, net.grid)
+    assert np.all(q[d >= 2 * w] == 0.0)
+    assert np.array_equal(q[d < 2 * w], p[d < 2 * w])
+
+
+def member_oracle(p, n, member_seed):
+    """CSR of the member drawn pair by pair from a dense matrix, independent of Network."""
+    rng = np.random.Generator(np.random.PCG64(member_seed))
+    mask = rng.random(p.size) < p
+    iu, ju = np.triu_indices(n, k=1)
+    a = np.zeros((n, n), dtype=bool)
+    a[iu[mask], ju[mask]] = True
+    a |= a.T
+    rows, cols = np.nonzero(a)
+    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]), cols, iu[mask], ju[mask]
+
+
+@pytest.mark.parametrize("profile", ["estimated", "zero", "one"])
+def test_member_csr_equals_pairwise_draw(profile):
+    net = random_network(40, 0.2, 31)
+    prof = {
+        "estimated": estimate_profile(net, bin_width_km=200.0),
+        "zero": const_profile(0.0),
+        "one": const_profile(1.0),
+    }[profile]
+    p = pair_link_probabilities(prof, net.grid)
+    for member_seed in (0, 1, 77, mix64(5, SURROGATE_TAG, 3)):
+        got = sample_surrogate(prof, net.grid, member_seed)
+        indptr, indices, i, j = member_oracle(p, net.n, member_seed)
+        assert got.indptr.tolist() == indptr.tolist()
+        assert got.indices.tolist() == indices.tolist()
+        assert got.indptr.dtype == got.indices.dtype == np.int64
+        ref = Network.from_edges(net.grid, np.stack([i, j], axis=1))
+        assert np.array_equal(got.indices, ref.indices) and np.array_equal(got.indptr, ref.indptr)
+    if profile == "zero":
+        assert got.edge_count == 0
+    if profile == "one":
+        assert got.edge_count == net.n * (net.n - 1) // 2
+
+
 def test_sample_expected_edge_count(rng):
     net = random_network(25, 0.25, 11)
     prof = estimate_profile(net, bin_width_km=300.0)
-    _, _, p = pair_link_probabilities(prof, net.grid)
+    p = pair_link_probabilities(prof, net.grid)
     expect = p.sum()
     var = (p * (1 - p)).sum()
     counts = [sample_surrogate(prof, net.grid, int(s)).edge_count for s in range(200)]
@@ -119,7 +170,8 @@ def test_profile_consistency_resampling(rng):
     net = random_network(20, 0.3, 13)
     w = 200.0
     prof = estimate_profile(net, bin_width_km=w)
-    iu, ju, p = pair_link_probabilities(prof, net.grid)
+    p = pair_link_probabilities(prof, net.grid)
+    iu, ju = np.triu_indices(net.n, k=1)
     d = haversine_matrix(net.grid)[iu, ju]
     idx = np.minimum(np.floor(d / w).astype(int), prof.n_bins - 1)
     K = 200
@@ -151,7 +203,8 @@ def test_ensemble_size_one_equals_member():
 def test_ensemble_dc_mean_analytic(rng):
     net = random_network(22, 0.3, 19)
     prof = estimate_profile(net, bin_width_km=250.0)
-    iu, ju, p = pair_link_probabilities(prof, net.grid)
+    p = pair_link_probabilities(prof, net.grid)
+    iu, ju = np.triu_indices(net.n, k=1)
     expect = np.zeros(net.n)
     var = np.zeros(net.n)
     for k in range(iu.size):

@@ -295,7 +295,7 @@ def test_build_network_matches_pair_sync_oracle(rng):
     for weight in (1.0, 0.5):
         params = SyncParams(n_shuffles=150, seed=9, simultaneous_weight=weight)
         net = assert_matches_pair_sync(series, grid, params)
-        assert net.neighbors[3].size == 0
+        assert net.neighbors(3).size == 0
 
 
 def test_build_network_heavy_pairs_match_pair_sync_oracle():

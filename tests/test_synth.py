@@ -66,7 +66,7 @@ def test_interior_degree_exceeds_corners():
     corners = [0, 29, 30 * 29, 30 * 30 - 1]
     for seed in range(50):
         net = gen_embedded_network(SynthNetSpec(layout, Exponential(0.8, 100.0), seed=seed))
-        dc = np.array([a.size for a in net.neighbors], dtype=float)
+        dc = net.degrees().astype(float)
         inner_means.append(dc[~boundary].mean())
         corner_means.append(dc[corners].mean())
     assert np.mean(inner_means) > np.mean(corner_means)
