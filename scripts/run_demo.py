@@ -18,14 +18,11 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/demo", help="output directory")
     ap.add_argument("--seed", type=int, default=None, help="override the demo seed")
-    ap.add_argument("--threads", type=int, default=None)
     args = ap.parse_args()
 
     base = ["--config", str(DEMO_CONFIG), "--out", args.out]
     if args.seed is not None:
         base += ["--seed", str(args.seed)]
-    if args.threads is not None:
-        base += ["--threads", str(args.threads)]
 
     code = cli_main(["pipeline", *base])
     if code != 0:

@@ -3,10 +3,11 @@
 Every stage reads its inputs from disk, writes its artifact plus a JSON
 manifest (content hashes of inputs and outputs, result-affecting parameters,
 seed, version), and reports progress and timing to stderr. Reruns with the
-same config are byte-identical; thread count and output location never
-influence artifact bytes, so they are not recorded in manifests.
+same config are byte-identical; the output location never influences artifact
+bytes, so it is not recorded in manifests. Stages run serially (BLAS aside),
+and no artifact byte depends on the BLAS thread count.
 
-Exit codes: 0 success, 1 validation error, 2 runtime failure.
+Exit codes: 0 success, 1 usage or validation error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -65,7 +65,7 @@ _THRESHOLD_DEFAULTS = {
 
 _TOP_KEYS = (
     "input", "format", "variable", "season", "threshold", "seed", "sync", "surrogate",
-    "corrections", "metrics", "alpha", "use_normalized", "out", "threads", "synth",
+    "corrections", "metrics", "alpha", "use_normalized", "out", "synth",
 )
 _BLOCK_KEYS = {
     "threshold": ("percentile", "direction", "support", "positive_floor", "min_support"),
@@ -100,7 +100,6 @@ class RunConfig:
     use_normalized: bool
     out: str
     seed: int
-    threads: int
     synth: dict | None
 
     @property
@@ -108,7 +107,7 @@ class RunConfig:
         return "EPE" if self.variable == "precip" else "ETE"
 
     def result_parameters(self) -> dict:
-        """Parameters that influence artifact bytes (paths/threads excluded)."""
+        """Parameters that influence artifact bytes (paths excluded)."""
         return {
             "variable": self.variable,
             "season": self.season,
@@ -170,7 +169,7 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     doc = dict(doc)
     for key in sorted(set(doc) - set(_TOP_KEYS)):
         problems.append(f"unknown key {key}; expected from {_TOP_KEYS}")
-    for k in ("seed", "threads", "out"):
+    for k in ("seed", "out"):
         if overrides.get(k) is not None:
             doc[k] = overrides[k]
 
@@ -201,9 +200,7 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     if seed is None:
         problems.append("seed is mandatory (wall-clock seeding is not allowed)")
         seed = 0
-    try:
-        seed = int(seed)
-    except (ValueError, TypeError):
+    elif isinstance(seed, bool) or not isinstance(seed, int):
         problems.append(f"seed must be an integer, got {seed!r}")
         seed = 0
 
@@ -249,10 +246,10 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         problems.append(f"format must be 'binary' or 'csv', got {fmt!r}")
         fmt = "binary"
 
-    threads = _number(doc, "threads", os.cpu_count() or 1, int, "threads", problems)
-    if threads < 1:
-        problems.append(f"threads must be >= 1, got {threads}")
-        threads = 1
+    use_normalized = _get(doc, "use_normalized", True)
+    if not isinstance(use_normalized, bool):
+        problems.append(f"use_normalized must be true or false, got {use_normalized!r}")
+        use_normalized = True
 
     synth = doc.get("synth")
     if synth is not None and not isinstance(synth, dict):
@@ -271,10 +268,9 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         corrections=corrections,
         metrics=metrics,
         alpha=alpha,
-        use_normalized=bool(_get(doc, "use_normalized", True)),
+        use_normalized=use_normalized,
         out=str(_get(doc, "out", "out")),
         seed=seed,
-        threads=threads,
         synth=synth,
     )
     if problems:
@@ -446,7 +442,7 @@ def stage_metrics(cfg: RunConfig, out_dir: Path) -> None:
     net = _load_network(out_dir)
     outputs = []
     for m in cfg.metrics:
-        mf = compute_metric(net, m, threads=cfg.threads)
+        mf = compute_metric(net, m)
         path = out_dir / f"metric_{m}.csv"
         write_metric_csv(mf.values, net.grid, path)
         outputs.append(path)
@@ -473,7 +469,6 @@ def stage_surrogate(cfg: RunConfig, out_dir: Path) -> None:
         metrics=cfg.metrics,
         ensemble_size=cfg.ensemble_size,
         seed=cfg.seed,
-        threads=cfg.threads,
     )
     profile_path = out_dir / "profile.csv"
     stats_path = out_dir / "surrogate_stats.csv"
@@ -583,8 +578,16 @@ def run_pipeline(cfg: RunConfig, out_dir: Path) -> None:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are validation errors: usage message, then exit 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridsync",
         description="Climate networks from gridded extreme-event series.",
     )
@@ -594,7 +597,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=None, help="override thread count")
         p.add_argument("--out", default=None, help="override output directory")
         if name == "render":
             p.add_argument("--field", required=True, help="field CSV to rasterize")
@@ -609,7 +611,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(
             args.config,
-            overrides={"seed": args.seed, "threads": args.threads, "out": args.out},
+            overrides={"seed": args.seed, "out": args.out},
         )
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -128,18 +128,14 @@ def paired_fields(
 
 
 def write_corrected_csv(cf: CorrectedField, grid, path) -> None:
-    from .grid_io import _fmt
+    from .grid_io import _write_rows
 
     if grid.n != cf.n:
         raise ValueError("grid size does not match corrected field")
     with open(path, "w", newline="") as f:
         f.write("node_id,lat,lon,raw,surrogate_mean,corrected,normalized,defined\n")
-        for i in range(cf.n):
-            f.write(
-                f"{i},{_fmt(grid.lat[i])},{_fmt(grid.lon[i])},{_fmt(cf.raw[i])},"
-                f"{_fmt(cf.surrogate_mean[i])},{_fmt(cf.corrected[i])},"
-                f"{_fmt(cf.normalized[i])},{int(not cf.undefined[i])}\n"
-            )
+        _write_rows(f, range(cf.n), grid.lat, grid.lon, cf.raw, cf.surrogate_mean, cf.corrected,
+                    cf.normalized, (~cf.undefined).astype(np.int8))
 
 
 def read_corrected_csv(path, metric: str, method: str) -> "CorrectedField":

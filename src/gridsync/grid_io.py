@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -188,21 +189,24 @@ def read_gridded_binary(path) -> GriddedSeries:
 # CSV gridded format
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal string that round-trips the float exactly."""
-    if np.isnan(x):
-        return "nan"
-    return repr(float(x))
+def _write_rows(f, *columns) -> None:
+    """Write one comma-joined line per row of the columns.
+
+    Array columns go through tolist(), so a float prints as its shortest
+    round-trip repr ('nan', 'inf' and '-0.0' included) and an integer as an
+    integer; items of any other iterable print with str. Pass bool arrays as
+    integers.
+    """
+    cols = (map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns)
+    f.writelines(",".join(row) + "\n" for row in zip(*cols))
 
 
 def write_gridded_csv(gs: GriddedSeries, path) -> None:
+    lat, lon, days = gs.grid.lat.tolist(), gs.grid.lon.tolist(), gs.days.tolist()
     with open(path, "w", newline="") as f:
         f.write("node_id,lat,lon,day_index,value\n")
         for i in range(gs.n_nodes):
-            lat = _fmt(gs.grid.lat[i])
-            lon = _fmt(gs.grid.lon[i])
-            for k in range(gs.n_days):
-                f.write(f"{i},{lat},{lon},{gs.days[k]},{_fmt(gs.values[i, k])}\n")
+            _write_rows(f, repeat(f"{i},{lat[i]},{lon[i]}", gs.n_days), days, gs.values[i])
 
 
 def read_gridded_csv(path) -> GriddedSeries:
@@ -283,8 +287,7 @@ def write_gridded(gs: GriddedSeries, path, format: str = "binary") -> None:
 def write_grid_csv(grid: GridSpec, path) -> None:
     with open(path, "w", newline="") as f:
         f.write("node_id,lat,lon\n")
-        for i in range(grid.n):
-            f.write(f"{i},{_fmt(grid.lat[i])},{_fmt(grid.lon[i])}\n")
+        _write_rows(f, range(grid.n), grid.lat, grid.lon)
 
 
 def read_grid_csv(path) -> GridSpec:
@@ -315,8 +318,7 @@ def write_metric_csv(values: np.ndarray, grid: GridSpec, path) -> None:
         raise ValueError("value vector does not match grid size")
     with open(path, "w", newline="") as f:
         f.write("node_id,lat,lon,value\n")
-        for i in range(grid.n):
-            f.write(f"{i},{_fmt(grid.lat[i])},{_fmt(grid.lon[i])},{_fmt(values[i])}\n")
+        _write_rows(f, range(grid.n), grid.lat, grid.lon, values)
 
 
 def read_metric_csv(path) -> tuple[np.ndarray, GridSpec]:
@@ -363,11 +365,10 @@ def write_edge_list(edges: np.ndarray, path) -> None:
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and not (edges[:, 0] < edges[:, 1]).all():
         raise ValueError("edge rows must satisfy i < j")
-    order = np.lexsort((edges[:, 1], edges[:, 0])) if edges.size else []
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     with open(path, "w", newline="") as f:
         f.write("i,j\n")
-        for k in order:
-            f.write(f"{edges[k, 0]},{edges[k, 1]}\n")
+        _write_rows(f, edges[:, 0], edges[:, 1])
 
 
 def read_edge_list(path) -> np.ndarray:
@@ -405,8 +406,7 @@ def write_event_series(all_series, path, sidecar: dict) -> None:
     with open(path, "w", newline="") as f:
         f.write("node_id,day_index\n")
         for es in all_series:
-            for d in es.event_days:
-                f.write(f"{es.node_id},{d}\n")
+            _write_rows(f, repeat(es.node_id, es.n_events), es.event_days)
     with open(path.with_suffix(path.suffix + ".json"), "w") as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)
         f.write("\n")

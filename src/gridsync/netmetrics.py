@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid_io import GridSpec
-from .seeding import ordered_map
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -255,14 +254,13 @@ def _brandes_source(neighbors: list[list[int]], s: int, n: int) -> np.ndarray:
     return np.asarray(delta)
 
 
-def betweenness(net: Network, threads: int = 1) -> MetricField:
+def betweenness(net: Network) -> MetricField:
     """Normalized betweenness centrality over unweighted shortest paths.
 
     Accumulates per-source dependencies (Brandes) and normalizes by
     (n-1)(n-2), which maps the sum over unordered pairs onto [0, 1].
     Unreachable pairs contribute nothing; the denominator stays global.
-    Source contributions are reduced in fixed index order, so results are
-    independent of thread count.
+    Source contributions are summed in source order, in blocks of 256.
     """
     n = net.n
     if n < 3:
@@ -273,8 +271,7 @@ def betweenness(net: Network, threads: int = 1) -> MetricField:
     total = np.zeros(n)
     chunk = 256
     for start in range(0, n, chunk):
-        sources = range(start, min(start + chunk, n))
-        deps = ordered_map(lambda s: _brandes_source(nbr_lists, s, n), sources, threads)
+        deps = [_brandes_source(nbr_lists, s, n) for s in range(start, min(start + chunk, n))]
         total += np.sum(np.stack(deps), axis=0)
     bc = total / ((n - 1) * (n - 2))
     return MetricField("BC", bc)
@@ -295,10 +292,8 @@ _METRIC_FUNCS = {
 }
 
 
-def compute_metric(net: Network, metric: str, threads: int = 1) -> MetricField:
+def compute_metric(net: Network, metric: str) -> MetricField:
     """Dispatch one of DC, CC, MGD, BC by name."""
     if metric not in _METRIC_FUNCS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_NAMES}")
-    if metric == "BC":
-        return betweenness(net, threads=threads)
     return _METRIC_FUNCS[metric](net)

@@ -1,14 +1,11 @@
-"""Deterministic RNG stream derivation and ordered parallel mapping.
+"""Deterministic RNG stream derivation.
 
 Every stochastic component derives its own stream from a global seed plus
 integer context (null-model key, ensemble member index, ...) so that results do
-not depend on evaluation order or thread count.
+not depend on evaluation order.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,19 +34,3 @@ def stream(*parts: int) -> np.random.Generator:
     """PCG64 generator seeded from the mixed parts."""
     return np.random.Generator(np.random.PCG64(mix64(*parts)))
 
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def ordered_map(fn: Callable[[T], R], items: Sequence[T] | Iterable[T], threads: int = 1) -> list[R]:
-    """Map fn over items, results in input order regardless of scheduling.
-
-    With threads <= 1 runs serially; otherwise uses a thread pool. Callers
-    must make fn independent of execution order (pure, or seeded per item).
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))

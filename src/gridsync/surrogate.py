@@ -9,12 +9,13 @@ embedding alone (including domain boundaries) would produce.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .grid_io import GridSpec
+from .grid_io import GridSpec, _write_rows
 from .netmetrics import Network, compute_metric, pair_distances
-from .seeding import SURROGATE_TAG, mix64, ordered_map
+from .seeding import SURROGATE_TAG, mix64
 
 
 @dataclass(frozen=True)
@@ -111,14 +112,12 @@ def ensemble_stats(
     metrics: tuple[str, ...] = ("DC", "CC", "MGD", "BC"),
     ensemble_size: int = 1000,
     seed: int = 0,
-    threads: int = 1,
 ) -> dict[str, SurrogateStats]:
     """Per-node ensemble means of the requested metrics.
 
     Member k is sample_surrogate with seed mix64(seed, SURROGATE_TAG, k).
     Undefined-flag nodes contribute their numeric convention value (0).
-    Member contributions are reduced in member order (pairwise summation),
-    so the result does not depend on thread scheduling.
+    Member contributions are summed in member order, in blocks of 64.
     """
     if ensemble_size < 1:
         raise ValueError("ensemble_size must be >= 1")
@@ -131,8 +130,7 @@ def ensemble_stats(
     sums = {m: np.zeros(grid.n) for m in metrics}
     chunk = 64
     for start in range(0, ensemble_size, chunk):
-        members = range(start, min(start + chunk, ensemble_size))
-        fields = ordered_map(member_fields, members, threads)
+        fields = [member_fields(k) for k in range(start, min(start + chunk, ensemble_size))]
         for m in metrics:
             sums[m] += np.sum(np.stack([f[m] for f in fields]), axis=0)
 
@@ -153,16 +151,10 @@ def ensemble_stats(
 
 
 def write_profile_csv(profile: DistanceProfile, path) -> None:
-    from .grid_io import _fmt
-
     with open(path, "w", newline="") as f:
         f.write("bin_lo_km,bin_hi_km,pairs,links,prob\n")
-        for k in range(profile.n_bins):
-            f.write(
-                f"{_fmt(profile.bin_edges[k])},{_fmt(profile.bin_edges[k + 1])},"
-                f"{int(profile.bin_pair_count[k])},{int(profile.bin_link_count[k])},"
-                f"{_fmt(profile.bin_prob[k])}\n"
-            )
+        _write_rows(f, profile.bin_edges[:-1], profile.bin_edges[1:], profile.bin_pair_count,
+                    profile.bin_link_count, profile.bin_prob)
 
 
 def read_profile_csv(path) -> DistanceProfile:
@@ -197,16 +189,13 @@ def read_profile_csv(path) -> DistanceProfile:
 
 
 def write_surrogate_stats_csv(stats: dict[str, SurrogateStats], path) -> None:
-    from .grid_io import _fmt
-
     with open(path, "w", newline="") as f:
         f.write("node_id,metric,mean,zero_flag\n")
         for metric in sorted(stats):
             st = stats[metric]
-            zero = np.zeros(st.n, dtype=bool)
-            zero[st.zero_mean_nodes] = True
-            for i in range(st.n):
-                f.write(f"{i},{metric},{_fmt(st.mean[i])},{int(zero[i])}\n")
+            zero = np.zeros(st.n, dtype=np.int8)
+            zero[st.zero_mean_nodes] = 1
+            _write_rows(f, range(st.n), repeat(metric, st.n), st.mean, zero)
 
 
 def read_surrogate_stats_csv(path, ensemble_size: int = 1) -> dict[str, SurrogateStats]:

@@ -8,6 +8,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from itertools import combinations
 
@@ -266,12 +268,7 @@ def test_criterion_6_method_divergence():
            f"{np.abs(csub.normalized - cdiv.normalized).max():.1e}")
 
 
-def _run_pipeline(config, out_dir, threads):
-    from gridsync.cli import main
-
-    code = main(["pipeline", "--config", str(config), "--out", str(out_dir),
-                 "--threads", str(threads)])
-    assert code == 0
+def _hash_dir(out_dir):
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out_dir.iterdir())
@@ -279,21 +276,42 @@ def _run_pipeline(config, out_dir, threads):
     }
 
 
+def _run_pipeline(config, out_dir, blas_threads):
+    """The CLI in a fresh process; blas_threads None leaves OPENBLAS_NUM_THREADS unset."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridsync.cli", "pipeline", "--config", str(config), "--out", str(out_dir)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return _hash_dir(out_dir)
+
+
 def test_criterion_7_pipeline_determinism(tmp_path):
+    from gridsync.cli import main
+
     t0 = time.perf_counter()
     config = os.path.join(os.path.dirname(__file__), "fixtures", "demo8x8.json")
     max_threads = os.cpu_count() or 1
     runs = {
-        "t1": _run_pipeline(config, tmp_path / "t1", 1),
-        "t4": _run_pipeline(config, tmp_path / "t4", 4),
-        "tmax": _run_pipeline(config, tmp_path / "tmax", max_threads),
-        "rerun": _run_pipeline(config, tmp_path / "rerun", 4),
+        "blas1": _run_pipeline(config, tmp_path / "blas1", 1),
+        "blas_unset": _run_pipeline(config, tmp_path / "blas_unset", None),
+        "blas_max": _run_pipeline(config, tmp_path / "blas_max", max_threads),
     }
-    first = runs["t1"]
+    assert main(["pipeline", "--config", config, "--out", str(tmp_path / "in_process")]) == 0
+    runs["in_process"] = _hash_dir(tmp_path / "in_process")
+    runs["rerun"] = _run_pipeline(config, tmp_path / "blas1", None)
+    first = runs["blas1"]
     same = all(h == first for h in runs.values())
     elapsed = time.perf_counter() - t0
     report(7, "pipeline byte-identical", same and len(first) > 10, elapsed, 180.0,
-           f"{len(first)} artifacts identical across threads (1, 4, {max_threads}) and rerun")
+           f"{len(first)} artifacts identical across BLAS threads (1, unset, {max_threads}), "
+           f"in-process and rerun")
 
 
 def test_criterion_8_optional_cpc_integration(tmp_path):

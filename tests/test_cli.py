@@ -16,7 +16,6 @@ def base_config(tmp_path, **over):
         "season": "JJA",
         "format": "binary",
         "seed": 77,
-        "threads": 2,
         "out": str(tmp_path / "out"),
         "sync": {"n_shuffles": 200},
         "surrogate": {"ensemble_size": 30, "bin_width_km": 50.0},
@@ -82,10 +81,9 @@ def test_config_defaults_follow_variable():
 
 def test_config_overrides(tmp_path):
     p = base_config(tmp_path)
-    cfg = load_config(p, overrides={"seed": 123, "threads": 1, "out": str(tmp_path / "other")})
+    cfg = load_config(p, overrides={"seed": 123, "out": str(tmp_path / "other")})
     assert cfg.seed == 123
     assert cfg.sync.seed == 123
-    assert cfg.threads == 1
     assert cfg.out.endswith("other")
 
 
@@ -108,7 +106,10 @@ def test_config_rejects_unknown_sync_key(tmp_path):
     ({"surrogate": {"ensemble_size": "abc"}}, "surrogate.ensemble_size must be a number"),
     ({"surrogate": {"bin_width_km": "abc"}}, "surrogate.bin_width_km must be a number"),
     ({"alpha": "abc"}, "alpha must be a number"),
-    ({"threads": "abc"}, "threads must be a number"),
+    ({"threads": 2}, "unknown key threads"),
+    ({"use_normalized": "false"}, "use_normalized must be true or false"),
+    ({"seed": 1.7}, "seed must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
 ])
 def test_config_rejects_bad_document(tmp_path, capsys, doc, message):
     # each mistake is a config error (exit 1), never a silent default or a crash (exit 2)
@@ -117,6 +118,22 @@ def test_config_rejects_bad_document(tmp_path, capsys, doc, message):
     assert main(["synth", "--config", str(base_config(tmp_path))]) == 0
     assert main(["synth", "--config", str(base_config(tmp_path, **doc))]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--config", "{cfg}", "--threads", "4"], "unrecognized arguments: --threads 4"),
+    (["--config", "{cfg}", "--bogus"], "unrecognized arguments: --bogus"),
+    (["--config", "{cfg}", "--seed", "abc"], "--seed: invalid int value: 'abc'"),
+    (["--seed", "1"], "the following arguments are required: --config"),
+])
+def test_cli_usage_error_exits_1(tmp_path, capsys, args, message):
+    # a malformed command line is a usage error (exit 1); exit 2 means a runtime failure
+    cfg = base_config(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["pipeline", *(a.format(cfg=cfg) for a in args)])
+    assert err.value.code == 1
+    text = capsys.readouterr().err
+    assert text.startswith("usage: gridsync") and message in text
 
 
 def test_config_rejects_non_object_document(tmp_path):

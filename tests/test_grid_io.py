@@ -282,3 +282,89 @@ def test_edge_list_rejects_bad_order(tmp_path):
     p.write_text("i,j\n3,1\n")
     with pytest.raises(GridIOError, match="i < j"):
         read_edge_list(p)
+
+
+# ---------------------------------------------------------------------------
+# every CSV writer against a per-cell reference
+
+
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, 1 / 3])
+
+
+def _cell(x) -> str:
+    return repr(float(x))
+
+
+def _reference(header, rows) -> str:
+    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+def test_csv_writers_match_per_cell_repr(tmp_path):
+    from gridsync.correction import CorrectedField, write_corrected_csv
+    from gridsync.events import EventSeries
+    from gridsync.grid_io import write_event_series
+    from gridsync.surrogate import DistanceProfile, SurrogateStats, write_profile_csv, write_surrogate_stats_csv
+
+    n = SPECIAL.size
+    grid = GridSpec(lat=np.array([0.1, -0.0, 5e-324, 45.123456789, -89.99999999999999, 1 / 3, 60.0, 12.5]),
+                    lon=np.array([-120.0, 179.99999999999997, 1e-300, -0.0, 33.3, 2 / 3, -75.25, 100.0]))
+    node = [str(i) for i in range(n)]
+    loc = [[str(i), _cell(grid.lat[i]), _cell(grid.lon[i])] for i in range(n)]
+    expected = {}
+
+    write_grid_csv(grid, tmp_path / "grid.csv")
+    expected["grid.csv"] = _reference("node_id,lat,lon", loc)
+
+    write_metric_csv(SPECIAL, grid, tmp_path / "metric.csv")
+    expected["metric.csv"] = _reference("node_id,lat,lon,value",
+                                        [loc[i] + [_cell(SPECIAL[i])] for i in range(n)])
+
+    gs = GriddedSeries(grid=grid, days=np.array([100, 101, 105]),
+                       values=np.stack([np.roll(SPECIAL, k)[:3] for k in range(n)]))
+    write_gridded(gs, tmp_path / "gridded.csv", format="csv")
+    expected["gridded.csv"] = _reference(
+        "node_id,lat,lon,day_index,value",
+        [loc[i] + [str(gs.days[k]), _cell(gs.values[i, k])] for i in range(n) for k in range(3)],
+    )
+
+    undefined = np.isnan(SPECIAL)
+    cf = CorrectedField("divide", "DC", raw=SPECIAL, surrogate_mean=np.roll(SPECIAL, 1),
+                        corrected=np.roll(SPECIAL, 2), normalized=np.roll(SPECIAL, 3),
+                        norm_bounds=(0.0, 1.0), undefined=undefined)
+    write_corrected_csv(cf, grid, tmp_path / "corrected.csv")
+    expected["corrected.csv"] = _reference(
+        "node_id,lat,lon,raw,surrogate_mean,corrected,normalized,defined",
+        [loc[i] + [_cell(cf.raw[i]), _cell(cf.surrogate_mean[i]), _cell(cf.corrected[i]),
+                   _cell(cf.normalized[i]), str(int(not undefined[i]))] for i in range(n)],
+    )
+
+    stats = {m: SurrogateStats(m, np.roll(SPECIAL, k), 10, np.array([3, 4]))
+             for k, m in enumerate(("MGD", "DC"))}
+    write_surrogate_stats_csv(stats, tmp_path / "stats.csv")
+    expected["stats.csv"] = _reference(
+        "node_id,metric,mean,zero_flag",
+        [[node[i], m, _cell(stats[m].mean[i]), str(int(i in (3, 4)))] for m in ("DC", "MGD") for i in range(n)],
+    )
+
+    prof = DistanceProfile(bin_edges=np.array([0.0, 0.1, 1e300, np.inf]), bin_prob=SPECIAL[3:6],
+                           bin_pair_count=np.array([7, 0, 2 ** 40]), bin_link_count=np.array([3, 0, 1]))
+    write_profile_csv(prof, tmp_path / "profile.csv")
+    expected["profile.csv"] = _reference(
+        "bin_lo_km,bin_hi_km,pairs,links,prob",
+        [[_cell(prof.bin_edges[k]), _cell(prof.bin_edges[k + 1]), str(int(prof.bin_pair_count[k])),
+          str(int(prof.bin_link_count[k])), _cell(prof.bin_prob[k])] for k in range(3)],
+    )
+
+    edges = np.array([[2, 7], [0, 5], [0, 1], [3, 4]])
+    write_edge_list(edges, tmp_path / "edges.csv")
+    expected["edges.csv"] = _reference("i,j", [["0", "1"], ["0", "5"], ["2", "7"], ["3", "4"]])
+    write_edge_list(np.empty((0, 2)), tmp_path / "no_edges.csv")
+    expected["no_edges.csv"] = "i,j\n"
+
+    series = [EventSeries(i, gs.days[: i % 3], gs.days) for i in range(n)]
+    write_event_series(series, tmp_path / "events.csv", {})
+    expected["events.csv"] = _reference(
+        "node_id,day_index", [[str(es.node_id), str(d)] for es in series for d in es.event_days])
+
+    for name, text in expected.items():
+        assert (tmp_path / name).read_text() == text, name

@@ -219,13 +219,6 @@ def test_bc_disconnected_graph():
     assert got[1] == pytest.approx(2.0 / 20)  # one intermediary pair, global norm
 
 
-def test_bc_thread_count_invariant(rng):
-    net = random_network(60, 0.1, 999)
-    a = betweenness(net, threads=1).values
-    b = betweenness(net, threads=4).values
-    assert np.array_equal(a, b)
-
-
 def test_metrics_invariant_under_relabeling(rng):
     net = random_network(14, 0.3, 42)
     perm = rng.permutation(14)

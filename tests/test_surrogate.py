@@ -234,15 +234,6 @@ def test_ensemble_zero_mean_nodes():
     assert np.all(stats["DC"].mean[:3] > 0)
 
 
-def test_ensemble_thread_invariance():
-    grid = random_grid(15, 23)
-    prof = const_profile(0.25)
-    a = ensemble_stats(prof, grid, metrics=("DC", "CC"), ensemble_size=64, seed=5, threads=1)
-    b = ensemble_stats(prof, grid, metrics=("DC", "CC"), ensemble_size=64, seed=5, threads=4)
-    for m in ("DC", "CC"):
-        assert np.array_equal(a[m].mean, b[m].mean)
-
-
 def test_boundary_signature_on_lattice():
     # homogeneous geometric model on a bounded rectangle: surrogate-mean DC
     # is depressed at the boundary relative to the interior
