@@ -23,9 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .correction import correct_divide, correct_subtract, read_corrected_csv, write_corrected_csv
+from .correction import (
+    CORRECTED_HEADER,
+    correct_divide,
+    correct_subtract,
+    read_corrected_csv,
+    write_corrected_csv,
+)
 from .events import ThresholdSpec, extract_events
 from .grid_io import (
+    METRIC_HEADER,
     SEASON_MONTHS,
     extract_season,
     load_gridded,
@@ -67,12 +74,19 @@ _TOP_KEYS = (
     "input", "format", "variable", "season", "threshold", "seed", "sync", "surrogate",
     "corrections", "metrics", "alpha", "use_normalized", "out", "synth",
 )
+# synth key -> default; an int default marks an integer key
+_SYNTH_DEFAULTS = {
+    "rows": 8, "cols": 8, "spacing_km": 50.0, "lat0": 0.0, "lon0": 0.0,
+    "n_years": 5, "storm_groups": 4, "storm_rate": 0.08, "wet_prob": 0.55,
+}
 _BLOCK_KEYS = {
     "threshold": ("percentile", "direction", "support", "positive_floor", "min_support"),
     "sync": ("tau_max", "n_shuffles", "link_quantile", "simultaneous_weight"),
     "surrogate": ("ensemble_size", "bin_width_km"),
+    "synth": (*_SYNTH_DEFAULTS, "output"),
 }
 
+# the stages a pipeline runs, in order; stage "x" is the module function stage_x
 STAGES = ("events", "network", "metrics", "surrogate", "correct", "compare")
 
 
@@ -152,12 +166,18 @@ def _block(doc: dict, name: str, problems: list[str]) -> dict:
     return block
 
 
-def _number(d: dict, key: str, default, cast, label: str, problems: list[str]):
-    try:
-        return cast(_get(d, key, default))
-    except (ValueError, TypeError):
-        problems.append(f"{label} must be a number, got {d[key]!r}")
+def _number(d: dict, key: str, default, problems: list[str], prefix: str = ""):
+    """d[key], or default when absent; an int default admits JSON integers only.
+
+    A float default admits any JSON number, returned as a float. Anything else,
+    booleans included, is a problem, and the default stands in for it.
+    """
+    v = _get(d, key, default)
+    integer = isinstance(default, int)
+    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+        problems.append(f"{prefix}{key} must be {'an integer' if integer else 'a number'}, got {v!r}")
         return default
+    return v if integer else float(v)
 
 
 def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
@@ -186,43 +206,39 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     tdoc = _block(doc, "threshold", problems)
     try:
         threshold = ThresholdSpec(
-            percentile=float(_get(tdoc, "percentile", p_def)),
+            percentile=_number(tdoc, "percentile", p_def, problems, "threshold."),
             direction=_get(tdoc, "direction", dir_def),
             support=_get(tdoc, "support", sup_def),
-            positive_floor=float(_get(tdoc, "positive_floor", 0.0)),
-            min_support=int(_get(tdoc, "min_support", 20)),
+            positive_floor=_number(tdoc, "positive_floor", 0.0, problems, "threshold."),
+            min_support=_number(tdoc, "min_support", 20, problems, "threshold."),
         )
-    except (ValueError, TypeError) as e:
+    except ValueError as e:
         problems.append(f"threshold: {e}")
         threshold = ThresholdSpec(percentile=p_def, direction=dir_def, support=sup_def)
 
-    seed = doc.get("seed")
-    if seed is None:
+    if doc.get("seed") is None:
         problems.append("seed is mandatory (wall-clock seeding is not allowed)")
-        seed = 0
-    elif isinstance(seed, bool) or not isinstance(seed, int):
-        problems.append(f"seed must be an integer, got {seed!r}")
-        seed = 0
+    seed = _number(doc, "seed", 0, problems)
 
     sdoc = _block(doc, "sync", problems)
     try:
         sync = SyncParams(
-            tau_max=int(_get(sdoc, "tau_max", 0)),
-            n_shuffles=int(_get(sdoc, "n_shuffles", 1000)),
-            link_quantile=float(_get(sdoc, "link_quantile", 0.995)),
+            tau_max=_number(sdoc, "tau_max", 0, problems, "sync."),
+            n_shuffles=_number(sdoc, "n_shuffles", 1000, problems, "sync."),
+            link_quantile=_number(sdoc, "link_quantile", 0.995, problems, "sync."),
             seed=seed,
-            simultaneous_weight=float(_get(sdoc, "simultaneous_weight", 1.0)),
+            simultaneous_weight=_number(sdoc, "simultaneous_weight", 1.0, problems, "sync."),
         )
-    except (ValueError, TypeError) as e:
+    except ValueError as e:
         problems.append(f"sync: {e}")
         sync = SyncParams(seed=seed)
 
     gdoc = _block(doc, "surrogate", problems)
-    ensemble_size = _number(gdoc, "ensemble_size", 1000, int, "surrogate.ensemble_size", problems)
+    ensemble_size = _number(gdoc, "ensemble_size", 1000, problems, "surrogate.")
     if ensemble_size < 1:
         problems.append(f"surrogate.ensemble_size must be >= 1, got {ensemble_size}")
         ensemble_size = 1
-    bin_width_km = _number(gdoc, "bin_width_km", 50.0, float, "surrogate.bin_width_km", problems)
+    bin_width_km = _number(gdoc, "bin_width_km", 50.0, problems, "surrogate.")
     if bin_width_km <= 0:
         problems.append(f"surrogate.bin_width_km must be positive, got {bin_width_km}")
         bin_width_km = 50.0
@@ -236,7 +252,7 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         if m not in METRIC_NAMES:
             problems.append(f"unknown metric {m!r}; expected from {METRIC_NAMES}")
 
-    alpha = _number(doc, "alpha", 0.05, float, "alpha", problems)
+    alpha = _number(doc, "alpha", 0.05, problems)
     if not 0.0 < alpha < 1.0:
         problems.append(f"alpha must lie in (0, 1), got {alpha}")
         alpha = 0.05
@@ -251,10 +267,11 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         problems.append(f"use_normalized must be true or false, got {use_normalized!r}")
         use_normalized = True
 
-    synth = doc.get("synth")
-    if synth is not None and not isinstance(synth, dict):
-        problems.append("synth must be an object")
-        synth = None
+    ydoc = _block(doc, "synth", problems)
+    for key, default in _SYNTH_DEFAULTS.items():
+        _number(ydoc, key, default, problems, "synth.")
+    if not isinstance(_get(ydoc, "output", ""), str):
+        problems.append(f"synth.output must be a file name, got {ydoc['output']!r}")
 
     cfg = RunConfig(
         input=doc.get("input"),
@@ -271,7 +288,7 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         use_normalized=use_normalized,
         out=str(_get(doc, "out", "out")),
         seed=seed,
-        synth=synth,
+        synth=doc.get("synth"),
     )
     if problems:
         raise ConfigError(problems)
@@ -347,22 +364,9 @@ def _require(path: Path, what: str) -> Path:
 def stage_synth(cfg: RunConfig, out_dir: Path) -> Path:
     """Generate a synthetic gridded input file from cfg.synth."""
     sdoc = cfg.synth or {}
-    layout = RectLattice(
-        rows=int(_get(sdoc, "rows", 8)),
-        cols=int(_get(sdoc, "cols", 8)),
-        spacing_km=float(_get(sdoc, "spacing_km", 50.0)),
-        lat0=float(_get(sdoc, "lat0", 0.0)),
-        lon0=float(_get(sdoc, "lon0", 0.0)),
-    )
-    gs = gen_gridded_values(
-        layout,
-        n_years=int(_get(sdoc, "n_years", 5)),
-        seed=cfg.seed,
-        season=cfg.season,
-        storm_groups=int(_get(sdoc, "storm_groups", 4)),
-        storm_rate=float(_get(sdoc, "storm_rate", 0.08)),
-        wet_prob=float(_get(sdoc, "wet_prob", 0.55)),
-    )
+    kw = {key: type(default)(_get(sdoc, key, default)) for key, default in _SYNTH_DEFAULTS.items()}
+    layout = RectLattice(**{key: kw.pop(key) for key in ("rows", "cols", "spacing_km", "lat0", "lon0")})
+    gs = gen_gridded_values(layout, seed=cfg.seed, season=cfg.season, **kw)
     default_name = "synthetic.cng1" if cfg.format == "binary" else "synthetic.csv"
     name = _get(sdoc, "output", default_name)
     path = out_dir / name
@@ -537,10 +541,10 @@ def stage_render(cfg: RunConfig, out_dir: Path, field: str, palette: str,
     _require(path, "field CSV")
     with open(path) as f:
         header = f.readline().strip()
-    if header == "node_id,lat,lon,value":
+    if header == METRIC_HEADER:
         values, grid = read_metric_csv(path)
         defined = None
-    elif header.startswith("node_id,lat,lon,raw"):
+    elif header == CORRECTED_HEADER:
         name = path.stem.split("_")
         cf = read_corrected_csv(path, metric=name[1] if len(name) > 1 else "?",
                                 method=name[2] if len(name) > 2 else "?")
@@ -556,22 +560,20 @@ def stage_render(cfg: RunConfig, out_dir: Path, field: str, palette: str,
     print(f"[render] wrote {out_path} ({w} x {h})", file=sys.stderr)
 
 
+def _stage(name: str):
+    """The stage function, looked up when called so a replaced module attribute takes effect."""
+    return globals()[f"stage_{name}"]
+
+
 def run_pipeline(cfg: RunConfig, out_dir: Path) -> None:
     """All stages in order, each re-reading its inputs from disk."""
     if cfg.synth is not None and cfg.input is None:
         with _Progress("synth"):
             path = stage_synth(cfg, out_dir)
         cfg = replace(cfg, input=str(path))
-    for name, fn in (
-        ("events", stage_events),
-        ("network", stage_network),
-        ("metrics", stage_metrics),
-        ("surrogate", stage_surrogate),
-        ("correct", stage_correct),
-        ("compare", stage_compare),
-    ):
+    for name in STAGES:
         with _Progress(name):
-            fn(cfg, out_dir)
+            _stage(name)(cfg, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -617,22 +619,11 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "pipeline":
             run_pipeline(cfg, out_dir)
-        elif args.command == "synth":
-            with _Progress("synth"):
-                stage_synth(cfg, out_dir)
         elif args.command == "render":
             stage_render(cfg, out_dir, args.field, args.palette, args.vmin, args.vmax)
         else:
-            fn = {
-                "events": stage_events,
-                "network": stage_network,
-                "metrics": stage_metrics,
-                "surrogate": stage_surrogate,
-                "correct": stage_correct,
-                "compare": stage_compare,
-            }[args.command]
             with _Progress(args.command):
-                fn(cfg, out_dir)
+                _stage(args.command)(cfg, out_dir)
         return 0
     except ConfigError as e:
         print(str(e), file=sys.stderr)

@@ -13,8 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid_io import _flag, _read_nodes, _write_rows
 from .netmetrics import MetricField
 from .surrogate import SurrogateStats
+
+CORRECTED_HEADER = "node_id,lat,lon,raw,surrogate_mean,corrected,normalized,defined"
 
 
 class DegenerateFieldError(ValueError):
@@ -128,60 +131,28 @@ def paired_fields(
 
 
 def write_corrected_csv(cf: CorrectedField, grid, path) -> None:
-    from .grid_io import _write_rows
-
     if grid.n != cf.n:
         raise ValueError("grid size does not match corrected field")
     with open(path, "w", newline="") as f:
-        f.write("node_id,lat,lon,raw,surrogate_mean,corrected,normalized,defined\n")
+        f.write(CORRECTED_HEADER + "\n")
         _write_rows(f, range(cf.n), grid.lat, grid.lon, cf.raw, cf.surrogate_mean, cf.corrected,
                     cf.normalized, (~cf.undefined).astype(np.int8))
 
 
 def read_corrected_csv(path, metric: str, method: str) -> "CorrectedField":
-    from .grid_io import GridIOError, GridSpec
-
-    cols: list[tuple] = []
-    with open(path, "r", newline="") as f:
-        header = f.readline().strip()
-        expect = "node_id,lat,lon,raw,surrogate_mean,corrected,normalized,defined"
-        if header != expect:
-            raise GridIOError(f"malformed header {header!r}", path, line=1)
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise GridIOError(f"expected 8 fields, got {len(parts)}", path, line=lineno)
-            cols.append(
-                (
-                    int(parts[0]),
-                    float(parts[1]),
-                    float(parts[2]),
-                    float(parts[3]),
-                    float(parts[4]),
-                    float(parts[5]),
-                    float(parts[6]),
-                    bool(int(parts[7])),
-                )
-            )
-    cols.sort()
-    if [c[0] for c in cols] != list(range(len(cols))):
-        raise GridIOError("node ids are not 0..n-1 without gaps", path)
-    arr = np.array([c[1:7] for c in cols], dtype=float)
-    defined = np.array([c[7] for c in cols], dtype=bool)
-    GridSpec(lat=arr[:, 0], lon=arr[:, 1])  # validate coordinates
-    corrected = arr[:, 4]
+    _, (raw, mean, corrected, normalized, defined) = _read_nodes(
+        path, CORRECTED_HEADER, float, float, float, float, _flag
+    )
+    defined = defined.astype(bool)
     vals = corrected[defined]
     bounds = (float(vals.min()), float(vals.max())) if vals.size else (np.nan, np.nan)
     return CorrectedField(
         method=method,
         metric=metric,
-        raw=arr[:, 2],
-        surrogate_mean=arr[:, 3],
+        raw=raw,
+        surrogate_mean=mean,
         corrected=corrected,
-        normalized=arr[:, 5],
+        normalized=normalized,
         norm_bounds=bounds,
         undefined=~defined,
     )

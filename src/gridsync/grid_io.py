@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -28,6 +29,13 @@ from pathlib import Path
 import numpy as np
 
 _MAGIC = b"CNG1"
+
+# CSV headers, shared by each format's writer and reader
+GRIDDED_HEADER = "node_id,lat,lon,day_index,value"
+GRID_HEADER = "node_id,lat,lon"
+METRIC_HEADER = "node_id,lat,lon,value"
+EDGE_HEADER = "i,j"
+EVENT_HEADER = "node_id,day_index"
 
 
 class GridIOError(ValueError):
@@ -178,15 +186,13 @@ def read_gridded_binary(path) -> GriddedSeries:
         raise GridIOError("trailing bytes after value block", path, offset=off + val_bytes)
     values = np.frombuffer(raw, dtype="<f4", count=n_nodes * n_days, offset=off)
     values = values.astype(np.float64).reshape(n_nodes, n_days)
-    try:
+    with _artifact(path):
         grid = GridSpec(lat=coords[:, 0].copy(), lon=coords[:, 1].copy())
         return GriddedSeries(grid=grid, days=days, values=values)
-    except ValueError as e:
-        raise GridIOError(str(e), path) from e
 
 
 # ---------------------------------------------------------------------------
-# CSV gridded format
+# CSV row writer and reader, shared by every CSV artifact
 
 
 def _write_rows(f, *columns) -> None:
@@ -201,65 +207,106 @@ def _write_rows(f, *columns) -> None:
     f.writelines(",".join(row) + "\n" for row in zip(*cols))
 
 
+def _read_rows(path, header: str, *casts) -> list[list]:
+    """The columns of a CSV artifact, one list per cast; the inverse of _write_rows.
+
+    The first line must equal header, blank lines are skipped, every other
+    line must hold one field per cast, and a cell its cast rejects (with
+    ValueError) is reported with the file and line.
+    """
+    columns = [[] for _ in casts]
+    cells = list(zip(columns, casts))
+    with open(path, "r", newline="") as f:
+        first = f.readline().strip()
+        if first != header:
+            raise GridIOError(f"malformed header {first!r}, expected {header!r}", path, line=1)
+        for lineno, line in enumerate(f, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != len(casts):
+                raise GridIOError(f"expected {len(casts)} fields, got {len(parts)}", path, line=lineno)
+            try:
+                for (col, cast), part in zip(cells, parts):
+                    col.append(cast(part))
+            except ValueError as e:
+                raise GridIOError(str(e), path, line=lineno) from e
+    return columns
+
+
+def _flag(cell: str) -> bool:
+    """A 0/1 flag cell."""
+    if cell not in ("0", "1"):
+        raise ValueError(f"flag must be 0 or 1, got {cell!r}")
+    return cell == "1"
+
+
+def _node_order(path, ids) -> np.ndarray:
+    """The row order that sorts rows by node id; the ids must be 0..n-1, each exactly once."""
+    ids = np.asarray(ids, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    if not np.array_equal(ids[order], np.arange(ids.size)):
+        raise GridIOError("node ids are not 0..n-1, each exactly once", path)
+    return order
+
+
+@contextmanager
+def _artifact(path):
+    """Report a ValueError raised while building objects from a file as a GridIOError naming it."""
+    try:
+        yield
+    except GridIOError:
+        raise
+    except ValueError as e:
+        raise GridIOError(str(e), path) from e
+
+
+def _read_nodes(path, header: str, *casts) -> tuple[GridSpec, list[np.ndarray]]:
+    """A per-node CSV (node_id,lat,lon,...) in node order: its grid and its other columns."""
+    ids, lat, lon, *columns = _read_rows(path, header, int, float, float, *casts)
+    order = _node_order(path, ids)
+    with _artifact(path):
+        grid = GridSpec(lat=np.asarray(lat)[order], lon=np.asarray(lon)[order])
+    return grid, [np.asarray(c)[order] for c in columns]
+
+
+# ---------------------------------------------------------------------------
+# CSV gridded format
+
+
 def write_gridded_csv(gs: GriddedSeries, path) -> None:
     lat, lon, days = gs.grid.lat.tolist(), gs.grid.lon.tolist(), gs.days.tolist()
     with open(path, "w", newline="") as f:
-        f.write("node_id,lat,lon,day_index,value\n")
+        f.write(GRIDDED_HEADER + "\n")
         for i in range(gs.n_nodes):
             _write_rows(f, repeat(f"{i},{lat[i]},{lon[i]}", gs.n_days), days, gs.values[i])
 
 
 def read_gridded_csv(path) -> GriddedSeries:
     path = Path(path)
-    with open(path, "r", newline="") as f:
-        header = f.readline().strip()
-        if header != "node_id,lat,lon,day_index,value":
-            raise GridIOError(f"malformed header {header!r}", path, line=1)
-        node_ids, lats, lons, days, vals = [], [], [], [], []
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise GridIOError(f"expected 5 fields, got {len(parts)}", path, line=lineno)
-            try:
-                node_ids.append(int(parts[0]))
-                lats.append(float(parts[1]))
-                lons.append(float(parts[2]))
-                days.append(int(parts[3]))
-                vals.append(float(parts[4]))
-            except ValueError as e:
-                raise GridIOError(f"unparsable row: {e}", path, line=lineno) from e
-    if not node_ids:
+    ids, lats, lons, days, vals = _read_rows(path, GRIDDED_HEADER, int, float, float, int, float)
+    if not ids:
         raise GridIOError("no data rows", path, line=2)
-    ids = np.asarray(node_ids)
-    n = int(ids.max()) + 1
-    uniq_days = np.unique(days)
-    if n * uniq_days.size != len(node_ids):
+    ids = np.asarray(ids, dtype=np.int64)
+    n = _node_order(path, np.unique(ids)).size
+    uniq_days, day_pos = np.unique(np.asarray(days, dtype=np.int64), return_inverse=True)
+    if n * uniq_days.size != ids.size:
         raise GridIOError(
-            f"row-count mismatch: {len(node_ids)} rows for {n} nodes x {uniq_days.size} days",
-            path,
+            f"row-count mismatch: {ids.size} rows for {n} nodes x {uniq_days.size} days", path
         )
-    day_pos = {int(d): k for k, d in enumerate(uniq_days)}
-    lat = np.full(n, np.nan)
-    lon = np.full(n, np.nan)
-    values = np.full((n, uniq_days.size), np.nan)
-    seen = np.zeros((n, uniq_days.size), dtype=bool)
-    for row, (i, d) in enumerate(zip(node_ids, days)):
-        k = day_pos[d]
-        if seen[i, k]:
-            raise GridIOError(f"duplicate (node {i}, day {d}) row", path, line=row + 2)
-        seen[i, k] = True
-        lat[i], lon[i] = lats[row], lons[row]
-        values[i, k] = vals[row]
-    if not seen.all():
-        raise GridIOError("row-count mismatch: missing (node, day) rows", path)
-    try:
-        grid = GridSpec(lat=lat, lon=lon)
-        return GriddedSeries(grid=grid, days=uniq_days.astype(np.int64), values=values)
-    except ValueError as e:
-        raise GridIOError(str(e), path) from e
+    counts = np.bincount(ids * uniq_days.size + day_pos, minlength=n * uniq_days.size)
+    if (counts > 1).any():
+        i, k = divmod(int(np.argmax(counts > 1)), uniq_days.size)
+        raise GridIOError(f"duplicate (node {i}, day {uniq_days[k]}) row", path)
+    lat, lon = np.empty(n), np.empty(n)
+    lat[ids], lon[ids] = lats, lons
+    if not (np.array_equal(lat[ids], lats, equal_nan=True) and np.array_equal(lon[ids], lons, equal_nan=True)):
+        raise GridIOError("rows of one node disagree on its coordinates", path)
+    values = np.empty((n, uniq_days.size))
+    values[ids, day_pos] = vals
+    with _artifact(path):
+        return GriddedSeries(grid=GridSpec(lat=lat, lon=lon), days=uniq_days, values=values)
 
 
 def load_gridded(path, format: str = "binary") -> GriddedSeries:
@@ -286,30 +333,12 @@ def write_gridded(gs: GriddedSeries, path, format: str = "binary") -> None:
 
 def write_grid_csv(grid: GridSpec, path) -> None:
     with open(path, "w", newline="") as f:
-        f.write("node_id,lat,lon\n")
+        f.write(GRID_HEADER + "\n")
         _write_rows(f, range(grid.n), grid.lat, grid.lon)
 
 
 def read_grid_csv(path) -> GridSpec:
-    path = Path(path)
-    with open(path, "r", newline="") as f:
-        header = f.readline().strip()
-        if header != "node_id,lat,lon":
-            raise GridIOError(f"malformed header {header!r}", path, line=1)
-        rows = []
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise GridIOError(f"expected 3 fields, got {len(parts)}", path, line=lineno)
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2])))
-    rows.sort()
-    ids = [r[0] for r in rows]
-    if ids != list(range(len(rows))):
-        raise GridIOError("node ids are not 0..n-1 without gaps", path)
-    return GridSpec(lat=np.array([r[1] for r in rows]), lon=np.array([r[2] for r in rows]))
+    return _read_nodes(Path(path), GRID_HEADER)[0]
 
 
 def write_metric_csv(values: np.ndarray, grid: GridSpec, path) -> None:
@@ -317,34 +346,13 @@ def write_metric_csv(values: np.ndarray, grid: GridSpec, path) -> None:
     if values.shape != (grid.n,):
         raise ValueError("value vector does not match grid size")
     with open(path, "w", newline="") as f:
-        f.write("node_id,lat,lon,value\n")
+        f.write(METRIC_HEADER + "\n")
         _write_rows(f, range(grid.n), grid.lat, grid.lon, values)
 
 
 def read_metric_csv(path) -> tuple[np.ndarray, GridSpec]:
-    path = Path(path)
-    with open(path, "r", newline="") as f:
-        header = f.readline().strip()
-        if header != "node_id,lat,lon,value":
-            raise GridIOError(f"malformed header {header!r}", path, line=1)
-        rows = []
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise GridIOError(f"expected 4 fields, got {len(parts)}", path, line=lineno)
-            try:
-                rows.append((int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
-            except ValueError as e:
-                raise GridIOError(f"unparsable row: {e}", path, line=lineno) from e
-    rows.sort()
-    ids = [r[0] for r in rows]
-    if ids != list(range(len(rows))):
-        raise GridIOError("node ids are not 0..n-1 without gaps", path)
-    grid = GridSpec(lat=np.array([r[1] for r in rows]), lon=np.array([r[2] for r in rows]))
-    return np.array([r[3] for r in rows]), grid
+    grid, (values,) = _read_nodes(Path(path), METRIC_HEADER, float)
+    return values, grid
 
 
 def write_metric_field(mf, grid: GridSpec, path) -> None:
@@ -367,29 +375,18 @@ def write_edge_list(edges: np.ndarray, path) -> None:
         raise ValueError("edge rows must satisfy i < j")
     edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     with open(path, "w", newline="") as f:
-        f.write("i,j\n")
+        f.write(EDGE_HEADER + "\n")
         _write_rows(f, edges[:, 0], edges[:, 1])
 
 
 def read_edge_list(path) -> np.ndarray:
     path = Path(path)
-    with open(path, "r", newline="") as f:
-        header = f.readline().strip()
-        if header != "i,j":
-            raise GridIOError(f"malformed header {header!r}", path, line=1)
-        out = []
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise GridIOError(f"expected 2 fields, got {len(parts)}", path, line=lineno)
-            i, j = int(parts[0]), int(parts[1])
-            if not i < j:
-                raise GridIOError(f"edge ({i},{j}) violates i < j", path, line=lineno)
-            out.append((i, j))
-    return np.asarray(out, dtype=np.int64).reshape(-1, 2)
+    edges = np.column_stack(_read_rows(path, EDGE_HEADER, int, int)).astype(np.int64)
+    bad = np.flatnonzero(edges[:, 0] >= edges[:, 1])
+    if bad.size:
+        i, j = edges[bad[0]]
+        raise GridIOError(f"edge ({i},{j}) violates i < j", path)
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +401,7 @@ def write_event_series(all_series, path, sidecar: dict) -> None:
     """
     path = Path(path)
     with open(path, "w", newline="") as f:
-        f.write("node_id,day_index\n")
+        f.write(EVENT_HEADER + "\n")
         for es in all_series:
             _write_rows(f, repeat(es.node_id, es.n_events), es.event_days)
     with open(path.with_suffix(path.suffix + ".json"), "w") as f:
@@ -421,28 +418,19 @@ def read_event_series(path):
         sidecar = json.load(f)
     season_days = np.asarray(sidecar["season_days"], dtype=np.int64)
     n_nodes = int(sidecar["n_nodes"])
-    per_node: list[list[int]] = [[] for _ in range(n_nodes)]
-    with open(path, "r", newline="") as f:
-        header = f.readline().strip()
-        if header != "node_id,day_index":
-            raise GridIOError(f"malformed header {header!r}", path, line=1)
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise GridIOError(f"expected 2 fields, got {len(parts)}", path, line=lineno)
-            i = int(parts[0])
-            if i >= n_nodes:
-                raise GridIOError(f"node id {i} out of range", path, line=lineno)
-            per_node[i].append(int(parts[1]))
-    series = [
-        EventSeries(
-            node_id=i,
-            event_days=np.asarray(sorted(devs), dtype=np.int64),
-            season_days=season_days,
-        )
-        for i, devs in enumerate(per_node)
-    ]
+    ids, days = np.array(_read_rows(path, EVENT_HEADER, int, int), dtype=np.int64)
+    bad = np.flatnonzero((ids < 0) | (ids >= n_nodes))
+    if bad.size:
+        raise GridIOError(f"node id {ids[bad[0]]} out of range 0..{n_nodes - 1}", path)
+    order = np.lexsort((days, ids))
+    ids, days = ids[order], days[order]
+    dup = np.flatnonzero((np.diff(ids) == 0) & (np.diff(days) == 0))
+    if dup.size:
+        raise GridIOError(f"duplicate (node {ids[dup[0]]}, day {days[dup[0]]}) row", path)
+    bounds = np.searchsorted(ids, np.arange(n_nodes + 1))
+    with _artifact(path):
+        series = [
+            EventSeries(node_id=i, event_days=days[bounds[i] : bounds[i + 1]], season_days=season_days)
+            for i in range(n_nodes)
+        ]
     return series, sidecar

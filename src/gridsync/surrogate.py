@@ -13,9 +13,12 @@ from itertools import repeat
 
 import numpy as np
 
-from .grid_io import GridSpec, _write_rows
+from .grid_io import GridIOError, GridSpec, _flag, _node_order, _read_rows, _write_rows
 from .netmetrics import Network, compute_metric, pair_distances
 from .seeding import SURROGATE_TAG, mix64
+
+PROFILE_HEADER = "bin_lo_km,bin_hi_km,pairs,links,prob"
+SURROGATE_STATS_HEADER = "node_id,metric,mean,zero_flag"
 
 
 @dataclass(frozen=True)
@@ -152,36 +155,17 @@ def ensemble_stats(
 
 def write_profile_csv(profile: DistanceProfile, path) -> None:
     with open(path, "w", newline="") as f:
-        f.write("bin_lo_km,bin_hi_km,pairs,links,prob\n")
+        f.write(PROFILE_HEADER + "\n")
         _write_rows(f, profile.bin_edges[:-1], profile.bin_edges[1:], profile.bin_pair_count,
                     profile.bin_link_count, profile.bin_prob)
 
 
 def read_profile_csv(path) -> DistanceProfile:
-    from .grid_io import GridIOError
-
-    lo, hi, pairs, links, prob = [], [], [], [], []
-    with open(path, "r", newline="") as f:
-        header = f.readline().strip()
-        if header != "bin_lo_km,bin_hi_km,pairs,links,prob":
-            raise GridIOError(f"malformed header {header!r}", path, line=1)
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise GridIOError(f"expected 5 fields, got {len(parts)}", path, line=lineno)
-            lo.append(float(parts[0]))
-            hi.append(float(parts[1]))
-            pairs.append(int(parts[2]))
-            links.append(int(parts[3]))
-            prob.append(float(parts[4]))
+    lo, hi, pairs, links, prob = _read_rows(path, PROFILE_HEADER, float, float, int, int, float)
     if not lo:
         raise GridIOError("no profile rows", path)
-    edges = np.asarray(lo + [hi[-1]])
     return DistanceProfile(
-        bin_edges=edges,
+        bin_edges=np.asarray(lo + hi[-1:]),
         bin_prob=np.asarray(prob),
         bin_pair_count=np.asarray(pairs),
         bin_link_count=np.asarray(links),
@@ -190,7 +174,7 @@ def read_profile_csv(path) -> DistanceProfile:
 
 def write_surrogate_stats_csv(stats: dict[str, SurrogateStats], path) -> None:
     with open(path, "w", newline="") as f:
-        f.write("node_id,metric,mean,zero_flag\n")
+        f.write(SURROGATE_STATS_HEADER + "\n")
         for metric in sorted(stats):
             st = stats[metric]
             zero = np.zeros(st.n, dtype=np.int8)
@@ -199,35 +183,16 @@ def write_surrogate_stats_csv(stats: dict[str, SurrogateStats], path) -> None:
 
 
 def read_surrogate_stats_csv(path, ensemble_size: int = 1) -> dict[str, SurrogateStats]:
-    from .grid_io import GridIOError
-
-    rows: dict[str, dict[int, float]] = {}
-    zeros: dict[str, set[int]] = {}
-    with open(path, "r", newline="") as f:
-        header = f.readline().strip()
-        if header != "node_id,metric,mean,zero_flag":
-            raise GridIOError(f"malformed header {header!r}", path, line=1)
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise GridIOError(f"expected 4 fields, got {len(parts)}", path, line=lineno)
-            i, metric, mean, flag = int(parts[0]), parts[1], float(parts[2]), int(parts[3])
-            rows.setdefault(metric, {})[i] = mean
-            if flag:
-                zeros.setdefault(metric, set()).add(i)
+    ids, metrics, mean, zero = _read_rows(path, SURROGATE_STATS_HEADER, int, str, float, _flag)
+    ids, metrics, mean, zero = np.asarray(ids), np.asarray(metrics), np.asarray(mean), np.asarray(zero)
     out = {}
-    for metric, by_node in rows.items():
-        n = max(by_node) + 1
-        if sorted(by_node) != list(range(n)):
-            raise GridIOError(f"metric {metric}: node ids not contiguous", path)
-        mean = np.array([by_node[i] for i in range(n)])
+    for metric in dict.fromkeys(metrics.tolist()):
+        rows = np.flatnonzero(metrics == metric)
+        rows = rows[_node_order(path, ids[rows])]
         out[metric] = SurrogateStats(
             metric=metric,
-            mean=mean,
+            mean=mean[rows],
             ensemble_size=ensemble_size,
-            zero_mean_nodes=np.asarray(sorted(zeros.get(metric, ())), dtype=np.int64),
+            zero_mean_nodes=np.flatnonzero(zero[rows]),
         )
     return out

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,13 +106,24 @@ def test_config_rejects_unknown_sync_key(tmp_path):
     ({"surrogate": {"members": 10}}, "unknown key surrogate.members"),
     ({"threshold": 95}, "threshold must be an object"),
     ({"surrogate": [1000]}, "surrogate must be an object"),
-    ({"surrogate": {"ensemble_size": "abc"}}, "surrogate.ensemble_size must be a number"),
+    ({"surrogate": {"ensemble_size": "abc"}}, "surrogate.ensemble_size must be an integer"),
     ({"surrogate": {"bin_width_km": "abc"}}, "surrogate.bin_width_km must be a number"),
     ({"alpha": "abc"}, "alpha must be a number"),
     ({"threads": 2}, "unknown key threads"),
     ({"use_normalized": "false"}, "use_normalized must be true or false"),
     ({"seed": 1.7}, "seed must be an integer"),
     ({"seed": True}, "seed must be an integer"),
+    ({"surrogate": {"ensemble_size": 10.7}}, "surrogate.ensemble_size must be an integer"),
+    ({"sync": {"n_shuffles": 200.9}}, "sync.n_shuffles must be an integer"),
+    ({"threshold": {"min_support": 19.9}}, "threshold.min_support must be an integer"),
+    ({"sync": {"tau_max": True}}, "sync.tau_max must be an integer"),
+    ({"surrogate": {"bin_width_km": True}}, "surrogate.bin_width_km must be a number"),
+    ({"threshold": {"percentile": "95"}}, "threshold.percentile must be a number"),
+    ({"sync": {"link_quantile": False}}, "sync.link_quantile must be a number"),
+    ({"synth": {"row": 30}}, "unknown key synth.row"),
+    ({"synth": {"rows": "abc"}}, "synth.rows must be an integer"),
+    ({"synth": {"wet_prob": "0.5"}}, "synth.wet_prob must be a number"),
+    ({"synth": [6, 6]}, "synth must be an object"),
 ])
 def test_config_rejects_bad_document(tmp_path, capsys, doc, message):
     # each mistake is a config error (exit 1), never a silent default or a crash (exit 2)
@@ -282,9 +296,31 @@ def test_exit_code_runtime_failure(tmp_path):
     assert main(["events", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("stage, name, edit", [
+    pytest.param("metrics", "edges.csv", lambda text: text + "5,\n", id="truncated-edges"),
+    pytest.param("network", "events.csv", lambda text: text + "-1," + text.split()[1].split(",")[1] + "\n",
+                 id="event-node-minus-1"),
+])
+def test_exit_code_corrupt_artifact(pipeline_run, tmp_path, capsys, stage, name, edit):
+    # an artifact damaged between stages stops the next stage (exit 2) with the file named
+    tmp, cfg_path = pipeline_run
+    out = tmp_path / "out"
+    shutil.copytree(tmp / "out", out)
+    path = out / name
+    path.write_text(edit(path.read_text()))
+    assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: GridIOError: {path}: " in err
+    if name == "edges.csv":
+        assert f"(line {len(path.read_text().splitlines())})" in err
+
+
 def test_console_entry_point():
+    # the child process finds the package where this process imported it from
+    src = str(Path(gridsync.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
-        [sys.executable, "-m", "gridsync.cli", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "gridsync.cli", "--version"], capture_output=True, text=True, env=env
     )
     assert out.returncode == 0
     assert out.stdout.split() == ["gridsync", gridsync.__version__]

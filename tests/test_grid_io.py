@@ -368,3 +368,110 @@ def test_csv_writers_match_per_cell_repr(tmp_path):
 
     for name, text in expected.items():
         assert (tmp_path / name).read_text() == text, name
+
+
+# ---------------------------------------------------------------------------
+# every CSV reader against injected faults
+
+
+def _write_artifacts(tmp_path) -> dict:
+    """One small valid file per CSV format: name -> (path, reader)."""
+    from gridsync.correction import correct_divide, read_corrected_csv, write_corrected_csv
+    from gridsync.events import EventSeries
+    from gridsync.grid_io import read_event_series, write_event_series
+    from gridsync.netmetrics import MetricField
+    from gridsync.surrogate import (DistanceProfile, SurrogateStats, read_profile_csv,
+                                    read_surrogate_stats_csv, write_profile_csv, write_surrogate_stats_csv)
+
+    # node 0 sits at latitude 10.5, a value no other cell holds
+    grid = GridSpec(lat=np.array([10.5, 11.25, 12.75]), lon=np.array([-100.25, -99.5, -98.75]))
+    days = np.array([100, 101, 105])
+    season = [EventSeries(i, days[: i + 1], days) for i in range(3)]
+    stats = SurrogateStats("DC", np.array([0.0, 2.0, 4.0]), 1, np.array([0]))
+    cf = correct_divide(MetricField("DC", np.array([1.0, 3.0, 2.0])), stats)
+    profile = DistanceProfile(np.array([0.0, 50.0, 100.0]), np.array([0.25, 0.5]),
+                              np.array([4, 2]), np.array([1, 1]))
+    files = {
+        "gridded": (lambda p: write_gridded(GriddedSeries(grid, days, np.ones((3, 3))), p, format="csv"),
+                    lambda p: load_gridded(p, "csv")),
+        "grid": (lambda p: write_grid_csv(grid, p), read_grid_csv),
+        "metric": (lambda p: write_metric_csv(np.array([1.0, 2.0, 3.0]), grid, p), read_metric_csv),
+        "edges": (lambda p: write_edge_list(np.array([[0, 1], [1, 2]]), p), read_edge_list),
+        "events": (lambda p: write_event_series(season, p, {"n_nodes": 3, "season_days": days.tolist()}),
+                   read_event_series),
+        "profile": (lambda p: write_profile_csv(profile, p), read_profile_csv),
+        "surrogate_stats": (lambda p: write_surrogate_stats_csv({"DC": stats}, p), read_surrogate_stats_csv),
+        "corrected": (lambda p: write_corrected_csv(cf, grid, p),
+                      lambda p: read_corrected_csv(p, metric="DC", method="divide")),
+    }
+    out = {}
+    for name, (write, read) in files.items():
+        path = tmp_path / f"{name}.csv"
+        write(path)
+        read(path)  # the untouched file reads back
+        out[name] = (path, read)
+    return out
+
+
+def _short_row(lines):
+    lines[1] = lines[1].rsplit(",", 1)[0]
+    return 2
+
+
+def _bad_cell(lines):
+    lines[2] = "abc" + lines[2][lines[2].index(","):]
+    return 3
+
+
+def _bad_coordinate(lines):
+    lines[1:] = [line.replace(",10.5,", ",95.0,") for line in lines[1:]]
+
+
+COORDINATE_FILES = ("gridded", "grid", "metric", "corrected")
+FAULTS = [(name, fault) for name in ("gridded", "grid", "metric", "edges", "events", "profile",
+                                     "surrogate_stats", "corrected") for fault in (_short_row, _bad_cell)]
+FAULTS += [(name, _bad_coordinate) for name in COORDINATE_FILES]
+
+
+@pytest.mark.parametrize("name, fault", FAULTS, ids=[f"{n}-{f.__name__[1:]}" for n, f in FAULTS])
+def test_reader_rejects_malformed_artifact(tmp_path, name, fault):
+    # a malformed artifact is a GridIOError naming the file (and the line of a bad row),
+    # never a bare ValueError or a silently misread row
+    path, read = _write_artifacts(tmp_path)[name]
+    lines = path.read_text().splitlines()
+    line = fault(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GridIOError) as err:
+        read(path)
+    msg = str(err.value)
+    assert msg.startswith(f"{path}: ")
+    if line is None:
+        assert "latitude out of range" in msg
+    else:
+        assert msg.endswith(f"(line {line})") and err.value.line == line
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    pytest.param("events", lambda lines: lines + ["-1,100"], "node id -1 out of range",
+                 id="event-node-minus-1"),
+    pytest.param("events", lambda lines: lines + [lines[1]], "duplicate (node 0, day 100) row",
+                 id="duplicate-event"),
+    pytest.param("surrogate_stats", lambda lines: lines + [lines[2]], "node ids are not 0..n-1",
+                 id="duplicate-surrogate-node"),
+    pytest.param("corrected", lambda lines: lines[:-1] + [lines[-1][:-1] + "7"],
+                 "flag must be 0 or 1, got '7' (line 4)", id="defined-flag-7"),
+    pytest.param("gridded", lambda lines: lines[:2] + [lines[2].replace(",10.5,", ",10.0,")] + lines[3:],
+                 "rows of one node disagree on its coordinates", id="gridded-node-moves"),
+])
+def test_reader_rejects_inconsistent_rows(tmp_path, name, edit, message):
+    path, read = _write_artifacts(tmp_path)[name]
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(GridIOError) as err:
+        read(path)
+    assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+
+
+def test_reader_skips_blank_lines(tmp_path):
+    path = tmp_path / "e.csv"
+    path.write_text("i,j\n\n0,1\n  \n1,2\n")
+    assert read_edge_list(path).tolist() == [[0, 1], [1, 2]]
