@@ -34,6 +34,8 @@ from .events import ThresholdSpec, extract_events
 from .grid_io import (
     METRIC_HEADER,
     SEASON_MONTHS,
+    GridIOError,
+    _artifact,
     extract_season,
     load_gridded,
     read_edge_list,
@@ -81,7 +83,7 @@ _SYNTH_DEFAULTS = {
 }
 _BLOCK_KEYS = {
     "threshold": ("percentile", "direction", "support", "positive_floor", "min_support"),
-    "sync": ("tau_max", "n_shuffles", "link_quantile", "simultaneous_weight"),
+    "sync": ("tau_max", "n_shuffles", "link_quantile"),
     "surrogate": ("ensemble_size", "bin_width_km"),
     "synth": (*_SYNTH_DEFAULTS, "output"),
 }
@@ -133,10 +135,8 @@ class RunConfig:
                 "min_support": self.threshold.min_support,
             },
             "sync": {
-                "tau_max": self.sync.tau_max,
                 "n_shuffles": self.sync.n_shuffles,
                 "link_quantile": self.sync.link_quantile,
-                "simultaneous_weight": self.sync.simultaneous_weight,
             },
             "surrogate": {
                 "ensemble_size": self.ensemble_size,
@@ -221,13 +221,15 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     seed = _number(doc, "seed", 0, problems)
 
     sdoc = _block(doc, "sync", problems)
+    # the key stays so configs that spell out the paper's setting still run
+    tau_max = _number(sdoc, "tau_max", 0, problems, "sync.")
+    if tau_max != 0:
+        problems.append(f"sync.tau_max must be 0 (the paper's zero-lag event synchronization), got {tau_max}")
     try:
         sync = SyncParams(
-            tau_max=_number(sdoc, "tau_max", 0, problems, "sync."),
             n_shuffles=_number(sdoc, "n_shuffles", 1000, problems, "sync."),
             link_quantile=_number(sdoc, "link_quantile", 0.995, problems, "sync."),
             seed=seed,
-            simultaneous_weight=_number(sdoc, "simultaneous_weight", 1.0, problems, "sync."),
         )
     except ValueError as e:
         problems.append(f"sync: {e}")
@@ -439,7 +441,9 @@ def stage_network(cfg: RunConfig, out_dir: Path) -> None:
 def _load_network(out_dir: Path) -> Network:
     edges_path = _require(out_dir / "edges.csv", "edge-list artifact")
     grid_path = _require(out_dir / "grid.csv", "grid artifact")
-    return Network.from_edges(read_grid_csv(grid_path), read_edge_list(edges_path))
+    grid, edges = read_grid_csv(grid_path), read_edge_list(edges_path)
+    with _artifact(edges_path):
+        return Network.from_edges(grid, edges)
 
 
 def stage_metrics(cfg: RunConfig, out_dir: Path) -> None:
@@ -466,6 +470,9 @@ def stage_metrics(cfg: RunConfig, out_dir: Path) -> None:
 
 def stage_surrogate(cfg: RunConfig, out_dir: Path) -> None:
     net = _load_network(out_dir)
+    if net.edge_count == 0:
+        raise GridIOError("the network has no links, so there is no link-probability profile to "
+                          "draw surrogates from", out_dir / "edges.csv")
     profile = estimate_profile(net, bin_width_km=cfg.bin_width_km)
     stats = ensemble_stats(
         profile,

@@ -355,19 +355,6 @@ def read_metric_csv(path) -> tuple[np.ndarray, GridSpec]:
     return values, grid
 
 
-def write_metric_field(mf, grid: GridSpec, path) -> None:
-    """Write a MetricField's values (undefined nodes keep their convention value)."""
-    write_metric_csv(mf.values, grid, path)
-
-
-def read_metric_field(path, metric: str):
-    """Read a metric CSV back into a MetricField; NaN cells become undefined."""
-    from .netmetrics import MetricField  # local import to avoid a cycle
-
-    values, grid = read_metric_csv(path)
-    return MetricField(metric, values, np.isnan(values)), grid
-
-
 def write_edge_list(edges: np.ndarray, path) -> None:
     """Edges as an (m, 2) int array with i < j per row; rows sorted."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -414,10 +401,13 @@ def read_event_series(path):
     from .events import EventSeries  # local import to avoid a cycle
 
     path = Path(path)
-    with open(path.with_suffix(path.suffix + ".json")) as f:
+    sidecar_path = path.with_suffix(path.suffix + ".json")
+    with open(sidecar_path) as f, _artifact(sidecar_path):
         sidecar = json.load(f)
-    season_days = np.asarray(sidecar["season_days"], dtype=np.int64)
-    n_nodes = int(sidecar["n_nodes"])
+        if not isinstance(sidecar, dict) or not {"season_days", "n_nodes"} <= sidecar.keys():
+            raise ValueError("sidecar must be a JSON object with season_days and n_nodes")
+        season_days = np.asarray(sidecar["season_days"], dtype=np.int64)
+        n_nodes = int(sidecar["n_nodes"])
     ids, days = np.array(_read_rows(path, EVENT_HEADER, int, int), dtype=np.int64)
     bad = np.flatnonzero((ids < 0) | (ids >= n_nodes))
     if bad.size:

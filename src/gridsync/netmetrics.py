@@ -8,7 +8,6 @@ plus an undefined flag.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -52,8 +51,10 @@ class Network:
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         i, j = edges[:, 0], edges[:, 1]
         if edges.size:
-            if edges.min() < 0 or edges.max() >= grid.n:
-                raise ValueError("edge endpoint out of range")
+            bad = np.flatnonzero(((edges < 0) | (edges >= grid.n)).any(axis=1))
+            if bad.size:
+                k = bad[0]
+                raise ValueError(f"edge ({i[k]},{j[k]}) has an endpoint out of range 0..{grid.n - 1}")
             if (i >= j).any():
                 raise ValueError("edges must satisfy i < j (no self-loops)")
             if np.unique(i * grid.n + j).size != i.size:
@@ -92,11 +93,6 @@ class Network:
         a[np.repeat(np.arange(self.n), self.degrees()), self.indices] = True
         return a
 
-    def has_edge(self, i: int, j: int) -> bool:
-        a = self.neighbors(i)
-        k = np.searchsorted(a, j)
-        return k < a.size and a[k] == j
-
 
 @dataclass(frozen=True)
 class MetricField:
@@ -120,16 +116,6 @@ class MetricField:
         return int(self.values.size)
 
 
-def haversine(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Great-circle distance in km between (lat, lon) points in degrees."""
-    lat1, lon1 = math.radians(a[0]), math.radians(a[1])
-    lat2, lon2 = math.radians(b[0]), math.radians(b[1])
-    s1 = math.sin(0.5 * (lat2 - lat1))
-    s2 = math.sin(0.5 * (lon2 - lon1))
-    h = s1 * s1 + math.cos(lat1) * math.cos(lat2) * s2 * s2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
-
-
 def _great_circle(lat1, lon1, lat2, lon2) -> np.ndarray:
     """Haversine distance in km between points in radians (broadcasting)."""
     s1 = np.sin(0.5 * (lat1 - lat2))
@@ -138,18 +124,11 @@ def _great_circle(lat1, lon1, lat2, lon2) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
-def haversine_matrix(grid: GridSpec) -> np.ndarray:
-    """Full n x n great-circle distance matrix in km."""
-    lat = np.radians(grid.lat)
-    lon = np.radians(grid.lon)
-    return _great_circle(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
-
-
 def pair_distances(grid: GridSpec) -> np.ndarray:
     """Distances in km of all pairs i < j, in np.triu_indices(n, 1) order.
 
-    Equal bit for bit to haversine_matrix(grid)[np.triu_indices(n, 1)], but
-    computed in row blocks, so no n x n matrix is built.
+    Computed in row blocks, so no n x n matrix is built; each value is the
+    one the full broadcast of _great_circle gives for that pair.
     """
     n = grid.n
     lat = np.radians(grid.lat)

@@ -100,13 +100,9 @@ def pair_link_probabilities(profile: DistanceProfile, grid: GridSpec) -> np.ndar
 
 
 def _draw_member(p: np.ndarray, grid: GridSpec, member_seed: int) -> Network:
+    """One surrogate: an independent Bernoulli draw per pair at its link probability p."""
     rng = np.random.Generator(np.random.PCG64(member_seed))
     return Network.from_pair_mask(grid, rng.random(p.size) < p)
-
-
-def sample_surrogate(profile: DistanceProfile, grid: GridSpec, member_seed: int) -> Network:
-    """One surrogate: independent Bernoulli draw per pair at its bin probability."""
-    return _draw_member(pair_link_probabilities(profile, grid), grid, member_seed)
 
 
 def ensemble_stats(
@@ -118,7 +114,7 @@ def ensemble_stats(
 ) -> dict[str, SurrogateStats]:
     """Per-node ensemble means of the requested metrics.
 
-    Member k is sample_surrogate with seed mix64(seed, SURROGATE_TAG, k).
+    Member k is _draw_member with seed mix64(seed, SURROGATE_TAG, k).
     Undefined-flag nodes contribute their numeric convention value (0).
     Member contributions are summed in member order, in blocks of 64.
     """

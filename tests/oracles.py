@@ -1,0 +1,140 @@
+"""Reference implementations that only the tests use.
+
+Set-intersection ES, explicit shuffles and exact hypergeometric arithmetic
+for the null model, one-pair link decisions, the scalar haversine and the
+dense distance matrix, and pair-level helpers on networks and surrogates.
+Where a helper runs a production kernel on one pair (event_sync,
+null_threshold), its docstring says so; compare it only with an independent
+oracle, never with itself.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from gridsync.netmetrics import EARTH_RADIUS_KM, _great_circle
+from gridsync.surrogate import _draw_member, pair_link_probabilities
+from gridsync.sync import _es_matrix, _key_threshold
+
+
+# ---------------------------------------------------------------------------
+# event synchronization and the shuffle null
+
+
+def shared_days(ei, ej) -> int:
+    """Zero-lag ES oracle: the number of days on which both nodes have an event."""
+    return len(set(ei.event_days.tolist()) & set(ej.event_days.tolist()))
+
+
+def event_sync(ei, ej, tau_max: int = 0) -> int:
+    """Zero-lag ES of one pair, computed by the production all-pairs kernel."""
+    assert tau_max == 0, "only zero-lag ES exists"
+    universe = np.union1d(ei.season_days, ej.season_days)
+    return int(_es_matrix([ei, ej], universe)[0, 1])
+
+
+def null_threshold(ei, ej, params, pair_seed: int) -> float:
+    """One pair's null threshold: the production per-key draw from PCG64(pair_seed).
+
+    Both series must share their season-day universe. Empty series give 0.
+    """
+    if ei.n_events == 0 or ej.n_events == 0:
+        return 0.0
+    assert np.array_equal(ei.season_days, ej.season_days)
+    n_lo, n_hi = sorted((ei.n_events, ej.n_events))
+    rng = np.random.Generator(np.random.PCG64(pair_seed))
+    return _key_threshold(ei.season_days.size, n_lo, n_hi, params, rng)
+
+
+@dataclass(frozen=True)
+class SyncResult:
+    es: float
+    threshold: float
+    significant: bool
+
+
+def pair_sync(ei, ej, params, pair_seed: int) -> SyncResult:
+    """Set-intersection ES, null threshold and link decision for one node pair."""
+    es = shared_days(ei, ej)
+    thr = null_threshold(ei, ej, params, pair_seed)
+    significant = ei.n_events > 0 and ej.n_events > 0 and es >= thr
+    return SyncResult(es=float(es), threshold=thr, significant=significant)
+
+
+def shuffle_overlaps(T: int, n_i: int, n_j: int, n_shuffles: int, rng: np.random.Generator) -> np.ndarray:
+    """Explicit shuffle null: both event sets re-drawn without replacement, overlaps counted."""
+    return np.array([
+        np.intersect1d(rng.choice(T, n_i, replace=False), rng.choice(T, n_j, replace=False)).size
+        for _ in range(n_shuffles)
+    ])
+
+
+def _log_comb(n: int, k: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def hypergeom_pmf(T: int, n_i: int, n_j: int, k: int) -> float:
+    """P(overlap = k) for two independent uniform subsets of sizes n_i, n_j."""
+    if k < max(0, n_i + n_j - T) or k > min(n_i, n_j):
+        return 0.0
+    return math.exp(
+        _log_comb(n_i, k) + _log_comb(T - n_i, n_j - k) - _log_comb(T, n_j)
+    )
+
+
+def null_threshold_exact(T: int, n_i: int, n_j: int, q: float) -> int:
+    """Smallest k with hypergeometric CDF(k; T, n_i, n_j) >= q.
+
+    Exact-arithmetic oracle for the zero-lag null: the shuffle ES is the
+    overlap of two independent uniform random subsets of the day universe.
+    """
+    if not (0 <= n_i <= T and 0 <= n_j <= T):
+        raise ValueError("need 0 <= n_i, n_j <= T")
+    if not 0.0 < q <= 1.0:
+        raise ValueError("q must lie in (0, 1]")
+    k_max = min(n_i, n_j)
+    if n_i == 0 or n_j == 0:
+        return 0
+    if q == 1.0:
+        return k_max
+    cdf = 0.0
+    for k in range(max(0, n_i + n_j - T), k_max + 1):
+        cdf += hypergeom_pmf(T, n_i, n_j, k)
+        if cdf >= q:
+            return k
+    return k_max
+
+
+# ---------------------------------------------------------------------------
+# distances, networks and surrogates
+
+
+def haversine(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """Great-circle distance in km between (lat, lon) points in degrees."""
+    lat1, lon1 = math.radians(a[0]), math.radians(a[1])
+    lat2, lon2 = math.radians(b[0]), math.radians(b[1])
+    s1 = math.sin(0.5 * (lat2 - lat1))
+    s2 = math.sin(0.5 * (lon2 - lon1))
+    h = s1 * s1 + math.cos(lat1) * math.cos(lat2) * s2 * s2
+    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+
+
+def haversine_matrix(grid) -> np.ndarray:
+    """Full n x n great-circle distance matrix in km, by the production kernel."""
+    lat = np.radians(grid.lat)
+    lon = np.radians(grid.lon)
+    return _great_circle(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
+
+
+def has_edge(net, i: int, j: int) -> bool:
+    a = net.neighbors(i)
+    k = np.searchsorted(a, j)
+    return bool(k < a.size and a[k] == j)
+
+
+def sample_surrogate(profile, grid, member_seed: int):
+    """One surrogate member: the production draw at the profile's pair probabilities."""
+    return _draw_member(pair_link_probabilities(profile, grid), grid, member_seed)

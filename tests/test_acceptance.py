@@ -24,13 +24,12 @@ from gridsync.netmetrics import (
     betweenness,
     clustering,
     degree,
-    haversine_matrix,
     mean_geo_distance,
 )
 from gridsync.seeding import mix64
 from gridsync.stats import compare_methods, ks_statistic, ks_two_sample, paired_t_test
 from gridsync.surrogate import SurrogateStats, ensemble_stats, estimate_profile
-from gridsync.sync import SyncParams, event_sync, null_threshold, null_threshold_exact
+from gridsync.sync import SyncParams
 from gridsync.synth import (
     Exponential,
     KM_PER_DEG,
@@ -42,6 +41,7 @@ from gridsync.synth import (
 )
 
 from conftest import dense_adjacency, random_event_series, random_network
+from oracles import event_sync, haversine_matrix, null_threshold, null_threshold_exact
 from test_netmetrics import bc_oracle, cc_oracle
 from test_stats import ks_p_permutation, t_p_quadrature
 
@@ -76,7 +76,7 @@ def test_criterion_2_null_model_oracle():
     universe = np.arange(T, dtype=np.int64)
     a = EventSeries(0, universe[:N], universe)
     b = EventSeries(1, universe[:N], universe)
-    params = SyncParams(tau_max=0, n_shuffles=1000, link_quantile=0.995)
+    params = SyncParams(n_shuffles=1000, link_quantile=0.995)
     exact = null_threshold_exact(T, N, N, 0.995)
     hits = sum(
         abs(null_threshold(a, b, params, pair_seed=mix64(2002, t)) - exact) <= 1

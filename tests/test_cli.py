@@ -75,7 +75,6 @@ def test_config_defaults_follow_variable():
     assert cfg.threshold.support == "positive_only"
     assert cfg.network_label == "EPE"
     # standard analysis defaults
-    assert cfg.sync.tau_max == 0
     assert cfg.sync.n_shuffles == 1000
     assert cfg.sync.link_quantile == 0.995
     assert cfg.ensemble_size == 1000
@@ -124,6 +123,9 @@ def test_config_rejects_unknown_sync_key(tmp_path):
     ({"synth": {"rows": "abc"}}, "synth.rows must be an integer"),
     ({"synth": {"wet_prob": "0.5"}}, "synth.wet_prob must be a number"),
     ({"synth": [6, 6]}, "synth must be an object"),
+    ({"sync": {"tau_max": 1}}, "sync.tau_max must be 0"),
+    ({"sync": {"simultaneous_weight": 0.5}}, "unknown key sync.simultaneous_weight"),
+    ({"sync": {"simultaneous_weight": 0}}, "unknown key sync.simultaneous_weight"),
 ])
 def test_config_rejects_bad_document(tmp_path, capsys, doc, message):
     # each mistake is a config error (exit 1), never a silent default or a crash (exit 2)
@@ -296,12 +298,17 @@ def test_exit_code_runtime_failure(tmp_path):
     assert main(["events", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("stage, name, edit", [
-    pytest.param("metrics", "edges.csv", lambda text: text + "5,\n", id="truncated-edges"),
+@pytest.mark.parametrize("stage, name, edit, detail", [
+    pytest.param("metrics", "edges.csv", lambda text: text + "5,\n", "(line {n_lines})", id="truncated-edges"),
     pytest.param("network", "events.csv", lambda text: text + "-1," + text.split()[1].split(",")[1] + "\n",
-                 id="event-node-minus-1"),
+                 "node id -1 out of range", id="event-node-minus-1"),
+    pytest.param("metrics", "edges.csv", lambda text: text + "5,999\n", "edge (5,999)", id="edge-outside-grid"),
+    pytest.param("network", "events.csv.json", lambda text: text.replace('"season_days"', '"days"'),
+                 "season_days and n_nodes", id="sidecar-without-season-days"),
+    pytest.param("network", "events.csv.json", lambda text: text[: text.index('"season_days"')],
+                 "Expecting property name", id="truncated-sidecar"),
 ])
-def test_exit_code_corrupt_artifact(pipeline_run, tmp_path, capsys, stage, name, edit):
+def test_exit_code_corrupt_artifact(pipeline_run, tmp_path, capsys, stage, name, edit, detail):
     # an artifact damaged between stages stops the next stage (exit 2) with the file named
     tmp, cfg_path = pipeline_run
     out = tmp_path / "out"
@@ -311,8 +318,17 @@ def test_exit_code_corrupt_artifact(pipeline_run, tmp_path, capsys, stage, name,
     assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"error: GridIOError: {path}: " in err
-    if name == "edges.csv":
-        assert f"(line {len(path.read_text().splitlines())})" in err
+    assert detail.format(n_lines=len(path.read_text().splitlines())) in err
+
+
+def test_surrogate_rejects_edgeless_network(pipeline_run, tmp_path, capsys):
+    # a header-only edges.csv is a runtime failure (exit 2) that names the file
+    tmp, cfg_path = pipeline_run
+    out = tmp_path / "out"
+    shutil.copytree(tmp / "out", out)
+    (out / "edges.csv").write_text("i,j\n")
+    assert main(["surrogate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"error: GridIOError: {out / 'edges.csv'}: the network has no links" in capsys.readouterr().err
 
 
 def test_console_entry_point():

@@ -239,20 +239,6 @@ def test_metric_roundtrip(tmp_path):
     assert "nan" in p.read_text()
 
 
-def test_metric_field_roundtrip(tmp_path):
-    from gridsync.grid_io import read_metric_field, write_metric_field
-    from gridsync.netmetrics import MetricField
-
-    grid = random_grid(4, 8)
-    mf = MetricField("MGD", np.array([120.5, 0.0, np.nan, 87.25]))
-    p = tmp_path / "mgd.csv"
-    write_metric_field(mf, grid, p)
-    back, grid2 = read_metric_field(p, metric="MGD")
-    assert back.metric == "MGD"
-    assert np.array_equal(back.values, mf.values, equal_nan=True)
-    assert back.undefined.tolist() == [False, False, True, False]
-
-
 def test_metric_row_count(tmp_path):
     grid = random_grid(3276, 4)
     p = tmp_path / "m.csv"

@@ -12,8 +12,6 @@ from gridsync.netmetrics import (
     betweenness,
     clustering,
     degree,
-    haversine,
-    haversine_matrix,
     log_bc,
     mean_geo_distance,
     pair_distances,
@@ -21,6 +19,7 @@ from gridsync.netmetrics import (
 from gridsync.synth import Exponential, RectLattice, SynthNetSpec, gen_embedded_network
 
 from conftest import dense_adjacency, random_grid, random_network
+from oracles import haversine, haversine_matrix
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gridsync.netmetrics import Network, degree, haversine_matrix
+from gridsync.netmetrics import Network, degree
 from gridsync.seeding import SURROGATE_TAG, mix64
 from gridsync.surrogate import (
     DistanceProfile,
@@ -12,13 +12,13 @@ from gridsync.surrogate import (
     pair_link_probabilities,
     read_profile_csv,
     read_surrogate_stats_csv,
-    sample_surrogate,
     write_profile_csv,
     write_surrogate_stats_csv,
 )
 from gridsync.synth import Exponential, HardCutoff, RectLattice, SynthNetSpec, gen_embedded_network, lattice_grid
 
 from conftest import random_grid, random_network
+from oracles import has_edge, haversine_matrix, sample_surrogate
 
 
 def complete_net(n, seed=0):
@@ -179,7 +179,7 @@ def test_profile_consistency_resampling(rng):
     for s in range(K):
         sur = sample_surrogate(prof, net.grid, mix64(99, s))
         linked = np.fromiter(
-            (sur.has_edge(int(i), int(j)) for i, j in zip(iu, ju)), bool, count=iu.size
+            (has_edge(sur, int(i), int(j)) for i, j in zip(iu, ju)), bool, count=iu.size
         )
         link_sums += np.bincount(idx[linked], minlength=prof.n_bins)
     mean_links = link_sums / K

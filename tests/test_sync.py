@@ -8,56 +8,23 @@ from hypothesis import strategies as st
 from gridsync.events import EventSeries
 from gridsync.grid_io import GridSpec
 from gridsync.seeding import NULL_MODEL_TAG, mix64, stream
-from gridsync.sync import (
-    SyncParams,
-    _es_days,
-    _es_matrix,
-    build_network,
-    delay_pair,
+from gridsync.sync import SyncParams, _es_matrix, build_network
+
+from conftest import random_event_series, random_grid
+from oracles import (
     event_sync,
-    local_tau,
+    has_edge,
+    hypergeom_pmf,
     null_threshold,
     null_threshold_exact,
     pair_sync,
+    shared_days,
+    shuffle_overlaps,
 )
-
-from conftest import random_event_series, random_grid
 
 
 def mk(days, T=50, node_id=0):
     return EventSeries(node_id, np.asarray(days, dtype=np.int64), np.arange(T, dtype=np.int64))
-
-
-# ---------------------------------------------------------------------------
-# local time scale
-
-
-def test_local_tau_hand_example():
-    ei = mk([10, 14, 20])
-    ej = mk([13, 19])
-    # gaps around day 14: 4 and 6; around day 13: 6 -> tau = 0.5 * 4
-    assert local_tau(ei, ej, 2, 1) == 2.0
-
-
-def test_local_tau_two_event_series():
-    assert local_tau(mk([5, 7]), mk([6, 8]), 1, 1) == 1.0
-
-
-def test_local_tau_singletons_infinite():
-    assert local_tau(mk([5]), mk([9]), 1, 1) == math.inf
-
-
-def test_local_tau_index_errors():
-    with pytest.raises(IndexError):
-        local_tau(mk([5]), mk([9]), 2, 1)
-    with pytest.raises(IndexError):
-        local_tau(mk([5]), mk([9]), 1, 0)
-
-
-def test_delay_pair():
-    dp = delay_pair(mk([10, 14, 20]), mk([13, 19]), 2, 1)
-    assert dp.delta == -1
-    assert dp.tau == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -77,30 +44,14 @@ def test_es_intersection_oracle(rng):
     for _ in range(200):
         a = random_event_series(0, 2760, rng.uniform(0.01, 0.10), rng)
         b = random_event_series(1, 2760, rng.uniform(0.01, 0.10), rng)
-        expect = len(set(a.event_days.tolist()) & set(b.event_days.tolist()))
-        assert event_sync(a, b, 0) == expect
+        assert event_sync(a, b, 0) == shared_days(a, b)
 
 
 def test_es_symmetry(rng):
-    for tau_max in (0, 1, 3):
-        for _ in range(30):
-            a = random_event_series(0, 300, 0.08, rng)
-            b = random_event_series(1, 300, 0.08, rng)
-            assert event_sync(a, b, tau_max) == event_sync(b, a, tau_max)
-
-
-def test_es_half_weight_convention():
-    a, b = mk([10, 20, 30]), mk([10, 20, 30], node_id=1)
-    assert event_sync(a, b, 0, simultaneous_weight=0.5) == 1.5
-
-
-def test_es_lagged_pairs():
-    # far-apart events: with tau_max = 2, |delta| = 1 pairs qualify when tau > 1
-    a = mk([10, 30])
-    b = mk([11, 31], node_id=1)
-    # gaps are 20 -> tau = 10; deltas are +1/-19/+21/+1 -> two qualifying pairs
-    assert event_sync(a, b, 2) == 2
-    assert event_sync(a, b, 0) == 0
+    for _ in range(30):
+        a = random_event_series(0, 300, 0.08, rng)
+        b = random_event_series(1, 300, 0.08, rng)
+        assert event_sync(a, b, 0) == event_sync(b, a, 0)
 
 
 def test_es_monotone_in_shared_days(rng):
@@ -180,6 +131,35 @@ def test_null_threshold_unequal_counts_match_hypergeometric():
         assert hits >= 18
 
 
+def test_explicit_shuffles_follow_hypergeometric():
+    # re-drawing both event sets without replacement, as the shuffle null is
+    # defined, gives overlaps whose threshold lands within 1 of the exact one
+    T, q = 600, 0.995
+    rng = np.random.default_rng(31)
+    for n_i, n_j in ((30, 30), (40, 300)):
+        exact = null_threshold_exact(T, n_i, n_j, q)
+        hits = 0
+        for _ in range(20):
+            s = np.sort(shuffle_overlaps(T, n_i, n_j, 1000, rng))
+            hits += abs(s[math.ceil(q * s.size) - 1] - exact) <= 1
+        assert hits >= 18
+
+
+def test_null_threshold_is_nearest_rank_of_the_draws():
+    # nearest rank: the threshold is the ceil(q * n)-th smallest of the key
+    # stream's n draws; q runs over every rank and rank boundary, so an
+    # off-by-one rank shows at each step between tied draws
+    T, n = 300, 100
+    universe = np.arange(T, dtype=np.int64)
+    a = EventSeries(0, universe[:20], universe)
+    b = EventSeries(1, universe[:45], universe)
+    draws = np.sort(np.random.Generator(np.random.PCG64(5)).hypergeometric(20, T - 20, 45, n))
+    assert np.unique(draws).size > 3
+    for q in [(r - 0.5) / n for r in range(1, n + 1)] + [r / n for r in range(1, n)]:
+        params = SyncParams(n_shuffles=n, link_quantile=q)
+        assert null_threshold(a, b, params, pair_seed=5) == draws[math.ceil(q * n) - 1]
+
+
 def test_null_threshold_exact_edge_cases():
     assert null_threshold_exact(10, 0, 5, 0.995) == 0
     assert null_threshold_exact(10, 5, 5, 1.0) == 5
@@ -234,7 +214,7 @@ def test_build_network_two_heavy_series():
     grid = random_grid(6, 3)
     net = build_network(series, grid, SyncParams(n_shuffles=200, seed=5))
     assert net.edge_count == 1
-    assert net.has_edge(1, 4)
+    assert has_edge(net, 1, 4)
     # ES = 200 dominates any null quantile
     assert null_threshold_exact(T, 200, 200, 0.995) < 200
 
@@ -279,7 +259,7 @@ def assert_matches_pair_sync(series, grid, params):
     for i in range(n):
         for j in range(i + 1, n):
             r = pair_sync(series[i], series[j], params, key_seed(params, series, i, j))
-            assert net.has_edge(i, j) == r.significant, (i, j, r)
+            assert has_edge(net, i, j) == r.significant, (i, j, r)
             linked += r.significant
     assert net.edge_count == linked
     return net
@@ -292,10 +272,8 @@ def test_build_network_matches_pair_sync_oracle(rng):
     series = [random_event_series(i, T, rng.uniform(0.03, 0.12), rng) for i in range(n)]
     series[3] = EventSeries(3, np.empty(0, dtype=np.int64), series[0].season_days)
     grid = random_grid(n, 8)
-    for weight in (1.0, 0.5):
-        params = SyncParams(n_shuffles=150, seed=9, simultaneous_weight=weight)
-        net = assert_matches_pair_sync(series, grid, params)
-        assert net.neighbors(3).size == 0
+    net = assert_matches_pair_sync(series, grid, SyncParams(n_shuffles=150, seed=9))
+    assert net.neighbors(3).size == 0
 
 
 def test_build_network_heavy_pairs_match_pair_sync_oracle():
@@ -309,17 +287,6 @@ def test_build_network_heavy_pairs_match_pair_sync_oracle():
     assert net.edge_count > 0
 
 
-def test_build_network_lagged_matches_pair_sync_oracle(rng):
-    # tau_max > 0 keeps the per-pair count and the shuffle sampler but uses
-    # the same per-key threshold table
-    n, T = 8, 200
-    series = [random_event_series(i, T, rng.uniform(0.05, 0.12), rng) for i in range(n)]
-    series[5] = EventSeries(5, series[2].event_days, series[2].season_days)
-    grid = random_grid(n, 12)
-    net = assert_matches_pair_sync(series, grid, SyncParams(tau_max=1, n_shuffles=100, seed=4))
-    assert net.has_edge(2, 5)
-
-
 def test_build_network_rejects_mixed_universes():
     T = 100
     days = np.arange(T, dtype=np.int64)
@@ -330,29 +297,23 @@ def test_build_network_rejects_mixed_universes():
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.sets(st.integers(0, 59), max_size=25), min_size=1, max_size=6),
-    st.sampled_from([1.0, 0.5]),
-)
-def test_es_matrix_equals_pairwise_es(day_sets, weight):
-    # w * (E @ E.T) equals the pairwise zero-lag count, empty and singleton
-    # series included
+@given(st.lists(st.sets(st.integers(0, 59), max_size=25), min_size=1, max_size=6))
+def test_es_matrix_equals_pairwise_es(day_sets):
+    # E @ E.T equals the set-intersection count of every pair, empty and
+    # singleton series included
     universe = np.arange(60, dtype=np.int64)
     series = [EventSeries(i, np.array(sorted(d), dtype=np.int64), universe)
               for i, d in enumerate(day_sets)]
-    params = SyncParams(simultaneous_weight=weight)
-    es = _es_matrix(series, universe, params)
+    es = _es_matrix(series, universe)
     for i, a in enumerate(series):
         for j, b in enumerate(series):
-            assert es[i, j] == _es_days(a.event_days, b.event_days, 0, weight)
+            assert es[i, j] == shared_days(a, b)
 
 
 def test_false_link_rate(rng):
     # independent random series: per-pair link probability is at most
     # 1 - link_quantile plus the discreteness slack of the integer-valued
     # null (quantified by the exact hypergeometric tail)
-    from gridsync.sync import hypergeom_pmf
-
     n, T, N = 160, 2760, 138
     universe = np.arange(T, dtype=np.int64)
     series = []

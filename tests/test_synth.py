@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from gridsync.events import dedup_consecutive
-from gridsync.netmetrics import haversine_matrix
 from gridsync.stats import ks_two_sample, paired_t_test
-from gridsync.sync import SyncParams, event_sync, null_threshold_exact
 from gridsync.synth import (
     Exponential,
     HardCutoff,
@@ -20,6 +18,7 @@ from gridsync.synth import (
 )
 
 from conftest import dense_adjacency
+from oracles import event_sync, haversine_matrix, null_threshold_exact
 
 
 def test_lattice_spacing_near_planar():
