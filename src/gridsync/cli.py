@@ -421,7 +421,9 @@ def stage_network(cfg: RunConfig, out_dir: Path) -> None:
     grid_path = _require(out_dir / "grid.csv", "grid artifact")
     series, sidecar = read_event_series(events_path)
     grid = read_grid_csv(grid_path)
-    net = build_network(series, grid, cfg.sync)
+    # the reader makes one series per sidecar n_nodes, so a count that disagrees with the grid is the sidecar's
+    with _artifact(Path(str(events_path) + ".json")):
+        net = build_network(series, grid, cfg.sync)
     edges_path = out_dir / "edges.csv"
     write_edge_list(net.edge_array(), edges_path)
     _write_manifest(

@@ -60,10 +60,14 @@ class GridSpec:
 
     lat: np.ndarray
     lon: np.ndarray
+    # arrays computed once per grid (netmetrics.pair_bins); the coordinates are read-only copies
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lat = np.asarray(self.lat, dtype=float)
-        lon = np.asarray(self.lon, dtype=float)
+        lat = np.array(self.lat, dtype=float)
+        lon = np.array(self.lon, dtype=float)
+        lat.setflags(write=False)
+        lon.setflags(write=False)
         object.__setattr__(self, "lat", lat)
         object.__setattr__(self, "lon", lon)
         if lat.ndim != 1 or lat.shape != lon.shape:

@@ -20,6 +20,11 @@ EARTH_RADIUS_KM = 6371.0
 METRIC_NAMES = ("DC", "CC", "MGD", "BC")
 
 
+def pair_rank(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Position of pair (i, j), i < j, within the np.triu_indices(n, 1) order."""
+    return i * (2 * n - i - 1) // 2 + (j - i - 1)
+
+
 @dataclass(frozen=True)
 class Network:
     """Undirected unweighted graph over grid nodes in CSR form.
@@ -57,25 +62,19 @@ class Network:
                 raise ValueError(f"edge ({i[k]},{j[k]}) has an endpoint out of range 0..{grid.n - 1}")
             if (i >= j).any():
                 raise ValueError("edges must satisfy i < j (no self-loops)")
-            if np.unique(i * grid.n + j).size != i.size:
-                raise ValueError("duplicate edges")
-        return Network._from_pairs(grid, i, j)
+        rank = np.sort(pair_rank(i, j, grid.n))
+        if (np.diff(rank) == 0).any():
+            raise ValueError("duplicate edges")
+        return Network.from_pair_ranks(grid, rank)
 
     @staticmethod
-    def from_pair_mask(grid: GridSpec, linked: np.ndarray) -> "Network":
-        """Build from one flag per unordered pair, in np.triu_indices(n, 1) order."""
+    def from_pair_ranks(grid: GridSpec, rank: np.ndarray) -> "Network":
+        """Build from the strictly ascending int64 pair_rank of every linked pair i < j."""
         n = grid.n
-        if np.shape(linked) != (n * (n - 1) // 2,):
-            raise ValueError(f"expected {n * (n - 1) // 2} pair flags for {n} nodes")
-        rank = np.flatnonzero(linked)
-        row_start = np.arange(n, dtype=np.int64) * (2 * n - np.arange(n) - 1) // 2
+        rows = np.arange(n, dtype=np.int64)
+        row_start = pair_rank(rows, rows + 1, n)
         i = np.searchsorted(row_start, rank, side="right") - 1
-        return Network._from_pairs(grid, i, rank - row_start[i] + i + 1)
-
-    @staticmethod
-    def _from_pairs(grid: GridSpec, i: np.ndarray, j: np.ndarray) -> "Network":
-        """Symmetric CSR from valid, duplicate-free pairs i < j."""
-        n = grid.n
+        j = rank - row_start[i] + i + 1
         key = np.sort(np.concatenate([i * n + j, j * n + i]))
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
@@ -86,12 +85,6 @@ class Network:
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
         keep = src < self.indices
         return np.stack([src[keep], self.indices[keep]], axis=1)
-
-    def adjacency(self) -> np.ndarray:
-        """Dense n x n bool adjacency matrix."""
-        a = np.zeros((self.n, self.n), dtype=bool)
-        a[np.repeat(np.arange(self.n), self.degrees()), self.indices] = True
-        return a
 
 
 @dataclass(frozen=True)
@@ -124,16 +117,16 @@ def _great_circle(lat1, lon1, lat2, lon2) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
-def pair_distances(grid: GridSpec) -> np.ndarray:
-    """Distances in km of all pairs i < j, in np.triu_indices(n, 1) order.
+def _pair_blocks(grid: GridSpec):
+    """Distances in km of all pairs i < j, in np.triu_indices(n, 1) order, as row blocks.
 
-    Computed in row blocks, so no n x n matrix is built; each value is the
-    one the full broadcast of _great_circle gives for that pair.
+    Yields (position of the block's first pair, its distances); no n x n
+    matrix is built, and each value is the one the full broadcast of
+    _great_circle gives for that pair.
     """
     n = grid.n
     lat = np.radians(grid.lat)
     lon = np.radians(grid.lon)
-    out = np.empty(n * (n - 1) // 2)
     rows = max(1, (1 << 20) // max(n, 1))
     pos = 0
     for r0 in range(0, n - 1, rows):
@@ -141,9 +134,51 @@ def pair_distances(grid: GridSpec) -> np.ndarray:
         # rows r0..r1-1 against columns r0+1..n-1; keep column > row
         block = _great_circle(lat[r0:r1, None], lon[r0:r1, None], lat[None, r0 + 1 :], lon[None, r0 + 1 :])
         upper = block[np.arange(r1 - r0)[:, None] <= np.arange(n - r0 - 1)[None, :]]
-        out[pos : pos + upper.size] = upper
+        yield pos, upper
         pos += upper.size
+
+
+def pair_distances(grid: GridSpec) -> np.ndarray:
+    """Distances in km of all pairs i < j, in np.triu_indices(n, 1) order."""
+    out = np.empty(grid.n * (grid.n - 1) // 2)
+    for pos, d in _pair_blocks(grid):
+        out[pos : pos + d.size] = d
     return out
+
+
+def pair_bins(grid: GridSpec, bin_width_km: float) -> np.ndarray:
+    """Distance bin floor(d / bin_width_km) of every pair i < j, in np.triu_indices(n, 1) order.
+
+    Computed once per grid and width, read-only, in the smallest unsigned
+    dtype that holds the bin of half the Earth's circumference.
+    """
+    key = ("pair_bins", float(bin_width_km))
+    if key not in grid.derived:
+        dtype = np.min_scalar_type(int(np.pi * EARTH_RADIUS_KM / bin_width_km) + 1)
+        out = np.empty(grid.n * (grid.n - 1) // 2, dtype=dtype)
+        for pos, d in _pair_blocks(grid):
+            # the cast truncates, which is floor for d >= 0
+            out[pos : pos + d.size] = d / bin_width_km
+        out.setflags(write=False)
+        grid.derived[key] = out
+    return grid.derived[key]
+
+
+# pairs per random draw of bernoulli_network; a chunked draw gives the same doubles as one
+_DRAW_CHUNK = 1 << 20
+
+
+def bernoulli_network(grid: GridSpec, p: np.ndarray, rng: np.random.Generator) -> Network:
+    """Link each pair i < j independently with its probability p (np.triu_indices(n, 1) order).
+
+    Pair k is linked when the k-th double of rng.random is below p[k]. The
+    doubles are drawn in chunks, so no vector of one double per pair is built.
+    """
+    ranks = [np.empty(0, dtype=np.int64)]
+    for c0 in range(0, p.size, _DRAW_CHUNK):
+        chunk = p[c0 : c0 + _DRAW_CHUNK]
+        ranks.append(c0 + np.flatnonzero(rng.random(chunk.size) < chunk))
+    return Network.from_pair_ranks(grid, np.concatenate(ranks))
 
 
 def degree(net: Network) -> MetricField:
@@ -151,27 +186,25 @@ def degree(net: Network) -> MetricField:
     return MetricField("DC", net.degrees().astype(float))
 
 
-# set bits of every byte value; np.bitwise_count needs numpy >= 2.0
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
 def clustering(net: Network) -> MetricField:
     """Fraction of realized links among each node's neighbor pairs.
 
     Each edge's common-neighbor count is the popcount of the AND of its two
-    bit-packed adjacency rows; summed over a node's edges it counts every
-    link among the node's neighbors twice. Nodes with degree < 2 get value 0
-    and the undefined flag.
+    adjacency rows, bit-packed into 64-bit words; summed over a node's edges
+    it counts every link among the node's neighbors twice. Nodes with degree
+    < 2 get value 0 and the undefined flag.
     """
     n = net.n
     deg = net.degrees()
     edges = net.edge_array()
-    bits = np.packbits(net.adjacency(), axis=1)
+    a = np.zeros((n, -(-n // 64) * 64), dtype=bool)
+    a[np.repeat(np.arange(n), deg), net.indices] = True
+    bits = np.packbits(a, axis=1).view(np.uint64)
     common = np.empty(edges.shape[0], dtype=np.int64)
-    step = max(1, (1 << 22) // max(bits.shape[1], 1))
+    step = max(1, (1 << 19) // max(bits.shape[1], 1))
     for e0 in range(0, edges.shape[0], step):
         i, j = edges[e0 : e0 + step, 0], edges[e0 : e0 + step, 1]
-        common[e0 : e0 + step] = _POPCOUNT[bits[i] & bits[j]].sum(axis=1)
+        common[e0 : e0 + step] = np.bitwise_count(bits[i] & bits[j]).sum(axis=1)
     twice_links = np.bincount(edges.ravel(), np.repeat(common, 2), minlength=n)
     undef = deg < 2
     vals = np.zeros(n)

@@ -14,7 +14,7 @@ from itertools import repeat
 import numpy as np
 
 from .grid_io import GridIOError, GridSpec, _flag, _node_order, _read_rows, _write_rows
-from .netmetrics import Network, compute_metric, pair_distances
+from .netmetrics import Network, bernoulli_network, compute_metric, pair_bins, pair_rank
 from .seeding import SURROGATE_TAG, mix64
 
 PROFILE_HEADER = "bin_lo_km,bin_hi_km,pairs,links,prob"
@@ -53,16 +53,6 @@ class SurrogateStats:
         return int(self.mean.size)
 
 
-def _bin_index(d_km: np.ndarray, bin_width_km: float, n_bins: int) -> np.ndarray:
-    idx = np.floor(d_km / bin_width_km).astype(np.int64)
-    return np.minimum(idx, n_bins - 1)
-
-
-def _pair_rank(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    """Position of pair (i, j), i < j, within the triu_indices(n, 1) order."""
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
-
 def estimate_profile(net: Network, bin_width_km: float = 50.0) -> DistanceProfile:
     """Bin all unordered node pairs by distance; probability = edges / pairs.
 
@@ -73,18 +63,13 @@ def estimate_profile(net: Network, bin_width_km: float = 50.0) -> DistanceProfil
         raise ValueError("bin width must be positive")
     if net.edge_count == 0:
         raise ValueError("cannot estimate a link-probability profile from an edgeless network")
-    d = pair_distances(net.grid)
-    n_bins = int(np.floor(d.max() / bin_width_km)) + 1
-    idx = _bin_index(d, bin_width_km, n_bins)
-    pair_count = np.bincount(idx, minlength=n_bins)
+    bins = pair_bins(net.grid, bin_width_km)
+    pair_count = np.bincount(bins)
     edges = net.edge_array()
-    link_count = np.bincount(idx[_pair_rank(edges[:, 0], edges[:, 1], net.n)], minlength=n_bins)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        prob = np.where(pair_count > 0, link_count / np.maximum(pair_count, 1), 0.0)
-    edges = np.arange(n_bins + 1, dtype=float) * bin_width_km
+    link_count = np.bincount(bins[pair_rank(edges[:, 0], edges[:, 1], net.n)], minlength=pair_count.size)
     return DistanceProfile(
-        bin_edges=edges,
-        bin_prob=prob,
+        bin_edges=np.arange(pair_count.size + 1, dtype=float) * bin_width_km,
+        bin_prob=link_count / np.maximum(pair_count, 1),  # 0 in a bin without pairs
         bin_pair_count=pair_count,
         bin_link_count=link_count,
     )
@@ -95,14 +80,10 @@ def pair_link_probabilities(profile: DistanceProfile, grid: GridSpec) -> np.ndar
 
     Pairs beyond the last bin get 0.
     """
-    idx = _bin_index(pair_distances(grid), profile.bin_width_km, profile.n_bins + 1)
-    return np.append(profile.bin_prob, 0.0)[idx]
-
-
-def _draw_member(p: np.ndarray, grid: GridSpec, member_seed: int) -> Network:
-    """One surrogate: an independent Bernoulli draw per pair at its link probability p."""
-    rng = np.random.Generator(np.random.PCG64(member_seed))
-    return Network.from_pair_mask(grid, rng.random(p.size) < p)
+    bins = pair_bins(grid, profile.bin_width_km)
+    prob = np.zeros(max(profile.n_bins, int(bins.max(initial=0)) + 1))
+    prob[: profile.n_bins] = profile.bin_prob
+    return prob[bins]
 
 
 def ensemble_stats(
@@ -114,7 +95,8 @@ def ensemble_stats(
 ) -> dict[str, SurrogateStats]:
     """Per-node ensemble means of the requested metrics.
 
-    Member k is _draw_member with seed mix64(seed, SURROGATE_TAG, k).
+    Member k is the Bernoulli draw of every pair at its link probability,
+    from a PCG64 stream seeded mix64(seed, SURROGATE_TAG, k).
     Undefined-flag nodes contribute their numeric convention value (0).
     Member contributions are summed in member order, in blocks of 64.
     """
@@ -123,7 +105,8 @@ def ensemble_stats(
     p = pair_link_probabilities(profile, grid)
 
     def member_fields(k: int) -> dict[str, np.ndarray]:
-        net = _draw_member(p, grid, mix64(seed, SURROGATE_TAG, k))
+        rng = np.random.Generator(np.random.PCG64(mix64(seed, SURROGATE_TAG, k)))
+        net = bernoulli_network(grid, p, rng)
         return {m: compute_metric(net, m).values for m in metrics}
 
     sums = {m: np.zeros(grid.n) for m in metrics}

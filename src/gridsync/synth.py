@@ -14,7 +14,7 @@ import numpy as np
 
 from .events import EventSeries, dedup_consecutive
 from .grid_io import GridSpec, GriddedSeries
-from .netmetrics import EARTH_RADIUS_KM, Network
+from .netmetrics import EARTH_RADIUS_KM, Network, bernoulli_network, pair_distances
 from .seeding import SYNTH_TAG, mix64, stream
 
 KM_PER_DEG = np.pi * EARTH_RADIUS_KM / 180.0
@@ -93,14 +93,11 @@ def link_probability(model, d_km: np.ndarray) -> np.ndarray:
 
 def gen_embedded_network(spec: SynthNetSpec) -> Network:
     """Random spatially embedded network: per-pair Bernoulli at p(distance)."""
-    from .netmetrics import pair_distances
-
     grid = spec.layout if isinstance(spec.layout, GridSpec) else lattice_grid(spec.layout)
     if grid.n < 3:
         raise ValueError("layout must place at least 3 nodes")
     p = link_probability(spec.link_model, pair_distances(grid))
-    rng = stream(spec.seed, SYNTH_TAG, 1)
-    return Network.from_pair_mask(grid, rng.random(p.size) < p)
+    return bernoulli_network(grid, p, stream(spec.seed, SYNTH_TAG, 1))
 
 
 def gen_event_field(spec: SynthEventSpec) -> list[EventSeries]:

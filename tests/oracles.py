@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gridsync.netmetrics import EARTH_RADIUS_KM, _great_circle
-from gridsync.surrogate import _draw_member, pair_link_probabilities
+from gridsync.netmetrics import EARTH_RADIUS_KM, _great_circle, bernoulli_network
+from gridsync.surrogate import pair_link_probabilities
 from gridsync.sync import _es_matrix, _key_threshold
 
 
@@ -137,4 +137,5 @@ def has_edge(net, i: int, j: int) -> bool:
 
 def sample_surrogate(profile, grid, member_seed: int):
     """One surrogate member: the production draw at the profile's pair probabilities."""
-    return _draw_member(pair_link_probabilities(profile, grid), grid, member_seed)
+    rng = np.random.Generator(np.random.PCG64(member_seed))
+    return bernoulli_network(grid, pair_link_probabilities(profile, grid), rng)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -307,6 +308,8 @@ def test_exit_code_runtime_failure(tmp_path):
                  "season_days and n_nodes", id="sidecar-without-season-days"),
     pytest.param("network", "events.csv.json", lambda text: text[: text.index('"season_days"')],
                  "Expecting property name", id="truncated-sidecar"),
+    pytest.param("network", "events.csv.json", lambda text: re.sub(r'"n_nodes": \d+', '"n_nodes": 70', text),
+                 "70 event series for 36 grid nodes", id="sidecar-n-nodes"),
 ])
 def test_exit_code_corrupt_artifact(pipeline_run, tmp_path, capsys, stage, name, edit, detail):
     # an artifact damaged between stages stops the next stage (exit 2) with the file named

@@ -14,9 +14,10 @@ from gridsync.netmetrics import (
     degree,
     log_bc,
     mean_geo_distance,
+    pair_bins,
     pair_distances,
 )
-from gridsync.synth import Exponential, RectLattice, SynthNetSpec, gen_embedded_network
+from gridsync.synth import Exponential, RectLattice, SynthNetSpec, gen_embedded_network, lattice_grid
 
 from conftest import dense_adjacency, random_grid, random_network
 from oracles import haversine, haversine_matrix
@@ -330,6 +331,21 @@ def test_pair_distances_bitwise_equal_to_matrix_triangle(n):
     assert got.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("width, dtype", [(50.0, np.uint16), (100.0, np.uint8)])
+def test_pair_bins_equal_floor_of_matrix_distances(width, dtype):
+    # 33 x 33 = 1,089 nodes span two row blocks; along the equator row and on
+    # many other lattice pairs the distance falls on a multiple of 50 km
+    grid = lattice_grid(RectLattice(rows=33, cols=33, spacing_km=50.0))
+    d = haversine_matrix(grid)[np.triu_indices(grid.n, 1)]
+    assert (np.abs(d / 50.0 - np.rint(d / 50.0)) < 1e-9).sum() > 1000
+    bins = pair_bins(grid, width)
+    assert bins.dtype == dtype and bins.shape == d.shape
+    assert np.array_equal(bins, np.floor(d / width))
+    assert pair_bins(grid, width) is bins and not bins.flags.writeable
+    assert not (grid.lat.flags.writeable or grid.lon.flags.writeable)  # the memo stays valid
+    assert np.array_equal(pair_bins(grid, 3 * width), np.floor(d / (3 * width)))
+
+
 def test_network_structure_invariants(rng):
     net = random_network(25, 0.3, 500)
     assert net.indptr.dtype == net.indices.dtype == np.int64
@@ -353,8 +369,6 @@ def test_network_rejects_bad_edges():
         Network.from_edges(grid, np.array([[0, 9]]))
     with pytest.raises(ValueError, match="duplicate"):
         Network.from_edges(grid, np.array([[0, 1], [0, 1]]))
-    with pytest.raises(ValueError, match="6 pair flags"):
-        Network.from_pair_mask(grid, np.ones(5, dtype=bool))
 
 
 def test_edge_array_roundtrip_with_isolated_nodes(rng):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gridsync import netmetrics
 from gridsync.netmetrics import Network, degree
 from gridsync.seeding import SURROGATE_TAG, mix64
 from gridsync.surrogate import (
@@ -118,6 +119,8 @@ def test_pair_link_probabilities_follow_bins():
     q = pair_link_probabilities(short, net.grid)
     assert np.all(q[d >= 2 * w] == 0.0)
     assert np.array_equal(q[d < 2 * w], p[d < 2 * w])
+    # a profile with more bins than the grid's bin dtype can number
+    assert np.all(pair_link_probabilities(const_profile(0.5, max_km=45000.0, width=w), net.grid) == 0.5)
 
 
 def member_oracle(p, n, member_seed):
@@ -153,6 +156,29 @@ def test_member_csr_equals_pairwise_draw(profile):
         assert got.edge_count == 0
     if profile == "one":
         assert got.edge_count == net.n * (net.n - 1) // 2
+
+
+def test_member_draw_across_chunks_and_row_blocks():
+    # 1,500 nodes: 1,124,250 pairs take two random chunks and three distance row blocks
+    net = random_network(1500, 0.01, 37)
+    prof = estimate_profile(net, bin_width_km=300.0)
+    p = pair_link_probabilities(prof, net.grid)
+    assert netmetrics._DRAW_CHUNK < p.size < 2 * netmetrics._DRAW_CHUNK
+    got = sample_surrogate(prof, net.grid, mix64(8, SURROGATE_TAG, 1))
+    indptr, indices, i, j = member_oracle(p, net.n, mix64(8, SURROGATE_TAG, 1))
+    assert np.array_equal(got.indptr, indptr) and np.array_equal(got.indices, indices)
+    assert netmetrics.pair_rank(i, j, net.n).max() >= netmetrics._DRAW_CHUNK
+
+
+def test_profile_and_ensemble_share_one_distance_pass(monkeypatch):
+    passes = []
+    blocks = netmetrics._pair_blocks
+    monkeypatch.setattr(netmetrics, "_pair_blocks", lambda grid: passes.append(grid) or blocks(grid))
+    net = random_network(40, 0.2, 3)
+    prof = estimate_profile(net, bin_width_km=100.0)
+    ensemble_stats(prof, net.grid, metrics=("DC",), ensemble_size=3, seed=4)
+    pair_link_probabilities(prof, net.grid)
+    assert len(passes) == 1 and passes[0] is net.grid
 
 
 def test_sample_expected_edge_count(rng):
