@@ -8,7 +8,6 @@ plus an undefined flag.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,39 +230,68 @@ def mean_geo_distance(net: Network) -> MetricField:
     return MetricField("MGD", vals, undef)
 
 
-def _brandes_source(neighbors: list[list[int]], s: int, n: int) -> np.ndarray:
-    """Dependency of every node on shortest paths from source s (BFS Brandes).
+# sources per batched BFS of betweenness; its state is a few arrays of _BC_BLOCK * n keys
+_BC_BLOCK = 16
 
-    neighbors must be plain int lists; python lists beat numpy scalars in
-    this per-edge hot loop by a wide margin.
+
+def _expand(net: Network, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every CSR edge out of the flat keys slot * n + node, as (key, neighbor key) arrays."""
+    n = net.n
+    node = keys % n
+    cnt = net.indptr[node + 1] - net.indptr[node]
+    first = np.cumsum(cnt) - cnt
+    pos = np.arange(cnt.sum()) + np.repeat(net.indptr[node] - first, cnt)
+    return np.repeat(keys, cnt), np.repeat(keys - node, cnt) + net.indices[pos]
+
+
+def _brandes_block(net: Network, sources: np.ndarray) -> np.ndarray:
+    """Dependencies delta_s(v) of every source s in `sources` on every node v, shape (b, n).
+
+    Level-synchronous Brandes over all b sources at once. A BFS state is a
+    flat key slot * n + node. Each level finds its shortest-path edges
+    (parent on this level, child not yet reached) by expanding through CSR
+    whichever side has fewer edges: the frontier (keep unreached children)
+    or the unreached keys (keep frontier neighbours). Either way bincount
+    meets every bin's terms in ascending key order, so both give the same
+    bytes. sigma of the next level is one bincount over those edges, and
+    the backward pass walks the stored levels in reverse, adding
+    sigma_v * (1 + delta_w) / sigma_w with one bincount per level. sigma is
+    a float64 integer, exact below 2^53.
     """
-    dist = [-1] * n
-    sigma = [0.0] * n
-    dist[s] = 0
-    sigma[s] = 1.0
-    order: list[int] = []
-    preds: list[list[int]] = [[] for _ in range(n)]
-    q = deque([s])
-    while q:
-        v = q.popleft()
-        order.append(v)
-        dv1 = dist[v] + 1
-        sv = sigma[v]
-        for w in neighbors[v]:
-            dw = dist[w]
-            if dw < 0:
-                dist[w] = dw = dv1
-                q.append(w)
-            if dw == dv1:
-                sigma[w] += sv
-                preds[w].append(v)
-    delta = [0.0] * n
-    for w in reversed(order):
-        coeff = (1.0 + delta[w]) / sigma[w]
-        for v in preds[w]:
-            delta[v] += sigma[v] * coeff
-    delta[s] = 0.0
-    return np.asarray(delta)
+    n = net.n
+    size = sources.size * n
+    deg = net.degrees()
+    sigma = np.zeros(size)
+    level = np.full(size, -1, dtype=np.intp)
+    front = np.arange(sources.size) * n + sources
+    sigma[front] = 1.0
+    level[front] = 0
+    levels = []
+    out = deg[sources].sum()  # edges out of the frontier
+    todo = sources.size * net.indices.size - out  # edges out of unreached keys
+    for d in range(n):
+        if out <= todo:
+            parent, child = _expand(net, front)
+            keep = level[child] < 0
+        else:
+            child, parent = _expand(net, np.flatnonzero(level < 0))
+            keep = level[parent] == d
+        parent, child = parent[keep], child[keep]
+        step = np.bincount(child, sigma[parent], minlength=size)
+        sigma += step
+        front = np.flatnonzero(step)
+        if not front.size:
+            break
+        level[front] = d + 1
+        out = deg[front % n].sum()
+        todo -= out
+        levels.append((parent, child))
+    delta = np.zeros(size)
+    # the first level's parents are the sources, whose own dependency stays 0
+    for parent, child in reversed(levels[1:]):
+        coeff = (1.0 + delta[child]) / sigma[child]
+        delta += np.bincount(parent, sigma[parent] * coeff, minlength=size)
+    return delta.reshape(sources.size, n)
 
 
 def betweenness(net: Network) -> MetricField:
@@ -272,19 +300,15 @@ def betweenness(net: Network) -> MetricField:
     Accumulates per-source dependencies (Brandes) and normalizes by
     (n-1)(n-2), which maps the sum over unordered pairs onto [0, 1].
     Unreachable pairs contribute nothing; the denominator stays global.
-    Source contributions are summed in source order, in blocks of 256.
+    Sources run in blocks of _BC_BLOCK; each block's dependencies are summed
+    in source order and the block sums are added in block order.
     """
     n = net.n
     if n < 3:
         raise ValueError("betweenness requires at least 3 nodes")
-    ptr = net.indptr.tolist()
-    idx = net.indices.tolist()
-    nbr_lists = [idx[ptr[v] : ptr[v + 1]] for v in range(n)]
     total = np.zeros(n)
-    chunk = 256
-    for start in range(0, n, chunk):
-        deps = [_brandes_source(nbr_lists, s, n) for s in range(start, min(start + chunk, n))]
-        total += np.sum(np.stack(deps), axis=0)
+    for s0 in range(0, n, _BC_BLOCK):
+        total += _brandes_block(net, np.arange(s0, min(s0 + _BC_BLOCK, n))).sum(axis=0)
     bc = total / ((n - 1) * (n - 2))
     return MetricField("BC", bc)
 

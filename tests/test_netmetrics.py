@@ -1,11 +1,17 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gridsync.grid_io import GridSpec
 from gridsync.netmetrics import (
+    _BC_BLOCK,
     EARTH_RADIUS_KM,
     MetricField,
     Network,
@@ -20,7 +26,7 @@ from gridsync.netmetrics import (
 from gridsync.synth import Exponential, RectLattice, SynthNetSpec, gen_embedded_network, lattice_grid
 
 from conftest import dense_adjacency, random_grid, random_network
-from oracles import haversine, haversine_matrix
+from oracles import brandes_oracle, haversine, haversine_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +225,81 @@ def test_bc_disconnected_graph():
     assert got[1] == pytest.approx(2.0 / 20)  # one intermediary pair, global norm
 
 
+def lattice_graph(rows, cols, seed=0):
+    """Four-neighbour rows x cols lattice; node r * cols + c."""
+    node = np.arange(rows * cols).reshape(rows, cols)
+    edges = np.concatenate([
+        np.stack([node[:, :-1].ravel(), node[:, 1:].ravel()], axis=1),
+        np.stack([node[:-1, :].ravel(), node[1:, :].ravel()], axis=1),
+    ])
+    return Network.from_edges(random_grid(rows * cols, seed), edges)
+
+
+def with_isolated(net, isolated):
+    """net with every edge at a node in `isolated` removed."""
+    e = net.edge_array()
+    return Network.from_edges(net.grid, e[~np.isin(e, isolated).any(axis=1)])
+
+
+def two_components(n, seed):
+    """Random graphs on nodes 0..n//2-1 and n//2..n-1, with no edge between them."""
+    half = n // 2
+    e = random_network(n, 0.15, seed).edge_array()
+    return Network.from_edges(random_grid(n, seed), e[(e < half).all(axis=1) | (e >= half).all(axis=1)])
+
+
+BLOCK_CASES = {
+    "n-not-block-multiple": lambda: random_network(3 * _BC_BLOCK + 5, 0.12, 801),
+    "isolated-nodes": lambda: with_isolated(random_network(4 * _BC_BLOCK, 0.1, 802), [0, 17, 4 * _BC_BLOCK - 1]),
+    "two-components": lambda: two_components(5 * _BC_BLOCK - 3, 803),
+    "path-300": lambda: path_graph(300),
+    "lattice-30x30": lambda: lattice_graph(30, 30),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_bc_matches_brandes_oracle_across_source_blocks(case):
+    net = BLOCK_CASES[case]()
+    assert net.n >= 3 * _BC_BLOCK
+    got = betweenness(net).values
+    expect = brandes_oracle(net)
+    assert np.array_equal(got == 0, expect == 0)
+    assert np.allclose(got, expect, rtol=1e-12, atol=0)
+    if case == "path-300":
+        # eccentricity 299; interior node i lies on i * (n - 1 - i) of the pairs
+        i = np.arange(300)
+        assert np.allclose(got, 2.0 * i * (299 - i) / (299 * 298), rtol=1e-12, atol=0)
+    if case == "lattice-30x30":
+        assert math.comb(58, 29) > 2**53  # corner-to-corner shortest-path count
+
+
+_BC_DIGEST = """
+import hashlib
+from gridsync.netmetrics import betweenness
+from gridsync.synth import Exponential, RectLattice, SynthNetSpec, gen_embedded_network
+net = gen_embedded_network(SynthNetSpec(RectLattice(22, 22, 50.0), Exponential(0.8, 150.0), seed=5))
+print(hashlib.sha256(betweenness(net).values.tobytes()).hexdigest())
+"""
+
+
+def test_bc_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = set()
+    for threads in ("1", "2", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _BC_DIGEST], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    net = gen_embedded_network(SynthNetSpec(RectLattice(22, 22, 50.0), Exponential(0.8, 150.0), seed=5))
+    assert net.n == 484 and net.edge_count > 2000
+    for _ in range(2):
+        digests.add(hashlib.sha256(betweenness(net).values.tobytes()).hexdigest())
+    assert len(digests) == 1
+
+
 def test_metrics_invariant_under_relabeling(rng):
     net = random_network(14, 0.3, 42)
     perm = rng.permutation(14)
@@ -319,6 +400,12 @@ def test_metrics_match_networkx_and_haversine_loop_above_2048_nodes():
         assert mgd.values[i] == pytest.approx(expect, rel=1e-12)
     assert mgd.values[5] == pytest.approx(haversine((net.grid.lat[5], net.grid.lon[5]),
                                                     (net.grid.lat[6], net.grid.lon[6])), rel=1e-12)
+
+    bc = betweenness(net).values
+    expect = brandes_oracle(net)
+    assert np.array_equal(bc == 0, expect == 0)
+    assert bc[[0, 5, 700, 1000]].tolist() == [0.0] * 4
+    assert np.allclose(bc, expect, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 1500])
