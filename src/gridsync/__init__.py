@@ -5,7 +5,7 @@ synchronization with a shuffle null -> network metrics -> surrogate
 ensembles -> boundary corrections -> method comparison statistics.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .correction import CorrectedField, DegenerateFieldError, correct_divide, correct_subtract, paired_fields
 from .events import EventSeries, InsufficientSupportError, ThresholdSpec, compute_threshold, dedup_consecutive, extract_events, to_event_series

@@ -17,7 +17,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +63,6 @@ from .sync import SyncParams, build_network
 from .synth import RectLattice, gen_gridded_values
 
 VARIABLES = ("precip", "tmax", "tmin")
-CORRECTION_METHODS = ("subtract", "divide")
 
 # per-variable threshold defaults: (percentile, direction, support)
 _THRESHOLD_DEFAULTS = {
@@ -74,7 +73,7 @@ _THRESHOLD_DEFAULTS = {
 
 _TOP_KEYS = (
     "input", "format", "variable", "season", "threshold", "seed", "sync", "surrogate",
-    "corrections", "metrics", "alpha", "use_normalized", "out", "synth",
+    "metrics", "alpha", "out", "synth",
 )
 # synth key -> default; an int default marks an integer key
 _SYNTH_DEFAULTS = {
@@ -110,10 +109,8 @@ class RunConfig:
     sync: SyncParams
     ensemble_size: int
     bin_width_km: float
-    corrections: tuple[str, ...]
     metrics: tuple[str, ...]
     alpha: float
-    use_normalized: bool
     out: str
     seed: int
     synth: dict | None
@@ -127,13 +124,7 @@ class RunConfig:
         return {
             "variable": self.variable,
             "season": self.season,
-            "threshold": {
-                "percentile": self.threshold.percentile,
-                "direction": self.threshold.direction,
-                "support": self.threshold.support,
-                "positive_floor": self.threshold.positive_floor,
-                "min_support": self.threshold.min_support,
-            },
+            "threshold": asdict(self.threshold),
             "sync": {
                 "n_shuffles": self.sync.n_shuffles,
                 "link_quantile": self.sync.link_quantile,
@@ -142,10 +133,8 @@ class RunConfig:
                 "ensemble_size": self.ensemble_size,
                 "bin_width_km": self.bin_width_km,
             },
-            "corrections": list(self.corrections),
             "metrics": list(self.metrics),
             "alpha": self.alpha,
-            "use_normalized": self.use_normalized,
             "synth": self.synth,
         }
 
@@ -180,6 +169,15 @@ def _number(d: dict, key: str, default, problems: list[str], prefix: str = ""):
     return v if integer else float(v)
 
 
+def _choice(d: dict, key: str, choices: tuple, problems: list[str]) -> str:
+    """d[key], or choices[0] when absent; any other value is a problem, and choices[0] stands in."""
+    v = _get(d, key, choices[0])
+    if not isinstance(v, str) or v not in choices:
+        problems.append(f"{key} must be one of {choices}, got {v!r}")
+        return choices[0]
+    return v
+
+
 def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from a JSON document, collecting every problem."""
     if not isinstance(doc, dict):
@@ -192,15 +190,12 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     for k in ("seed", "out"):
         if overrides.get(k) is not None:
             doc[k] = overrides[k]
+    for k in ("input", "out"):
+        if not isinstance(_get(doc, k, ""), str):
+            problems.append(f"{k} must be a path, got {doc[k]!r}")
 
-    variable = _get(doc, "variable", "precip")
-    if variable not in VARIABLES:
-        problems.append(f"variable must be one of {VARIABLES}, got {variable!r}")
-        variable = "precip"
-    season = _get(doc, "season", "JJA")
-    if season not in SEASON_MONTHS:
-        problems.append(f"season must be one of {sorted(SEASON_MONTHS)}, got {season!r}")
-        season = "JJA"
+    variable = _choice(doc, "variable", VARIABLES, problems)
+    season = _choice(doc, "season", tuple(SEASON_MONTHS), problems)
 
     p_def, dir_def, sup_def = _THRESHOLD_DEFAULTS[variable]
     tdoc = _block(doc, "threshold", problems)
@@ -245,29 +240,22 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         problems.append(f"surrogate.bin_width_km must be positive, got {bin_width_km}")
         bin_width_km = 50.0
 
-    corrections = tuple(_get(doc, "corrections", list(CORRECTION_METHODS)))
-    for c in corrections:
-        if c not in CORRECTION_METHODS:
-            problems.append(f"unknown correction {c!r}; expected from {CORRECTION_METHODS}")
-    metrics = tuple(_get(doc, "metrics", list(METRIC_NAMES)))
-    for m in metrics:
+    metrics = _get(doc, "metrics", list(METRIC_NAMES))
+    if not isinstance(metrics, list) or not metrics:
+        problems.append(f"metrics must be a non-empty list, got {metrics!r}")
+        metrics = list(METRIC_NAMES)
+    for i, m in enumerate(metrics):
         if m not in METRIC_NAMES:
             problems.append(f"unknown metric {m!r}; expected from {METRIC_NAMES}")
+        elif m in metrics[:i]:
+            problems.append(f"metric {m!r} is listed twice")
 
     alpha = _number(doc, "alpha", 0.05, problems)
     if not 0.0 < alpha < 1.0:
         problems.append(f"alpha must lie in (0, 1), got {alpha}")
         alpha = 0.05
 
-    fmt = _get(doc, "format", "binary")
-    if fmt not in ("binary", "csv"):
-        problems.append(f"format must be 'binary' or 'csv', got {fmt!r}")
-        fmt = "binary"
-
-    use_normalized = _get(doc, "use_normalized", True)
-    if not isinstance(use_normalized, bool):
-        problems.append(f"use_normalized must be true or false, got {use_normalized!r}")
-        use_normalized = True
+    fmt = _choice(doc, "format", ("binary", "csv"), problems)
 
     ydoc = _block(doc, "synth", problems)
     for key, default in _SYNTH_DEFAULTS.items():
@@ -284,11 +272,9 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         sync=sync,
         ensemble_size=ensemble_size,
         bin_width_km=bin_width_km,
-        corrections=corrections,
-        metrics=metrics,
+        metrics=tuple(metrics),
         alpha=alpha,
-        use_normalized=use_normalized,
-        out=str(_get(doc, "out", "out")),
+        out=_get(doc, "out", "out"),
         seed=seed,
         synth=doc.get("synth"),
     )
@@ -383,7 +369,7 @@ def stage_events(cfg: RunConfig, out_dir: Path) -> None:
     in_path = _require(Path(cfg.input), "input gridded file")
     gs = load_gridded(in_path, cfg.format)
     seasonal = extract_season(gs, cfg.season)
-    series, unusable = extract_events(seasonal, cfg.threshold, dedup=True)
+    series, unusable = extract_events(seasonal, cfg.threshold)
     if unusable:
         print(
             f"[events] {len(unusable)} unusable node(s) excluded: {unusable[:20]}"
@@ -394,11 +380,7 @@ def stage_events(cfg: RunConfig, out_dir: Path) -> None:
         "n_nodes": seasonal.n_nodes,
         "T": seasonal.n_days,
         "season": cfg.season,
-        "percentile": cfg.threshold.percentile,
-        "direction": cfg.threshold.direction,
-        "support": cfg.threshold.support,
-        "positive_floor": cfg.threshold.positive_floor,
-        "min_support": cfg.threshold.min_support,
+        **asdict(cfg.threshold),
         "dedup": True,
         "season_days": [int(d) for d in seasonal.days],
         "unusable_nodes": unusable,
@@ -501,7 +483,7 @@ def stage_correct(cfg: RunConfig, out_dir: Path) -> None:
     from .netmetrics import MetricField
 
     stats_path = _require(out_dir / "surrogate_stats.csv", "surrogate stats artifact")
-    stats = read_surrogate_stats_csv(stats_path, ensemble_size=cfg.ensemble_size)
+    stats = read_surrogate_stats_csv(stats_path)
     grid = read_grid_csv(_require(out_dir / "grid.csv", "grid artifact"))
     inputs = {"surrogate_stats": stats_path}
     outputs = []
@@ -510,28 +492,24 @@ def stage_correct(cfg: RunConfig, out_dir: Path) -> None:
         inputs[f"metric_{m}"] = metric_path
         values, _ = read_metric_csv(metric_path)
         raw = MetricField(m, values)
-        for method in cfg.corrections:
-            cf = correct_subtract(raw, stats[m]) if method == "subtract" else correct_divide(raw, stats[m])
+        for method, correct in (("subtract", correct_subtract), ("divide", correct_divide)):
             path = out_dir / f"corrected_{m}_{method}.csv"
-            write_corrected_csv(cf, grid, path)
+            write_corrected_csv(correct(raw, stats[m]), grid, path)
             outputs.append(path)
     _write_manifest(out_dir, "correct", cfg, inputs=inputs, outputs=outputs)
 
 
 def stage_compare(cfg: RunConfig, out_dir: Path) -> None:
-    if not ("subtract" in cfg.corrections and "divide" in cfg.corrections):
-        raise ConfigError(["compare stage needs both 'subtract' and 'divide' corrections"])
     runs = {}
     inputs = {}
     for m in cfg.metrics:
-        sub_path = _require(out_dir / f"corrected_{m}_subtract.csv", f"corrected {m} (subtract)")
-        div_path = _require(out_dir / f"corrected_{m}_divide.csv", f"corrected {m} (divide)")
-        inputs[f"corrected_{m}_subtract"] = sub_path
-        inputs[f"corrected_{m}_divide"] = div_path
-        sub = read_corrected_csv(sub_path, metric=m, method="subtract")
-        div = read_corrected_csv(div_path, metric=m, method="divide")
-        runs[(cfg.network_label, cfg.season, m)] = (sub, div)
-    report = compare_methods(runs, alpha=cfg.alpha, use_normalized=cfg.use_normalized)
+        pair = []
+        for method in ("subtract", "divide"):
+            path = _require(out_dir / f"corrected_{m}_{method}.csv", f"corrected {m} ({method})")
+            inputs[path.stem] = path
+            pair.append(read_corrected_csv(path))
+        runs[(cfg.network_label, cfg.season, m)] = tuple(pair)
+    report = compare_methods(runs, alpha=cfg.alpha)
     json_path = out_dir / "report.json"
     txt_path = out_dir / "report.txt"
     with open(json_path, "w") as f:
@@ -554,9 +532,7 @@ def stage_render(cfg: RunConfig, out_dir: Path, field: str, palette: str,
         values, grid = read_metric_csv(path)
         defined = None
     elif header == CORRECTED_HEADER:
-        name = path.stem.split("_")
-        cf = read_corrected_csv(path, metric=name[1] if len(name) > 1 else "?",
-                                method=name[2] if len(name) > 2 else "?")
+        cf = read_corrected_csv(path)
         grid = read_grid_csv(_require(out_dir / "grid.csv", "grid artifact"))
         values = cf.normalized
         defined = ~cf.undefined

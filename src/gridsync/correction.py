@@ -26,36 +26,15 @@ class DegenerateFieldError(ValueError):
 
 @dataclass(frozen=True)
 class CorrectedField:
-    method: str  # "subtract" | "divide"
-    metric: str
     raw: np.ndarray
     surrogate_mean: np.ndarray
     corrected: np.ndarray  # NaN at undefined nodes
     normalized: np.ndarray  # NaN at undefined nodes
-    norm_bounds: tuple[float, float]
     undefined: np.ndarray  # bool, True where the method is undefined
 
     @property
     def n(self) -> int:
         return int(self.raw.size)
-
-    @property
-    def defined_count(self) -> int:
-        return int((~self.undefined).sum())
-
-
-def _normalize(corrected: np.ndarray, defined: np.ndarray, method: str, metric: str):
-    vals = corrected[defined]
-    lo = float(vals.min())
-    hi = float(vals.max())
-    if hi == lo:
-        raise DegenerateFieldError(
-            f"{method} correction of {metric}: corrected field is constant "
-            f"({lo!r}) over {vals.size} defined nodes; min-max normalization undefined"
-        )
-    normalized = np.full(corrected.size, np.nan)
-    normalized[defined] = (corrected[defined] - lo) / (hi - lo)
-    return normalized, (lo, hi)
 
 
 def _check_alignment(raw: MetricField, sur: SurrogateStats) -> None:
@@ -65,22 +44,27 @@ def _check_alignment(raw: MetricField, sur: SurrogateStats) -> None:
         raise ValueError(f"metric mismatch: raw {raw.metric!r} vs surrogate {sur.metric!r}")
 
 
+def _corrected_field(method: str, raw: MetricField, sur: SurrogateStats, corrected: np.ndarray,
+                     defined: np.ndarray) -> CorrectedField:
+    """The corrected field min-max normalized over its defined nodes."""
+    vals = corrected[defined]
+    lo = float(vals.min())
+    hi = float(vals.max())
+    if hi == lo:
+        raise DegenerateFieldError(
+            f"{method} correction of {raw.metric}: corrected field is constant "
+            f"({lo!r}) over {vals.size} defined nodes; min-max normalization undefined"
+        )
+    normalized = np.full(corrected.size, np.nan)
+    normalized[defined] = (vals - lo) / (hi - lo)
+    return CorrectedField(raw=raw.values.copy(), surrogate_mean=sur.mean.copy(), corrected=corrected,
+                          normalized=normalized, undefined=~defined)
+
+
 def correct_subtract(raw: MetricField, sur: SurrogateStats) -> CorrectedField:
     """corrected = raw - surrogate mean, then min-max normalized over all nodes."""
     _check_alignment(raw, sur)
-    corrected = raw.values - sur.mean
-    defined = np.ones(raw.n, dtype=bool)
-    normalized, bounds = _normalize(corrected, defined, "subtract", raw.metric)
-    return CorrectedField(
-        method="subtract",
-        metric=raw.metric,
-        raw=raw.values.copy(),
-        surrogate_mean=sur.mean.copy(),
-        corrected=corrected,
-        normalized=normalized,
-        norm_bounds=bounds,
-        undefined=~defined,
-    )
+    return _corrected_field("subtract", raw, sur, raw.values - sur.mean, np.ones(raw.n, dtype=bool))
 
 
 def correct_divide(raw: MetricField, sur: SurrogateStats) -> CorrectedField:
@@ -95,35 +79,17 @@ def correct_divide(raw: MetricField, sur: SurrogateStats) -> CorrectedField:
         raise ValueError("division correction undefined everywhere (all surrogate means zero)")
     corrected = np.full(raw.n, np.nan)
     corrected[defined] = raw.values[defined] / sur.mean[defined]
-    normalized, bounds = _normalize(corrected, defined, "divide", raw.metric)
-    return CorrectedField(
-        method="divide",
-        metric=raw.metric,
-        raw=raw.values.copy(),
-        surrogate_mean=sur.mean.copy(),
-        corrected=corrected,
-        normalized=normalized,
-        norm_bounds=bounds,
-        undefined=~defined,
-    )
+    return _corrected_field("divide", raw, sur, corrected, defined)
 
 
-def paired_fields(
-    sub: CorrectedField, div: CorrectedField, use_normalized: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Aligned per-node values over nodes defined under BOTH corrections.
-
-    Defaults to the normalized values; set use_normalized=False to compare
-    the unnormalized corrected values instead.
-    """
+def paired_fields(sub: CorrectedField, div: CorrectedField) -> tuple[np.ndarray, np.ndarray]:
+    """Aligned normalized values over the nodes defined under BOTH corrections."""
     if sub.n != div.n:
         raise ValueError("corrected fields cover different node counts")
     both = ~sub.undefined & ~div.undefined
     if not both.any():
         raise ValueError("no node is defined under both corrections")
-    if use_normalized:
-        return sub.normalized[both].copy(), div.normalized[both].copy()
-    return sub.corrected[both].copy(), div.corrected[both].copy()
+    return sub.normalized[both].copy(), div.normalized[both].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -139,20 +105,9 @@ def write_corrected_csv(cf: CorrectedField, grid, path) -> None:
                     cf.normalized, (~cf.undefined).astype(np.int8))
 
 
-def read_corrected_csv(path, metric: str, method: str) -> "CorrectedField":
+def read_corrected_csv(path) -> CorrectedField:
     _, (raw, mean, corrected, normalized, defined) = _read_nodes(
         path, CORRECTED_HEADER, float, float, float, float, _flag
     )
-    defined = defined.astype(bool)
-    vals = corrected[defined]
-    bounds = (float(vals.min()), float(vals.max())) if vals.size else (np.nan, np.nan)
-    return CorrectedField(
-        method=method,
-        metric=metric,
-        raw=raw,
-        surrogate_mean=mean,
-        corrected=corrected,
-        normalized=normalized,
-        norm_bounds=bounds,
-        undefined=~defined,
-    )
+    return CorrectedField(raw=raw, surrogate_mean=mean, corrected=corrected, normalized=normalized,
+                          undefined=~defined.astype(bool))

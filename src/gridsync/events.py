@@ -129,10 +129,8 @@ def dedup_consecutive(es: EventSeries) -> EventSeries:
     return EventSeries(node_id=es.node_id, event_days=ev[keep], season_days=es.season_days)
 
 
-def extract_events(
-    gs: GriddedSeries, spec: ThresholdSpec, dedup: bool = True
-) -> tuple[list[EventSeries], list[int]]:
-    """Per-node event series for a seasonal gridded series.
+def extract_events(gs: GriddedSeries, spec: ThresholdSpec) -> tuple[list[EventSeries], list[int]]:
+    """Per-node deduplicated event series for a seasonal gridded series.
 
     Nodes with too little threshold support are returned with empty event
     series and listed as unusable (they enter the network with degree 0).
@@ -148,7 +146,5 @@ def extract_events(
             series.append(EventSeries(node_id=i, event_days=empty, season_days=gs.days))
             continue
         es = to_event_series(gs.values[i], thr, spec.direction, days=gs.days, node_id=i)
-        if dedup:
-            es = dedup_consecutive(es)
-        series.append(es)
+        series.append(dedup_consecutive(es))
     return series, unusable

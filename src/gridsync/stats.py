@@ -256,7 +256,7 @@ def format_p(p: float) -> str:
     return f"{p:.2e}"
 
 
-def compare_methods(runs: dict, alpha: float = 0.05, use_normalized: bool = True) -> ComparisonReport:
+def compare_methods(runs: dict, alpha: float = 0.05) -> ComparisonReport:
     """Build the full report from {(network, season, metric): (sub, div)} cells.
 
     Cells whose pairing fails (for example, no node defined under both
@@ -269,7 +269,7 @@ def compare_methods(runs: dict, alpha: float = 0.05, use_normalized: bool = True
     missing = {}
     for key, (sub, div) in runs.items():
         try:
-            x, y = paired_fields(sub, div, use_normalized=use_normalized)
+            x, y = paired_fields(sub, div)
             cells[key] = ComparisonCell(
                 paired_t=paired_t_test(x, y, alpha=alpha),
                 ks=ks_two_sample(x, y, alpha=alpha),

@@ -45,12 +45,14 @@ class SurrogateStats:
 
     metric: str
     mean: np.ndarray
-    ensemble_size: int
-    zero_mean_nodes: np.ndarray
 
     @property
     def n(self) -> int:
         return int(self.mean.size)
+
+    @property
+    def zero_mean_nodes(self) -> np.ndarray:
+        return np.flatnonzero(self.mean == 0.0)
 
 
 def estimate_profile(net: Network, bin_width_km: float = 50.0) -> DistanceProfile:
@@ -116,16 +118,7 @@ def ensemble_stats(
         for m in metrics:
             sums[m] += np.sum(np.stack([f[m] for f in fields]), axis=0)
 
-    out = {}
-    for m in metrics:
-        mean = sums[m] / ensemble_size
-        out[m] = SurrogateStats(
-            metric=m,
-            mean=mean,
-            ensemble_size=ensemble_size,
-            zero_mean_nodes=np.nonzero(mean == 0.0)[0],
-        )
-    return out
+    return {m: SurrogateStats(m, sums[m] / ensemble_size) for m in metrics}
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +149,20 @@ def write_surrogate_stats_csv(stats: dict[str, SurrogateStats], path) -> None:
         f.write(SURROGATE_STATS_HEADER + "\n")
         for metric in sorted(stats):
             st = stats[metric]
-            zero = np.zeros(st.n, dtype=np.int8)
-            zero[st.zero_mean_nodes] = 1
-            _write_rows(f, range(st.n), repeat(metric, st.n), st.mean, zero)
+            _write_rows(f, range(st.n), repeat(metric, st.n), st.mean, (st.mean == 0.0).astype(np.int8))
 
 
-def read_surrogate_stats_csv(path, ensemble_size: int = 1) -> dict[str, SurrogateStats]:
+def read_surrogate_stats_csv(path) -> dict[str, SurrogateStats]:
+    """The per-metric means; each row's zero_flag must say whether its mean is zero."""
     ids, metrics, mean, zero = _read_rows(path, SURROGATE_STATS_HEADER, int, str, float, _flag)
-    ids, metrics, mean, zero = np.asarray(ids), np.asarray(metrics), np.asarray(mean), np.asarray(zero)
+    ids, metrics, mean = np.asarray(ids), np.asarray(metrics), np.asarray(mean)
+    bad = np.flatnonzero(np.asarray(zero, dtype=bool) != (mean == 0.0))
+    if bad.size:
+        k = bad[0]
+        raise GridIOError(f"zero_flag {int(zero[k])} of node {ids[k]} ({metrics[k]}) disagrees with its "
+                          f"mean {float(mean[k])!r}", path)
     out = {}
     for metric in dict.fromkeys(metrics.tolist()):
         rows = np.flatnonzero(metrics == metric)
-        rows = rows[_node_order(path, ids[rows])]
-        out[metric] = SurrogateStats(
-            metric=metric,
-            mean=mean[rows],
-            ensemble_size=ensemble_size,
-            zero_mean_nodes=np.flatnonzero(zero[rows]),
-        )
+        out[metric] = SurrogateStats(metric, mean[rows[_node_order(path, ids[rows])]])
     return out

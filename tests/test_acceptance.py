@@ -253,8 +253,7 @@ def test_criterion_6_method_divergence():
         SynthNetSpec(RectLattice(10, 10, 50.0), Exponential(0.6, 100.0), seed=3)
     )
     craw = degree(ctrl)
-    const = SurrogateStats(metric="DC", mean=np.ones(ctrl.n), ensemble_size=1,
-                           zero_mean_nodes=np.empty(0, dtype=np.int64))
+    const = SurrogateStats(metric="DC", mean=np.ones(ctrl.n))
     csub = correct_subtract(craw, const)
     cdiv = correct_divide(craw, const)
     coincide = np.abs(csub.normalized - cdiv.normalized).max() <= 1e-12

@@ -57,7 +57,7 @@ def test_config_collects_all_problems():
                 "variable": "humidity",
                 "season": "MAM",
                 "alpha": 2.0,
-                "corrections": ["multiply"],
+                "metrics": ["multiply"],
             }
         )
     msg = str(err.value)
@@ -110,7 +110,7 @@ def test_config_rejects_unknown_sync_key(tmp_path):
     ({"surrogate": {"bin_width_km": "abc"}}, "surrogate.bin_width_km must be a number"),
     ({"alpha": "abc"}, "alpha must be a number"),
     ({"threads": 2}, "unknown key threads"),
-    ({"use_normalized": "false"}, "use_normalized must be true or false"),
+    ({"use_normalized": True}, "unknown key use_normalized"),
     ({"seed": 1.7}, "seed must be an integer"),
     ({"seed": True}, "seed must be an integer"),
     ({"surrogate": {"ensemble_size": 10.7}}, "surrogate.ensemble_size must be an integer"),
@@ -127,6 +127,13 @@ def test_config_rejects_unknown_sync_key(tmp_path):
     ({"sync": {"tau_max": 1}}, "sync.tau_max must be 0"),
     ({"sync": {"simultaneous_weight": 0.5}}, "unknown key sync.simultaneous_weight"),
     ({"sync": {"simultaneous_weight": 0}}, "unknown key sync.simultaneous_weight"),
+    ({"corrections": ["subtract", "divide"]}, "unknown key corrections"),
+    ({"metrics": 5}, "metrics must be a non-empty list"),
+    ({"metrics": []}, "metrics must be a non-empty list"),
+    ({"metrics": ["DC", "DC"]}, "metric 'DC' is listed twice"),
+    ({"season": {}}, "season must be one of"),
+    ({"input": 5}, "input must be a path"),
+    ({"out": [1]}, "out must be a path"),
 ])
 def test_config_rejects_bad_document(tmp_path, capsys, doc, message):
     # each mistake is a config error (exit 1), never a silent default or a crash (exit 2)
@@ -164,6 +171,16 @@ def test_config_rejects_non_object_document(tmp_path):
 def test_config_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_config("/nonexistent/run.json")
+
+
+def test_readme_config_example_validates():
+    # the config the README documents must pass the schema it documents
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), flags=re.S)
+    assert len(blocks) == 1
+    doc = json.loads(re.sub(r"\s*//[^\n]*", "", blocks[0]))
+    cfg = validate_config(doc)
+    assert cfg.input == doc["input"] and cfg.metrics == tuple(doc["metrics"])
 
 
 # ---------------------------------------------------------------------------

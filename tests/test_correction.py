@@ -17,14 +17,8 @@ from gridsync.surrogate import SurrogateStats
 from conftest import random_grid
 
 
-def sur(mean, metric="DC", ensemble_size=10):
-    mean = np.asarray(mean, dtype=float)
-    return SurrogateStats(
-        metric=metric,
-        mean=mean,
-        ensemble_size=ensemble_size,
-        zero_mean_nodes=np.nonzero(mean == 0.0)[0],
-    )
+def sur(mean, metric="DC"):
+    return SurrogateStats(metric=metric, mean=np.asarray(mean, dtype=float))
 
 
 def test_subtract_single_spike():
@@ -60,7 +54,7 @@ def test_subtract_two_pass_oracle(rng):
         hi = max(corrected)
         expect = np.array([(c - lo) / (hi - lo) for c in corrected])
         assert np.all(np.abs(cf.normalized - expect) <= 1e-12)
-        assert cf.norm_bounds == (lo, hi)
+        assert (cf.corrected.min(), cf.corrected.max()) == (lo, hi)
         assert cf.normalized.min() == 0.0 and cf.normalized.max() == 1.0
 
 
@@ -132,16 +126,6 @@ def test_paired_fields_alignment():
     assert not np.isnan(x).any() and not np.isnan(y).any()
 
 
-def test_paired_fields_unnormalized_flag():
-    raw = MetricField("DC", np.array([5.0, 3.0, 4.0]))
-    s = sur(np.array([1.0, 2.0, 4.0]))
-    sub = correct_subtract(raw, s)
-    div = correct_divide(raw, s)
-    x, y = paired_fields(sub, div, use_normalized=False)
-    assert np.array_equal(x, sub.corrected)
-    assert np.array_equal(y, div.corrected)
-
-
 def test_paired_fields_permutation_leaves_tests_unchanged(rng):
     from gridsync.stats import ks_two_sample, paired_t_test
 
@@ -187,10 +171,12 @@ def test_corrected_csv_roundtrip(tmp_path):
     cf = correct_divide(raw, s)
     p = tmp_path / "corrected_DC_divide.csv"
     write_corrected_csv(cf, grid, p)
-    back = read_corrected_csv(p, metric="DC", method="divide")
+    back = read_corrected_csv(p)
     assert np.array_equal(back.raw, cf.raw)
     assert np.array_equal(back.surrogate_mean, cf.surrogate_mean)
     assert np.array_equal(back.corrected, cf.corrected, equal_nan=True)
     assert np.array_equal(back.normalized, cf.normalized, equal_nan=True)
     assert np.array_equal(back.undefined, cf.undefined)
-    assert back.norm_bounds == cf.norm_bounds
+    defined = ~cf.undefined
+    assert back.corrected[defined].min() == cf.corrected[defined].min()
+    assert back.corrected[defined].max() == cf.corrected[defined].max()

@@ -314,9 +314,8 @@ def test_csv_writers_match_per_cell_repr(tmp_path):
     )
 
     undefined = np.isnan(SPECIAL)
-    cf = CorrectedField("divide", "DC", raw=SPECIAL, surrogate_mean=np.roll(SPECIAL, 1),
-                        corrected=np.roll(SPECIAL, 2), normalized=np.roll(SPECIAL, 3),
-                        norm_bounds=(0.0, 1.0), undefined=undefined)
+    cf = CorrectedField(raw=SPECIAL, surrogate_mean=np.roll(SPECIAL, 1), corrected=np.roll(SPECIAL, 2),
+                        normalized=np.roll(SPECIAL, 3), undefined=undefined)
     write_corrected_csv(cf, grid, tmp_path / "corrected.csv")
     expected["corrected.csv"] = _reference(
         "node_id,lat,lon,raw,surrogate_mean,corrected,normalized,defined",
@@ -324,12 +323,13 @@ def test_csv_writers_match_per_cell_repr(tmp_path):
                    _cell(cf.normalized[i]), str(int(not undefined[i]))] for i in range(n)],
     )
 
-    stats = {m: SurrogateStats(m, np.roll(SPECIAL, k), 10, np.array([3, 4]))
-             for k, m in enumerate(("MGD", "DC"))}
+    # the zero flag follows the mean: -0.0 sits at node 3 of MGD and node 4 of DC
+    stats = {m: SurrogateStats(m, np.roll(SPECIAL, k)) for k, m in enumerate(("MGD", "DC"))}
     write_surrogate_stats_csv(stats, tmp_path / "stats.csv")
     expected["stats.csv"] = _reference(
         "node_id,metric,mean,zero_flag",
-        [[node[i], m, _cell(stats[m].mean[i]), str(int(i in (3, 4)))] for m in ("DC", "MGD") for i in range(n)],
+        [[node[i], m, _cell(stats[m].mean[i]), str(int(i == {"MGD": 3, "DC": 4}[m]))]
+         for m in ("DC", "MGD") for i in range(n)],
     )
 
     prof = DistanceProfile(bin_edges=np.array([0.0, 0.1, 1e300, np.inf]), bin_prob=SPECIAL[3:6],
@@ -373,7 +373,7 @@ def _write_artifacts(tmp_path) -> dict:
     grid = GridSpec(lat=np.array([10.5, 11.25, 12.75]), lon=np.array([-100.25, -99.5, -98.75]))
     days = np.array([100, 101, 105])
     season = [EventSeries(i, days[: i + 1], days) for i in range(3)]
-    stats = SurrogateStats("DC", np.array([0.0, 2.0, 4.0]), 1, np.array([0]))
+    stats = SurrogateStats("DC", np.array([0.0, 2.0, 4.0]))
     cf = correct_divide(MetricField("DC", np.array([1.0, 3.0, 2.0])), stats)
     profile = DistanceProfile(np.array([0.0, 50.0, 100.0]), np.array([0.25, 0.5]),
                               np.array([4, 2]), np.array([1, 1]))
@@ -387,8 +387,7 @@ def _write_artifacts(tmp_path) -> dict:
                    read_event_series),
         "profile": (lambda p: write_profile_csv(profile, p), read_profile_csv),
         "surrogate_stats": (lambda p: write_surrogate_stats_csv({"DC": stats}, p), read_surrogate_stats_csv),
-        "corrected": (lambda p: write_corrected_csv(cf, grid, p),
-                      lambda p: read_corrected_csv(p, metric="DC", method="divide")),
+        "corrected": (lambda p: write_corrected_csv(cf, grid, p), read_corrected_csv),
     }
     out = {}
     for name, (write, read) in files.items():
@@ -444,6 +443,10 @@ def test_reader_rejects_malformed_artifact(tmp_path, name, fault):
                  id="duplicate-event"),
     pytest.param("surrogate_stats", lambda lines: lines + [lines[2]], "node ids are not 0..n-1",
                  id="duplicate-surrogate-node"),
+    pytest.param("surrogate_stats", lambda lines: lines[:1] + ["0,DC,8.67,1"] + lines[2:],
+                 "zero_flag 1 of node 0 (DC) disagrees with its mean 8.67", id="zero-flag-of-nonzero-mean"),
+    pytest.param("surrogate_stats", lambda lines: lines[:1] + [lines[1][:-1] + "0"] + lines[2:],
+                 "zero_flag 0 of node 0 (DC) disagrees with its mean 0.0", id="zero-mean-flag-0"),
     pytest.param("corrected", lambda lines: lines[:-1] + [lines[-1][:-1] + "7"],
                  "flag must be 0 or 1, got '7' (line 4)", id="defined-flag-7"),
     pytest.param("gridded", lambda lines: lines[:2] + [lines[2].replace(",10.5,", ",10.0,")] + lines[3:],

@@ -203,20 +203,17 @@ def test_kolmogorov_sf_limits():
 # comparison report
 
 
-def fake_corrected(values, undefined=None, method="subtract", metric="DC"):
+def fake_corrected(values, undefined=None):
     from gridsync.correction import CorrectedField
 
     values = np.asarray(values, dtype=float)
     n = values.size
     undefined = np.zeros(n, dtype=bool) if undefined is None else np.asarray(undefined)
     return CorrectedField(
-        method=method,
-        metric=metric,
         raw=values.copy(),
         surrogate_mean=np.ones(n),
         corrected=values.copy(),
         normalized=values.copy(),
-        norm_bounds=(float(np.nanmin(values)), float(np.nanmax(values))),
         undefined=undefined,
     )
 

@@ -298,7 +298,7 @@ def test_surrogate_stats_csv_roundtrip(tmp_path):
     stats = ensemble_stats(prof, grid, metrics=("DC", "MGD"), ensemble_size=10, seed=77)
     p = tmp_path / "stats.csv"
     write_surrogate_stats_csv(stats, p)
-    back = read_surrogate_stats_csv(p, ensemble_size=10)
+    back = read_surrogate_stats_csv(p)
     for m in ("DC", "MGD"):
         assert np.array_equal(back[m].mean, stats[m].mean)
         assert np.array_equal(back[m].zero_mean_nodes, stats[m].zero_mean_nodes)
