@@ -8,7 +8,7 @@ ensembles -> boundary corrections -> method comparison statistics.
 __version__ = "0.7.0"
 
 from .correction import CorrectedField, DegenerateFieldError, correct_divide, correct_subtract, paired_fields
-from .events import EventSeries, InsufficientSupportError, ThresholdSpec, compute_threshold, dedup_consecutive, extract_events, to_event_series
+from .events import ThresholdSpec, extract_events
 from .grid_io import GriddedSeries, GridIOError, GridSpec, extract_season, load_gridded, write_gridded
 from .netmetrics import (
     MetricField,
@@ -23,4 +23,4 @@ from .netmetrics import (
 from .stats import ComparisonReport, TestResult, compare_methods, ks_two_sample, paired_t_test
 from .surrogate import DistanceProfile, SurrogateStats, ensemble_stats, estimate_profile
 from .sync import SyncParams, build_network
-from .synth import SynthEventSpec, SynthNetSpec, gen_divergence_fixture, gen_embedded_network, gen_event_field
+from .synth import SynthNetSpec, gen_embedded_network

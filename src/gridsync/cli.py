@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -60,7 +61,7 @@ from .surrogate import (
     write_surrogate_stats_csv,
 )
 from .sync import SyncParams, build_network
-from .synth import RectLattice, gen_gridded_values
+from .synth import RectLattice, gen_gridded_values, lattice_grid
 
 VARIABLES = ("precip", "tmax", "tmin")
 
@@ -158,13 +159,17 @@ def _block(doc: dict, name: str, problems: list[str]) -> dict:
 def _number(d: dict, key: str, default, problems: list[str], prefix: str = ""):
     """d[key], or default when absent; an int default admits JSON integers only.
 
-    A float default admits any JSON number, returned as a float. Anything else,
-    booleans included, is a problem, and the default stands in for it.
+    A float default admits any finite JSON number, returned as a float.
+    Anything else, booleans, Infinity and NaN included, is a problem, and the
+    default stands in for it.
     """
     v = _get(d, key, default)
     integer = isinstance(default, int)
     if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
         problems.append(f"{prefix}{key} must be {'an integer' if integer else 'a number'}, got {v!r}")
+        return default
+    if not math.isfinite(v):
+        problems.append(f"{prefix}{key} must be a finite number, got {v!r}")
         return default
     return v if integer else float(v)
 
@@ -258,8 +263,23 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     fmt = _choice(doc, "format", ("binary", "csv"), problems)
 
     ydoc = _block(doc, "synth", problems)
-    for key, default in _SYNTH_DEFAULTS.items():
-        _number(ydoc, key, default, problems, "synth.")
+    y = {key: _number(ydoc, key, default, problems, "synth.") for key, default in _SYNTH_DEFAULTS.items()}
+    n_problems = len(problems)
+    for key in ("rows", "cols", "n_years", "storm_groups"):
+        if y[key] < 1:
+            problems.append(f"synth.{key} must be >= 1, got {y[key]}")
+    if y["rows"] * y["cols"] < 3:
+        problems.append(f"synth.rows x synth.cols must be >= 3 nodes, got {y['rows']} x {y['cols']}")
+    if y["spacing_km"] <= 0:
+        problems.append(f"synth.spacing_km must be positive, got {y['spacing_km']}")
+    for key in ("storm_rate", "wet_prob"):
+        if not 0.0 <= y[key] <= 1.0:
+            problems.append(f"synth.{key} must lie in [0, 1], got {y[key]}")
+    if len(problems) == n_problems:
+        try:
+            lattice_grid(RectLattice(**{k: y[k] for k in ("rows", "cols", "spacing_km", "lat0", "lon0")}))
+        except ValueError as e:
+            problems.append(f"synth: {e}")
     if not isinstance(_get(ydoc, "output", ""), str):
         problems.append(f"synth.output must be a file name, got {ydoc['output']!r}")
 
@@ -367,9 +387,9 @@ def stage_events(cfg: RunConfig, out_dir: Path) -> None:
     if cfg.input is None:
         raise ConfigError(["input is required for the events stage"])
     in_path = _require(Path(cfg.input), "input gridded file")
-    gs = load_gridded(in_path, cfg.format)
-    seasonal = extract_season(gs, cfg.season)
-    series, unusable = extract_events(seasonal, cfg.threshold)
+    # the whole-year series is dropped once the season is cut, before the event matrix is built
+    seasonal = extract_season(load_gridded(in_path, cfg.format), cfg.season)
+    events, unusable = extract_events(seasonal, cfg.threshold)
     if unusable:
         print(
             f"[events] {len(unusable)} unusable node(s) excluded: {unusable[:20]}"
@@ -387,7 +407,7 @@ def stage_events(cfg: RunConfig, out_dir: Path) -> None:
     }
     events_path = out_dir / "events.csv"
     grid_path = out_dir / "grid.csv"
-    write_event_series(series, events_path, sidecar)
+    write_event_series(events, seasonal.days, events_path, sidecar)
     write_grid_csv(seasonal.grid, grid_path)
     _write_manifest(
         out_dir,
@@ -401,11 +421,11 @@ def stage_events(cfg: RunConfig, out_dir: Path) -> None:
 def stage_network(cfg: RunConfig, out_dir: Path) -> None:
     events_path = _require(out_dir / "events.csv", "events artifact")
     grid_path = _require(out_dir / "grid.csv", "grid artifact")
-    series, sidecar = read_event_series(events_path)
+    events, sidecar = read_event_series(events_path)
     grid = read_grid_csv(grid_path)
-    # the reader makes one series per sidecar n_nodes, so a count that disagrees with the grid is the sidecar's
+    # the reader makes one row per sidecar n_nodes, so a count that disagrees with the grid is the sidecar's
     with _artifact(Path(str(events_path) + ".json")):
-        net = build_network(series, grid, cfg.sync)
+        net = build_network(events, grid, cfg.sync)
     edges_path = out_dir / "edges.csv"
     write_edge_list(net.edge_array(), edges_path)
     _write_manifest(
@@ -415,7 +435,7 @@ def stage_network(cfg: RunConfig, out_dir: Path) -> None:
         inputs={"events": events_path, "grid": grid_path},
         outputs=[edges_path],
         extra={
-            "event_counts": [es.n_events for es in series],
+            "event_counts": events.sum(axis=1).tolist(),
             "unusable_count": len(sidecar.get("unusable_nodes", [])),
             "edge_count": net.edge_count,
         },

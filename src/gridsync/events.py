@@ -1,8 +1,10 @@
 """Extreme-event extraction: local percentile thresholds and deduplication.
 
-A node's daily series becomes an event series by strict threshold exceedance
-(above) or deficit (below); runs of consecutive event days are collapsed to
-their first day so temporal clustering does not inflate synchronization.
+A season's events are one (n_nodes, n_days) bool matrix over the seasonal
+day vector. A node has an event on a day whose value strictly exceeds
+(above) or falls below its local percentile threshold; runs of consecutive
+calendar days are collapsed to their first day so temporal clustering does
+not inflate synchronization.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ import numpy as np
 
 from .grid_io import GriddedSeries
 
-
-class InsufficientSupportError(ValueError):
-    """Too few finite support values to estimate a stable local threshold."""
+# rows per nanquantile call: one call on the whole matrix would copy it once more
+_QUANTILE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -40,111 +41,31 @@ class ThresholdSpec:
             raise ValueError(f"unknown direction {self.direction!r}")
         if self.support not in ("all", "positive_only"):
             raise ValueError(f"unknown support {self.support!r}")
+        if self.min_support < 1:
+            raise ValueError(f"min_support must be >= 1, got {self.min_support}")
 
 
-@dataclass(frozen=True)
-class EventSeries:
-    """Sorted event day-indices for one node within a season day universe."""
+def extract_events(gs: GriddedSeries, spec: ThresholdSpec) -> tuple[np.ndarray, list[int]]:
+    """The deduplicated (n_nodes, n_days) bool event matrix of a seasonal series, and its unusable nodes.
 
-    node_id: int
-    event_days: np.ndarray
-    season_days: np.ndarray
-
-    def __post_init__(self):
-        ev = np.asarray(self.event_days, dtype=np.int64)
-        sd = np.asarray(self.season_days, dtype=np.int64)
-        object.__setattr__(self, "event_days", ev)
-        object.__setattr__(self, "season_days", sd)
-        if ev.size > 1 and not (np.diff(ev) > 0).all():
-            raise ValueError("event days must be strictly increasing")
-        if sd.size > 1 and not (np.diff(sd) > 0).all():
-            raise ValueError("season days must be strictly increasing")
-        if ev.size and not np.isin(ev, sd).all():
-            raise ValueError("event days must belong to the season day universe")
-
-    @property
-    def n_events(self) -> int:
-        return int(self.event_days.size)
-
-    @property
-    def n_days_in_season(self) -> int:
-        return int(self.season_days.size)
-
-
-def compute_threshold(values: np.ndarray, spec: ThresholdSpec) -> float:
-    """Linear-interpolation quantile of the support values.
-
-    Raises InsufficientSupportError when fewer than spec.min_support finite
-    support values remain after filtering.
+    A node's threshold is the linear-interpolation quantile of its support
+    values: the finite ones, and for positive_only those above
+    positive_floor. A node with fewer than min_support of them is unusable:
+    it has no events and enters the network with degree 0. Ties at the
+    threshold and NaN values are never events. An event is dropped iff the
+    previous calendar day is also an event, so a season gap never merges two.
     """
-    v = np.asarray(values, dtype=float)
-    v = v[np.isfinite(v)]
+    v = gs.values
+    support = np.isfinite(v)
     if spec.support == "positive_only":
-        v = v[v > spec.positive_floor]
-    if v.size < spec.min_support:
-        raise InsufficientSupportError(
-            f"{v.size} support values < required {spec.min_support}"
-        )
-    return float(np.quantile(v, spec.percentile / 100.0))
-
-
-def to_event_series(
-    values: np.ndarray,
-    threshold: float,
-    direction: str,
-    *,
-    days: np.ndarray,
-    node_id: int = 0,
-) -> EventSeries:
-    """Days whose value strictly exceeds (above) or falls below the threshold.
-
-    Ties at the threshold are never events; NaN values are never events.
-    """
-    if not np.isfinite(threshold):
-        raise ValueError("threshold must be finite")
-    if direction not in ("above", "below"):
-        raise ValueError(f"unknown direction {direction!r}")
-    v = np.asarray(values, dtype=float)
-    days = np.asarray(days, dtype=np.int64)
-    if v.shape != days.shape:
-        raise ValueError("values and days must have equal length")
-    with np.errstate(invalid="ignore"):
-        mask = (v > threshold) if direction == "above" else (v < threshold)
-    mask &= np.isfinite(v)
-    return EventSeries(node_id=node_id, event_days=days[mask], season_days=days)
-
-
-def dedup_consecutive(es: EventSeries) -> EventSeries:
-    """Collapse each run of consecutive event days to its first day.
-
-    An event is dropped iff the previous calendar day is also an event, so
-    events separated by a season gap are never merged. Idempotent.
-    """
-    ev = es.event_days
-    if ev.size < 2:
-        return es
-    keep = np.empty(ev.size, dtype=bool)
-    keep[0] = True
-    keep[1:] = np.diff(ev) > 1
-    return EventSeries(node_id=es.node_id, event_days=ev[keep], season_days=es.season_days)
-
-
-def extract_events(gs: GriddedSeries, spec: ThresholdSpec) -> tuple[list[EventSeries], list[int]]:
-    """Per-node deduplicated event series for a seasonal gridded series.
-
-    Nodes with too little threshold support are returned with empty event
-    series and listed as unusable (they enter the network with degree 0).
-    """
-    series: list[EventSeries] = []
-    unusable: list[int] = []
-    empty = np.empty(0, dtype=np.int64)
-    for i in range(gs.n_nodes):
-        try:
-            thr = compute_threshold(gs.values[i], spec)
-        except InsufficientSupportError:
-            unusable.append(i)
-            series.append(EventSeries(node_id=i, event_days=empty, season_days=gs.days))
-            continue
-        es = to_event_series(gs.values[i], thr, spec.direction, days=gs.days, node_id=i)
-        series.append(dedup_consecutive(es))
-    return series, unusable
+        support &= v > spec.positive_floor
+    usable = support.sum(axis=1) >= spec.min_support
+    thr = np.full(gs.n_nodes, np.nan)
+    rows = np.flatnonzero(usable)
+    for start in range(0, rows.size, _QUANTILE_ROWS):
+        r = rows[start : start + _QUANTILE_ROWS]
+        thr[r] = np.nanquantile(np.where(support[r], v[r], np.nan), spec.percentile / 100.0, axis=1)
+    # a NaN threshold (unusable node) compares false everywhere
+    events = v > thr[:, None] if spec.direction == "above" else v < thr[:, None]
+    events[:, 1:] &= ~(events[:, :-1] & (np.diff(gs.days) == 1))
+    return events, np.flatnonzero(~usable).tolist()

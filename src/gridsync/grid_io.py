@@ -11,8 +11,10 @@ Formats (all little-endian, '.' decimal separator):
 * Metric CSV: header ``node_id,lat,lon,value``, one row per node, NaN
   written as ``nan``.
 * Edge list CSV: header ``i,j`` with i < j, one undirected edge per row.
-* Event CSV: header ``node_id,day_index``, one row per event, plus a JSON
-  sidecar with the season metadata.
+* Event CSV: header ``node_id,day_index``, one row per true cell of a
+  season's (n_nodes, n_days) bool event matrix, node-major, plus a JSON
+  sidecar with the season metadata; its ``season_days`` are the day indices
+  of the matrix columns.
 
 Day indices are integer days since 1970-01-01 (proleptic Gregorian).
 """
@@ -384,26 +386,25 @@ def read_edge_list(path) -> np.ndarray:
 # event series files (CSV + JSON sidecar)
 
 
-def write_event_series(all_series, path, sidecar: dict) -> None:
-    """Write per-node event rows plus a JSON sidecar (same path + '.json').
+def write_event_series(events: np.ndarray, days: np.ndarray, path, sidecar: dict) -> None:
+    """Write one row per event of the (n_nodes, n_days) bool matrix, node-major, plus a
+    JSON sidecar (same path + '.json').
 
     The sidecar records the season day universe so downstream stages can be
     re-run from disk alone.
     """
     path = Path(path)
+    nodes, cols = np.nonzero(events)
     with open(path, "w", newline="") as f:
         f.write(EVENT_HEADER + "\n")
-        for es in all_series:
-            _write_rows(f, repeat(es.node_id, es.n_events), es.event_days)
+        _write_rows(f, nodes, days[cols])
     with open(path.with_suffix(path.suffix + ".json"), "w") as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def read_event_series(path):
-    """Read events + sidecar back into a list of EventSeries (one per node)."""
-    from .events import EventSeries  # local import to avoid a cycle
-
+def read_event_series(path) -> tuple[np.ndarray, dict]:
+    """Read events + sidecar back into the (n_nodes, n_days) bool event matrix and the sidecar."""
     path = Path(path)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     with open(sidecar_path) as f, _artifact(sidecar_path):
@@ -411,20 +412,22 @@ def read_event_series(path):
         if not isinstance(sidecar, dict) or not {"season_days", "n_nodes"} <= sidecar.keys():
             raise ValueError("sidecar must be a JSON object with season_days and n_nodes")
         season_days = np.asarray(sidecar["season_days"], dtype=np.int64)
-        n_nodes = int(sidecar["n_nodes"])
+        if season_days.ndim != 1 or (np.diff(season_days) <= 0).any():
+            raise ValueError("season_days must be strictly increasing")
+        events = np.zeros((int(sidecar["n_nodes"]), season_days.size), dtype=bool)
+    n_nodes, T = events.shape
     ids, days = np.array(_read_rows(path, EVENT_HEADER, int, int), dtype=np.int64)
     bad = np.flatnonzero((ids < 0) | (ids >= n_nodes))
     if bad.size:
         raise GridIOError(f"node id {ids[bad[0]]} out of range 0..{n_nodes - 1}", path)
-    order = np.lexsort((days, ids))
-    ids, days = ids[order], days[order]
-    dup = np.flatnonzero((np.diff(ids) == 0) & (np.diff(days) == 0))
+    bad = np.flatnonzero(~np.isin(days, season_days))
+    if bad.size:
+        raise GridIOError(f"event day {days[bad[0]]} of node {ids[bad[0]]} is not a season day", path)
+    cols = np.searchsorted(season_days, days)
+    cells = np.sort(ids * T + cols)
+    dup = np.flatnonzero(np.diff(cells) == 0)
     if dup.size:
-        raise GridIOError(f"duplicate (node {ids[dup[0]]}, day {days[dup[0]]}) row", path)
-    bounds = np.searchsorted(ids, np.arange(n_nodes + 1))
-    with _artifact(path):
-        series = [
-            EventSeries(node_id=i, event_days=days[bounds[i] : bounds[i + 1]], season_days=season_days)
-            for i in range(n_nodes)
-        ]
-    return series, sidecar
+        i, k = divmod(int(cells[dup[0]]), T)
+        raise GridIOError(f"duplicate (node {i}, day {season_days[k]}) row", path)
+    events[ids, cols] = True
+    return events, sidecar

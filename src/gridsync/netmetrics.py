@@ -46,9 +46,6 @@ class Network:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
     @staticmethod
     def from_edges(grid: GridSpec, edges: np.ndarray) -> "Network":
         """Build from an (m, 2) array of i < j pairs; duplicates rejected."""

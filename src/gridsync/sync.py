@@ -1,12 +1,13 @@
 """Zero-lag event synchronization, shuffle null model, and network construction.
 
-Two events at different nodes are synchronized when they fall on the same
-day: strictly increasing event days make every dynamic local time scale at
-least 0.5, so no same-day pair is ever gated out, and ES is |A & B|. A link
-is established when the pair's ES reaches the chosen quantile of a null that
-re-draws both nodes' event days uniformly from their shared season-day
-universe; a shuffle's overlap is Hypergeom(T, n_lo, n_hi) distributed, so
-the null is drawn from that law directly.
+Events come as one season's (n_nodes, T) bool matrix E. Two events at
+different nodes are synchronized when they fall on the same day: strictly
+increasing event days make every dynamic local time scale at least 0.5, so
+no same-day pair is ever gated out, and the ES of every pair is E @ E.T. A
+link is established when the pair's ES reaches the chosen quantile of a null
+that re-draws both nodes' event days uniformly from the T season days; a
+shuffle's overlap is Hypergeom(T, n_lo, n_hi) distributed, so the null is
+drawn from that law directly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventSeries
 from .grid_io import GridSpec
 from .netmetrics import Network
 from .seeding import NULL_MODEL_TAG, stream
@@ -42,14 +42,12 @@ def _key_threshold(T: int, n_lo: int, n_hi: int, params: SyncParams, rng: np.ran
     return float(sample[math.ceil(params.link_quantile * sample.size) - 1])
 
 
-def _es_matrix(all_series: list[EventSeries], universe: np.ndarray) -> np.ndarray:
-    """All-pairs zero-lag ES: E @ E.T for the n x T float32 0/1 event matrix E.
+def _es_matrix(events: np.ndarray) -> np.ndarray:
+    """All-pairs zero-lag ES: E @ E.T for the n x T bool event matrix E, in float32.
 
     Sums of 0/1 below 2**24 are exact in float32 in any BLAS order.
     """
-    e = np.zeros((len(all_series), universe.size), dtype=np.float32)
-    for i, es in enumerate(all_series):
-        e[i, np.searchsorted(universe, es.event_days)] = 1.0
+    e = events.astype(np.float32)
     return e @ e.T
 
 
@@ -69,27 +67,19 @@ def _threshold_table(counts: np.ndarray, T: int, params: SyncParams) -> np.ndarr
     return table
 
 
-def build_network(all_series: list[EventSeries], grid: GridSpec, params: SyncParams) -> Network:
+def build_network(events: np.ndarray, grid: GridSpec, params: SyncParams) -> Network:
     """Undirected unweighted network: edge (i, j) iff ES >= null threshold.
 
-    All nodes must share one season-day universe of T days. A pair's null
-    then depends only on (T, n_lo, n_hi): one threshold is drawn per distinct
-    key from the stream mix64(seed, NULL_MODEL_TAG, T, n_lo, n_hi). Pairs
-    with an empty series never link. Deterministic for a fixed params.seed.
+    events is the (n_nodes, T) bool event matrix of one season, so every
+    node shares its T season days. A pair's null then depends only on
+    (T, n_lo, n_hi): one threshold is drawn per distinct key from the stream
+    mix64(seed, NULL_MODEL_TAG, T, n_lo, n_hi). Nodes without events never
+    link. Deterministic for a fixed params.seed.
     """
-    n = grid.n
-    if len(all_series) != n:
-        raise ValueError(f"{len(all_series)} event series for {n} grid nodes")
-    for i, es in enumerate(all_series):
-        if es.node_id != i:
-            raise ValueError(f"series at position {i} has node_id {es.node_id}")
-    universe = all_series[0].season_days if n else np.empty(0, dtype=np.int64)
-    for es in all_series:
-        if not np.array_equal(es.season_days, universe):
-            raise ValueError(f"node {es.node_id} has a different season-day universe than node 0")
-
-    counts = np.array([es.n_events for es in all_series], dtype=np.int64)
-    thr = _threshold_table(counts, universe.size, params)
-    linked = _es_matrix(all_series, universe) >= thr[np.ix_(counts, counts)]
+    if events.shape[0] != grid.n:
+        raise ValueError(f"{events.shape[0]} event series for {grid.n} grid nodes")
+    counts = events.sum(axis=1)
+    thr = _threshold_table(counts, events.shape[1], params)
+    linked = _es_matrix(events) >= thr[np.ix_(counts, counts)]
     i, j = np.nonzero(np.triu(linked, 1))
     return Network.from_edges(grid, np.stack([i, j], axis=1))

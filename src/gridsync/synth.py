@@ -1,21 +1,19 @@
 """Seeded synthetic inputs with known ground truth.
 
-Three generator families: spatially embedded random networks on a lattice
-(for boundary-bias experiments), clustered event fields (for link-detection
-checks against the exact null), and paired-sample fixtures where a
-subtraction-like and a division-like correction demonstrably diverge.
+Two generator families: spatially embedded random networks on a lattice
+(for boundary-bias experiments) and precipitation-like gridded daily values
+with synchronized storm days (for end-to-end pipeline runs).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventSeries, dedup_consecutive
 from .grid_io import GridSpec, GriddedSeries
 from .netmetrics import EARTH_RADIUS_KM, Network, bernoulli_network, pair_distances
-from .seeding import SYNTH_TAG, mix64, stream
+from .seeding import SYNTH_TAG, stream
 
 KM_PER_DEG = np.pi * EARTH_RADIUS_KM / 180.0
 
@@ -47,16 +45,6 @@ class SynthNetSpec:
     layout: object  # RectLattice | GridSpec
     link_model: object  # HardCutoff | Exponential
     seed: int = 0
-
-
-@dataclass(frozen=True)
-class SynthEventSpec:
-    grid: GridSpec
-    T: int
-    base_rate: float
-    cluster_groups: tuple = ()  # ((node_ids, rho), ...)
-    seed: int = 0
-    start_day: int = 0
 
 
 def lattice_grid(layout: RectLattice) -> GridSpec:
@@ -98,70 +86,6 @@ def gen_embedded_network(spec: SynthNetSpec) -> Network:
         raise ValueError("layout must place at least 3 nodes")
     p = link_probability(spec.link_model, pair_distances(grid))
     return bernoulli_network(grid, p, stream(spec.seed, SYNTH_TAG, 1))
-
-
-def gen_event_field(spec: SynthEventSpec) -> list[EventSeries]:
-    """Clustered synthetic event series (deduplicated).
-
-    Each day, every cluster group fires jointly with its probability rho
-    (all members get the event) and every node fires independently at
-    base_rate.
-    """
-    if not 0.0 <= spec.base_rate <= 1.0:
-        raise ValueError("base_rate must lie in [0, 1]")
-    n = spec.grid.n
-    rng = stream(spec.seed, SYNTH_TAG, 2)
-    active = rng.random((n, spec.T)) < spec.base_rate
-    for nodes, rho in spec.cluster_groups:
-        if not 0.0 <= rho <= 1.0:
-            raise ValueError("cluster rho must lie in [0, 1]")
-        fires = rng.random(spec.T) < rho
-        idx = np.asarray(list(nodes), dtype=int)
-        active[np.ix_(idx, np.nonzero(fires)[0])] = True
-    season_days = spec.start_day + np.arange(spec.T, dtype=np.int64)
-    out = []
-    for i in range(n):
-        es = EventSeries(
-            node_id=i, event_days=season_days[active[i]], season_days=season_days
-        )
-        out.append(dedup_consecutive(es))
-    return out
-
-
-def gen_divergence_fixture(
-    n: int,
-    seed: int,
-    denominator_base: float = 1.0,
-    small_fraction: float = 0.05,
-    small_denominator: float = 0.05,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Paired samples where subtracting and dividing by a baseline diverge.
-
-    Integer-valued raw counts are corrected against heterogeneous
-    denominators: a small fraction of nodes get a near-zero denominator,
-    which blows up their ratio and compresses everyone else's normalized
-    ratio toward zero. With small_fraction = 0 and denominator_base = 1 the
-    two outputs are identical.
-    """
-    if n < 30:
-        raise ValueError("fixture needs n >= 30")
-    rng = stream(seed, SYNTH_TAG, 3)
-    raw = rng.binomial(60, 0.25, size=n).astype(float)
-    denom = np.full(n, float(denominator_base))
-    k = int(round(small_fraction * n))
-    if k > 0:
-        idx = rng.choice(n, size=k, replace=False)
-        denom[idx] = small_denominator
-    x = _minmax(raw - denom)
-    y = _minmax(raw / denom)
-    return x, y
-
-
-def _minmax(v: np.ndarray) -> np.ndarray:
-    lo, hi = float(v.min()), float(v.max())
-    if hi == lo:
-        raise ValueError("constant field cannot be min-max normalized")
-    return (v - lo) / (hi - lo)
 
 
 def gen_gridded_values(

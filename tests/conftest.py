@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gridsync.events import EventSeries, dedup_consecutive
 from gridsync.grid_io import GridSpec
 from gridsync.netmetrics import Network
 
@@ -22,10 +21,11 @@ def random_network(n, density, seed) -> Network:
     return Network.from_edges(grid, np.stack([iu[mask], ju[mask]], axis=1))
 
 
-def random_event_series(node_id, T, rate, rng, start=0) -> EventSeries:
-    days = start + np.nonzero(rng.random(T) < rate)[0].astype(np.int64)
-    es = EventSeries(node_id, days, start + np.arange(T, dtype=np.int64))
-    return dedup_consecutive(es)
+def random_events(T, rate, rng) -> np.ndarray:
+    """One node's deduplicated bool event row over T consecutive days."""
+    events = rng.random(T) < rate
+    events[1:] &= ~events[:-1]
+    return events
 
 
 def dense_adjacency(net: Network) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Reference implementations that only the tests use.
 
-Set-intersection ES, explicit shuffles and exact hypergeometric arithmetic
-for the null model, one-pair link decisions, the scalar haversine and the
-dense distance matrix, one-source-at-a-time Brandes betweenness, and
-pair-level helpers on networks and surrogates.
+Per-node event extraction, set-intersection ES, explicit shuffles and exact
+hypergeometric arithmetic for the null model, one-pair link decisions, the
+scalar haversine and the dense distance matrix, one-source-at-a-time Brandes
+betweenness, and pair-level helpers on networks and surrogates.
 Where a helper runs a production kernel on one pair (event_sync,
 null_threshold), its docstring says so; compare it only with an independent
 oracle, never with itself.
@@ -23,32 +23,57 @@ from gridsync.sync import _es_matrix, _key_threshold
 
 
 # ---------------------------------------------------------------------------
+# event extraction
+
+
+def events_oracle(values: np.ndarray, days: np.ndarray, spec) -> tuple[np.ndarray, list[int]]:
+    """Per-node extraction: the quantile of each node's filtered support values,
+    a strict comparison of its finite values, then event days one calendar day
+    after another event dropped."""
+    events = np.zeros(values.shape, dtype=bool)
+    unusable = []
+    for i, v in enumerate(values):
+        support = v[np.isfinite(v)]
+        if spec.support == "positive_only":
+            support = support[support > spec.positive_floor]
+        if support.size < spec.min_support:
+            unusable.append(i)
+            continue
+        thr = np.quantile(support, spec.percentile / 100.0)
+        hit = (v > thr) if spec.direction == "above" else (v < thr)
+        ev = np.flatnonzero(hit & np.isfinite(v))
+        events[i, ev[np.diff(days[ev], prepend=days[0] - 2) > 1]] = True
+    return events, unusable
+
+
+# ---------------------------------------------------------------------------
 # event synchronization and the shuffle null
+#
+# A node's events are a bool row over the season's T days.
 
 
 def shared_days(ei, ej) -> int:
     """Zero-lag ES oracle: the number of days on which both nodes have an event."""
-    return len(set(ei.event_days.tolist()) & set(ej.event_days.tolist()))
+    return len(set(np.flatnonzero(ei).tolist()) & set(np.flatnonzero(ej).tolist()))
 
 
 def event_sync(ei, ej, tau_max: int = 0) -> int:
     """Zero-lag ES of one pair, computed by the production all-pairs kernel."""
     assert tau_max == 0, "only zero-lag ES exists"
-    universe = np.union1d(ei.season_days, ej.season_days)
-    return int(_es_matrix([ei, ej], universe)[0, 1])
+    return int(_es_matrix(np.stack([ei, ej]))[0, 1])
 
 
 def null_threshold(ei, ej, params, pair_seed: int) -> float:
     """One pair's null threshold: the production per-key draw from PCG64(pair_seed).
 
-    Both series must share their season-day universe. Empty series give 0.
+    Both rows must span the same season days. Empty rows give 0.
     """
-    if ei.n_events == 0 or ej.n_events == 0:
+    if not (ei.any() and ej.any()):
         return 0.0
-    assert np.array_equal(ei.season_days, ej.season_days)
-    n_lo, n_hi = sorted((ei.n_events, ej.n_events))
+    assert ei.size == ej.size
+    n_lo, n_hi = sorted((int(ei.sum()), int(ej.sum())))
     rng = np.random.Generator(np.random.PCG64(pair_seed))
-    return _key_threshold(ei.season_days.size, n_lo, n_hi, params, rng)
+    return _key_threshold(ei.size, n_lo, n_hi, params, rng)
 
 
 @dataclass(frozen=True)
@@ -62,7 +87,7 @@ def pair_sync(ei, ej, params, pair_seed: int) -> SyncResult:
     """Set-intersection ES, null threshold and link decision for one node pair."""
     es = shared_days(ei, ej)
     thr = null_threshold(ei, ej, params, pair_seed)
-    significant = ei.n_events > 0 and ej.n_events > 0 and es >= thr
+    significant = ei.any() and ej.any() and es >= thr
     return SyncResult(es=float(es), threshold=thr, significant=significant)
 
 
@@ -131,8 +156,13 @@ def haversine_matrix(grid) -> np.ndarray:
     return _great_circle(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
 
 
+def neighbors(net, i: int) -> np.ndarray:
+    """Node i's neighbors, sorted ascending."""
+    return net.indices[net.indptr[i] : net.indptr[i + 1]]
+
+
 def has_edge(net, i: int, j: int) -> bool:
-    a = net.neighbors(i)
+    a = neighbors(net, i)
     k = np.searchsorted(a, j)
     return bool(k < a.size and a[k] == j)
 

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from gridsync.correction import correct_divide, correct_subtract, paired_fields
-from gridsync.events import EventSeries
 from gridsync.grid_io import GridSpec
 from gridsync.netmetrics import (
     Network,
@@ -40,7 +39,7 @@ from gridsync.synth import (
     lattice_grid,
 )
 
-from conftest import dense_adjacency, random_event_series, random_network
+from conftest import dense_adjacency, random_events, random_network
 from oracles import event_sync, haversine_matrix, null_threshold, null_threshold_exact
 from test_netmetrics import bc_oracle, cc_oracle
 from test_stats import ks_p_permutation, t_p_quadrature
@@ -60,9 +59,9 @@ def test_criterion_1_es_intersection_equivalence():
     T = 2760
     failures = 0
     for _ in range(1000):
-        a = random_event_series(0, T, rng.uniform(0.01, 0.10), rng)
-        b = random_event_series(1, T, rng.uniform(0.01, 0.10), rng)
-        expect = np.intersect1d(a.event_days, b.event_days, assume_unique=True).size
+        a = random_events(T, rng.uniform(0.01, 0.10), rng)
+        b = random_events(T, rng.uniform(0.01, 0.10), rng)
+        expect = np.intersect1d(np.flatnonzero(a), np.flatnonzero(b), assume_unique=True).size
         if event_sync(a, b, 0) != expect:
             failures += 1
     elapsed = time.perf_counter() - t0
@@ -73,9 +72,7 @@ def test_criterion_1_es_intersection_equivalence():
 def test_criterion_2_null_model_oracle():
     t0 = time.perf_counter()
     T, N = 2760, 138
-    universe = np.arange(T, dtype=np.int64)
-    a = EventSeries(0, universe[:N], universe)
-    b = EventSeries(1, universe[:N], universe)
+    a = b = np.arange(T) < N
     params = SyncParams(n_shuffles=1000, link_quantile=0.995)
     exact = null_threshold_exact(T, N, N, 0.995)
     hits = sum(

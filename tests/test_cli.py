@@ -134,6 +134,17 @@ def test_config_rejects_unknown_sync_key(tmp_path):
     ({"season": {}}, "season must be one of"),
     ({"input": 5}, "input must be a path"),
     ({"out": [1]}, "out must be a path"),
+    ({"threshold": {"min_support": 0}}, "threshold: min_support must be >= 1"),
+    ({"surrogate": {"bin_width_km": float("inf")}}, "surrogate.bin_width_km must be a finite number"),
+    ({"threshold": {"positive_floor": float("nan")}}, "threshold.positive_floor must be a finite number"),
+    ({"synth": {"rows": 0}}, "synth.rows must be >= 1"),
+    ({"synth": {"n_years": 0}}, "synth.n_years must be >= 1"),
+    ({"synth": {"storm_groups": 0}}, "synth.storm_groups must be >= 1"),
+    ({"synth": {"rows": 1, "cols": 2}}, "synth.rows x synth.cols must be >= 3 nodes, got 1 x 2"),
+    ({"synth": {"spacing_km": -5}}, "synth.spacing_km must be positive"),
+    ({"synth": {"wet_prob": 7}}, "synth.wet_prob must lie in"),
+    ({"synth": {"storm_rate": -0.1}}, "synth.storm_rate must lie in"),
+    ({"synth": {"lat0": 95}}, "synth: latitude out of range"),
 ])
 def test_config_rejects_bad_document(tmp_path, capsys, doc, message):
     # each mistake is a config error (exit 1), never a silent default or a crash (exit 2)

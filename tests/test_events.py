@@ -1,141 +1,160 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridsync.events import (
-    EventSeries,
-    InsufficientSupportError,
-    ThresholdSpec,
-    compute_threshold,
-    dedup_consecutive,
-    extract_events,
-    to_event_series,
-)
-from gridsync.grid_io import GriddedSeries
+from gridsync.events import ThresholdSpec, extract_events
+from gridsync.grid_io import GriddedSeries, GridSpec
 
 from conftest import random_grid
+from oracles import events_oracle
+
+
+def extract(values, days=None, **spec):
+    """extract_events on one season: per-node values over days (every other day by default)."""
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    if days is None:
+        days = 2 * np.arange(values.shape[1])
+    gs = GriddedSeries(grid=random_grid(values.shape[0], 1), days=days, values=values)
+    return extract_events(gs, ThresholdSpec(**spec))
 
 
 def test_threshold_linear_interpolation():
-    spec = ThresholdSpec(percentile=95.0, support="all")
-    assert compute_threshold(np.arange(1.0, 101.0), spec) == pytest.approx(95.05)
+    # the 95th percentile of 1..100 is 95.05, the 5th is 5.95
+    vals = np.arange(1.0, 101.0)
+    events, _ = extract(vals, percentile=95.0)
+    assert vals[events[0]].tolist() == [96.0, 97.0, 98.0, 99.0, 100.0]
+    events, _ = extract(vals, percentile=5.0, direction="below")
+    assert vals[events[0]].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_threshold_constant_values_no_events():
-    spec = ThresholdSpec(percentile=95.0, support="all")
-    values = np.full(50, 3.5)
-    thr = compute_threshold(values, spec)
-    assert thr == 3.5
-    es = to_event_series(values, thr, "above", days=np.arange(50))
-    assert es.n_events == 0  # strict exceedance, ties are not events
+    events, unusable = extract(np.full(50, 3.5), percentile=95.0)
+    assert unusable == []
+    assert not events.any()  # strict exceedance, ties are not events
 
 
 def test_threshold_positive_support_only():
-    spec = ThresholdSpec(percentile=95.0, support="positive_only", min_support=2)
-    thr = compute_threshold(np.array([0.0, 0.0, 0.0, 5.0, 10.0]), spec)
-    assert thr == pytest.approx(np.quantile([5.0, 10.0], 0.95))  # 9.75
+    vals = np.array([0.0, 0.0, 0.0, 5.0, 10.0])
+    events, unusable = extract(vals, percentile=95.0, support="positive_only", min_support=2)
+    assert unusable == [] and events[0].tolist() == [False, False, False, False, True]
+    # every value counts toward the quantile with support="all"
+    events, _ = extract(vals, percentile=50.0, min_support=2)
+    assert events[0].tolist() == [False, False, False, True, True]
+    # only the two wet values are support
+    _, unusable = extract(vals, percentile=95.0, support="positive_only", min_support=3)
+    assert unusable == [0]
 
 
 def test_threshold_insufficient_support():
-    spec = ThresholdSpec(percentile=95.0, support="positive_only")
-    with pytest.raises(InsufficientSupportError):
-        compute_threshold(np.array([0.0] * 30 + [1.0] * 5), spec)
+    events, unusable = extract([0.0] * 30 + [1.0] * 5, percentile=95.0, support="positive_only")
+    assert unusable == [0]
+    assert not events.any()
 
 
 def test_threshold_ignores_nan():
-    spec = ThresholdSpec(percentile=50.0, support="all", min_support=3)
     vals = np.array([1.0, np.nan, 2.0, np.nan, 3.0])
-    assert compute_threshold(vals, spec) == 2.0
+    # the median of the three finite values is 2
+    events, _ = extract(vals, percentile=50.0, min_support=3)
+    assert events[0].tolist() == [False, False, False, False, True]
+    events, _ = extract(vals, percentile=50.0, direction="below", min_support=3)
+    assert events[0].tolist() == [True, False, False, False, False]
 
 
 def test_events_above():
-    es = to_event_series(np.array([1.0, 9.0, 2.0, 9.0, 1.0]), 5.0, "above", days=np.arange(1, 6))
-    assert es.event_days.tolist() == [2, 4]
+    events, _ = extract(np.array([1.0, 9.0, 2.0, 9.0, 1.0]), days=np.arange(1, 6), percentile=50.0, min_support=1)
+    assert (np.arange(1, 6)[events[0]]).tolist() == [2, 4]
 
 
 def test_events_below():
-    vals = np.array([-12.0, -2.0, -15.0, 0.0])
-    es = to_event_series(vals, -10.0, "below", days=np.arange(4))
-    assert es.event_days.tolist() == [0, 2]
+    # the median of the four values is -7
+    events, _ = extract(np.array([-12.0, -2.0, -15.0, 0.0]), days=np.arange(4), percentile=50.0,
+                        direction="below", min_support=1)
+    assert np.flatnonzero(events[0]).tolist() == [0, 2]
 
 
 def test_events_empty():
-    es = to_event_series(np.array([1.0, 2.0]), 5.0, "above", days=np.arange(2))
-    assert es.n_events == 0
+    # a season without days: every node is unusable and the matrix has no columns
+    events, unusable = extract(np.empty((3, 0)), days=np.empty(0, dtype=np.int64), percentile=95.0)
+    assert events.shape == (3, 0) and events.dtype == bool
+    assert unusable == [0, 1, 2]
 
 
 def test_nan_never_an_event():
-    es = to_event_series(np.array([np.nan, 9.0]), 5.0, "above", days=np.arange(2))
-    assert es.event_days.tolist() == [1]
-    es = to_event_series(np.array([np.nan, -9.0]), -5.0, "below", days=np.arange(2))
-    assert es.event_days.tolist() == [1]
+    events, _ = extract(np.array([np.nan, 9.0, 1.0]), percentile=50.0, min_support=2)
+    assert events[0].tolist() == [False, True, False]
+    events, _ = extract(np.array([np.nan, 9.0, 1.0]), percentile=50.0, direction="below", min_support=2)
+    assert events[0].tolist() == [False, False, True]
 
 
 # ---------------------------------------------------------------------------
 # dedup
 
 
-def mk(days, universe=None):
-    days = np.asarray(days, dtype=np.int64)
-    if universe is None:
-        universe = np.arange(0, (days.max() + 10) if days.size else 10, dtype=np.int64)
-    return EventSeries(0, days, universe)
+def dedup(event_days, season_days=None):
+    """The event days extract_events keeps from raw events on event_days.
+
+    A raw event day is dry (0, no positive support) and every other season
+    day is wet (1), so the below-direction threshold is 1 and exactly the dry
+    days fall below it.
+    """
+    event_days = np.asarray(event_days, dtype=np.int64)
+    if season_days is None:
+        season_days = np.arange(0, (event_days.max() + 10) if event_days.size else 10)
+    values = np.where(np.isin(season_days, event_days), 0.0, 1.0)
+    events, _ = extract(values, days=season_days, percentile=50.0, direction="below",
+                        support="positive_only", min_support=1)
+    return season_days[events[0]].tolist()
 
 
 def test_dedup_collapses_run():
-    assert dedup_consecutive(mk([10, 11, 12, 20])).event_days.tolist() == [10, 20]
+    assert dedup([10, 11, 12, 20]) == [10, 20]
 
 
 def test_dedup_keeps_nonconsecutive():
-    assert dedup_consecutive(mk([10, 12, 14])).event_days.tolist() == [10, 12, 14]
+    assert dedup([10, 12, 14]) == [10, 12, 14]
 
 
 def test_dedup_season_gap_not_consecutive():
-    # Aug 31 -> next Jun 1 style gap: calendar days far apart stay separate
+    # Aug 31 -> next Jun 1 style gap: calendar days far apart stay separate,
+    # even though they are adjacent columns of the season
     universe = np.concatenate([np.arange(200, 244), np.arange(500, 544)])
-    es = EventSeries(0, np.array([243, 500]), universe)
-    assert dedup_consecutive(es).event_days.tolist() == [243, 500]
+    assert dedup([243, 500], universe) == [243, 500]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sets(st.integers(0, 400), min_size=0, max_size=80))
 def test_dedup_properties(dayset):
-    es = mk(sorted(dayset), universe=np.arange(0, 401))
-    out = dedup_consecutive(es)
+    universe = np.arange(0, 401)
+    raw = sorted(dayset)
+    days = dedup(raw, universe)
     # no two retained events on consecutive days (independent re-scan)
-    days = out.event_days.tolist()
     assert all(b - a >= 2 for a, b in zip(days, days[1:]))
     # idempotent, first event retained, count can only shrink
-    assert dedup_consecutive(out).event_days.tolist() == days
-    if es.n_events:
-        assert days[0] == es.event_days[0]
-    assert out.n_events <= es.n_events
+    assert dedup(days, universe) == days
+    if raw:
+        assert days[0] == raw[0]
+    assert len(days) <= len(raw)
     # a retained event is exactly an event whose predecessor day is not one
-    expected = [d for d in sorted(dayset) if d - 1 not in dayset]
+    expected = [d for d in raw if d - 1 not in dayset]
     assert days == expected
 
 
 def test_dedup_long_season_brute_force(rng):
     T = 2760
-    mask = rng.random(T) < 0.05
-    es = mk(np.nonzero(mask)[0], universe=np.arange(T))
-    out = dedup_consecutive(es)
-    scan = [d for d in es.event_days.tolist() if d - 1 not in set(es.event_days.tolist())]
-    assert out.event_days.tolist() == scan
+    raw = np.nonzero(rng.random(T) < 0.05)[0]
+    raw_set = set(raw.tolist())
+    scan = [d for d in raw.tolist() if d - 1 not in raw_set]
+    assert dedup(raw, np.arange(T)) == scan
 
 
 def test_event_rate_near_five_percent(rng):
-    # continuous values, no ties: pre-dedup rate within 3 sigma of 5%
+    # continuous values, no ties, days two apart so no event is deduplicated:
+    # every node's rate within 3 sigma of 5%
     T = 2760
-    spec = ThresholdSpec(percentile=95.0, support="all")
-    for _ in range(5):
-        vals = rng.normal(size=T)
-        thr = compute_threshold(vals, spec)
-        es = to_event_series(vals, thr, "above", days=np.arange(T))
-        expected = 0.05 * T
-        sigma = np.sqrt(T * 0.05 * 0.95)
-        assert abs(es.n_events - expected) <= 3 * sigma
+    events, _ = extract(rng.normal(size=(5, T)), percentile=95.0)
+    expected = 0.05 * T
+    sigma = np.sqrt(T * 0.05 * 0.95)
+    assert (np.abs(events.sum(axis=1) - expected) <= 3 * sigma).all()
 
 
 def test_extract_events_flags_unusable(rng):
@@ -145,15 +164,70 @@ def test_extract_events_flags_unusable(rng):
     values[1, :] = 0.0  # no positive support at node 1
     gs = GriddedSeries(grid=grid, days=days, values=values)
     spec = ThresholdSpec(percentile=95.0, support="positive_only")
-    series, unusable = extract_events(gs, spec)
+    events, unusable = extract_events(gs, spec)
     assert unusable == [1]
-    assert series[1].n_events == 0
-    assert all(s.node_id == i for i, s in enumerate(series))
-    assert series[0].n_events > 0
+    assert events.shape == (3, 100)
+    assert not events[1].any()
+    assert events[0].any()
 
 
-def test_event_series_validation():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        EventSeries(0, np.array([5, 5]), np.arange(10))
-    with pytest.raises(ValueError, match="belong"):
-        EventSeries(0, np.array([99]), np.arange(10))
+# ---------------------------------------------------------------------------
+# the matrix path against the per-node oracle
+
+# few distinct values, so ties at the threshold are common
+CELL = st.sampled_from([np.nan, -1.0, 0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.5])
+
+
+@st.composite
+def seasons(draw):
+    n = draw(st.integers(1, 6))
+    T = draw(st.integers(1, 30))
+    steps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 90]), min_size=T - 1, max_size=T - 1))
+    days = 11_000 + np.concatenate([[0], np.cumsum(steps, dtype=np.int64)])
+    values = np.array(draw(st.lists(CELL, min_size=n * T, max_size=n * T))).reshape(n, T)
+    for i in range(n):
+        kind = draw(st.sampled_from(["mixed", "mixed", "all_nan", "all_dry"]))
+        if kind == "all_nan":
+            values[i] = np.nan
+        elif kind == "all_dry":
+            values[i] = 0.0
+    support = draw(st.sampled_from(["all", "positive_only"]))
+    floor = draw(st.sampled_from([0.0, 0.5, -0.5]))
+    # min_support at a node's support count (usable) and one above it (unusable)
+    kept = np.isfinite(values) & ((values > floor) if support == "positive_only" else True)
+    counts = kept.sum(axis=1)
+    min_support = draw(st.sampled_from(sorted({int(c) + d for c in counts for d in (0, 1)} - {0})))
+    spec = ThresholdSpec(
+        percentile=draw(st.sampled_from([5.0, 50.0, 95.0]) | st.floats(0.5, 99.5)),
+        direction=draw(st.sampled_from(["above", "below"])),
+        support=support,
+        positive_floor=floor,
+        min_support=min_support,
+    )
+    return values, days, spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(seasons())
+def test_extract_events_equals_per_node_oracle(case):
+    values, days, spec = case
+    gs = GriddedSeries(grid=GridSpec(lat=np.arange(values.shape[0]), lon=np.zeros(values.shape[0])),
+                       days=days, values=values)
+    events, unusable = extract_events(gs, spec)
+    want, want_unusable = events_oracle(values, days, spec)
+    assert events.dtype == bool
+    assert np.array_equal(events, want)
+    assert unusable == want_unusable
+
+
+def test_extract_events_row_blocks_equal_per_node_oracle(rng):
+    # more rows than one quantile block, with NaN cells and an all-NaN node
+    values = rng.gamma(0.8, 3.0, size=(600, 120)) * (rng.random((600, 120)) < 0.6)
+    values[rng.random(values.shape) < 0.05] = np.nan
+    values[300] = np.nan
+    days = np.arange(120) + np.repeat([0, 300], 60)
+    for spec in (ThresholdSpec(95.0, support="positive_only"), ThresholdSpec(60.0, direction="below")):
+        events, unusable = extract(values, days=days, **vars(spec))
+        want, want_unusable = events_oracle(values, days, spec)
+        assert np.array_equal(events, want) and unusable == want_unusable
+        assert 300 in unusable and events.sum() > 0

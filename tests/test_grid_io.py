@@ -287,7 +287,6 @@ def _reference(header, rows) -> str:
 
 def test_csv_writers_match_per_cell_repr(tmp_path):
     from gridsync.correction import CorrectedField, write_corrected_csv
-    from gridsync.events import EventSeries
     from gridsync.grid_io import write_event_series
     from gridsync.surrogate import DistanceProfile, SurrogateStats, write_profile_csv, write_surrogate_stats_csv
 
@@ -347,10 +346,10 @@ def test_csv_writers_match_per_cell_repr(tmp_path):
     write_edge_list(np.empty((0, 2)), tmp_path / "no_edges.csv")
     expected["no_edges.csv"] = "i,j\n"
 
-    series = [EventSeries(i, gs.days[: i % 3], gs.days) for i in range(n)]
-    write_event_series(series, tmp_path / "events.csv", {})
+    events = np.arange(3) < np.arange(n)[:, None] % 3
+    write_event_series(events, gs.days, tmp_path / "events.csv", {})
     expected["events.csv"] = _reference(
-        "node_id,day_index", [[str(es.node_id), str(d)] for es in series for d in es.event_days])
+        "node_id,day_index", [[str(i), str(gs.days[k])] for i in range(n) for k in range(i % 3)])
 
     for name, text in expected.items():
         assert (tmp_path / name).read_text() == text, name
@@ -363,7 +362,6 @@ def test_csv_writers_match_per_cell_repr(tmp_path):
 def _write_artifacts(tmp_path) -> dict:
     """One small valid file per CSV format: name -> (path, reader)."""
     from gridsync.correction import correct_divide, read_corrected_csv, write_corrected_csv
-    from gridsync.events import EventSeries
     from gridsync.grid_io import read_event_series, write_event_series
     from gridsync.netmetrics import MetricField
     from gridsync.surrogate import (DistanceProfile, SurrogateStats, read_profile_csv,
@@ -372,7 +370,7 @@ def _write_artifacts(tmp_path) -> dict:
     # node 0 sits at latitude 10.5, a value no other cell holds
     grid = GridSpec(lat=np.array([10.5, 11.25, 12.75]), lon=np.array([-100.25, -99.5, -98.75]))
     days = np.array([100, 101, 105])
-    season = [EventSeries(i, days[: i + 1], days) for i in range(3)]
+    events = np.tri(3, dtype=bool)  # node i has events on days[: i + 1]
     stats = SurrogateStats("DC", np.array([0.0, 2.0, 4.0]))
     cf = correct_divide(MetricField("DC", np.array([1.0, 3.0, 2.0])), stats)
     profile = DistanceProfile(np.array([0.0, 50.0, 100.0]), np.array([0.25, 0.5]),
@@ -383,7 +381,7 @@ def _write_artifacts(tmp_path) -> dict:
         "grid": (lambda p: write_grid_csv(grid, p), read_grid_csv),
         "metric": (lambda p: write_metric_csv(np.array([1.0, 2.0, 3.0]), grid, p), read_metric_csv),
         "edges": (lambda p: write_edge_list(np.array([[0, 1], [1, 2]]), p), read_edge_list),
-        "events": (lambda p: write_event_series(season, p, {"n_nodes": 3, "season_days": days.tolist()}),
+        "events": (lambda p: write_event_series(events, days, p, {"n_nodes": 3, "season_days": days.tolist()}),
                    read_event_series),
         "profile": (lambda p: write_profile_csv(profile, p), read_profile_csv),
         "surrogate_stats": (lambda p: write_surrogate_stats_csv({"DC": stats}, p), read_surrogate_stats_csv),
@@ -441,6 +439,10 @@ def test_reader_rejects_malformed_artifact(tmp_path, name, fault):
                  id="event-node-minus-1"),
     pytest.param("events", lambda lines: lines + [lines[1]], "duplicate (node 0, day 100) row",
                  id="duplicate-event"),
+    pytest.param("events", lambda lines: lines + ["0,102"], "event day 102 of node 0 is not a season day",
+                 id="event-day-outside-season"),
+    pytest.param("events.json", lambda lines: [line.replace("105", "101") for line in lines],
+                 "season_days must be strictly increasing", id="season-days-not-increasing"),
     pytest.param("surrogate_stats", lambda lines: lines + [lines[2]], "node ids are not 0..n-1",
                  id="duplicate-surrogate-node"),
     pytest.param("surrogate_stats", lambda lines: lines[:1] + ["0,DC,8.67,1"] + lines[2:],
@@ -453,11 +455,14 @@ def test_reader_rejects_malformed_artifact(tmp_path, name, fault):
                  "rows of one node disagree on its coordinates", id="gridded-node-moves"),
 ])
 def test_reader_rejects_inconsistent_rows(tmp_path, name, edit, message):
-    path, read = _write_artifacts(tmp_path)[name]
-    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    # name "events.json" edits the events artifact's JSON sidecar
+    artifact, _, sidecar = name.partition(".")
+    path, read = _write_artifacts(tmp_path)[artifact]
+    edited = path.with_suffix(path.suffix + ".json") if sidecar else path
+    edited.write_text("\n".join(edit(edited.read_text().splitlines())) + "\n")
     with pytest.raises(GridIOError) as err:
         read(path)
-    assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+    assert str(err.value).startswith(f"{edited}: ") and message in str(err.value)
 
 
 def test_reader_skips_blank_lines(tmp_path):

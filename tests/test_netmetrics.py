@@ -26,7 +26,7 @@ from gridsync.netmetrics import (
 from gridsync.synth import Exponential, RectLattice, SynthNetSpec, gen_embedded_network, lattice_grid
 
 from conftest import dense_adjacency, random_grid, random_network
-from oracles import brandes_oracle, haversine, haversine_matrix
+from oracles import brandes_oracle, haversine, haversine_matrix, neighbors
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ def bfs_counts(net, s):
     q = deque([s])
     while q:
         v = q.popleft()
-        for w in net.neighbors(v):
+        for w in neighbors(net, v):
             w = int(w)
             if dist[w] < 0:
                 dist[w] = dist[v] + 1
@@ -391,7 +391,7 @@ def test_metrics_match_networkx_and_haversine_loop_above_2048_nodes():
     mgd = mean_geo_distance(net)
     assert np.array_equal(mgd.undefined, deg == 0)
     for i in range(net.n):
-        nbrs = net.neighbors(i).tolist()
+        nbrs = neighbors(net, i).tolist()
         if not nbrs:
             assert mgd.values[i] == 0.0
             continue
@@ -438,11 +438,11 @@ def test_network_structure_invariants(rng):
     assert net.indptr.dtype == net.indices.dtype == np.int64
     assert net.indptr[0] == 0 and net.indptr[-1] == net.indices.size
     for i in range(net.n):
-        nbrs = net.neighbors(i)
+        nbrs = neighbors(net, i)
         assert (np.diff(nbrs) > 0).all()  # sorted, duplicate-free
         assert i not in nbrs  # zero diagonal
         for j in nbrs:
-            assert i in net.neighbors(int(j))  # symmetric
+            assert i in neighbors(net, int(j))  # symmetric
     a = dense_adjacency(net)
     assert np.array_equal(a, a.T)
     assert not a.diagonal().any()
@@ -466,7 +466,7 @@ def test_edge_array_roundtrip_with_isolated_nodes(rng):
     out = net.edge_array()
     assert out.dtype == np.int64
     assert out.tolist() == sorted(edges.tolist())
-    loop = [(i, int(j)) for i in range(net.n) for j in net.neighbors(i) if j > i]
+    loop = [(i, int(j)) for i in range(net.n) for j in neighbors(net, i) if j > i]
     assert [tuple(e) for e in out.tolist()] == loop
     assert Network.from_edges(grid, out).edge_array().tolist() == out.tolist()
     assert Network.from_edges(grid, np.empty((0, 2))).edge_array().shape == (0, 2)

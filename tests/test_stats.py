@@ -229,7 +229,7 @@ def test_compare_identical_fields_never_reject(rng):
 
 
 def test_compare_divergent_fixture_rejects():
-    from gridsync.synth import gen_divergence_fixture
+    from synthetic import gen_divergence_fixture
 
     x, y = gen_divergence_fixture(1000, seed=5)
     report = compare_methods({("EPE", "JJA", "DC"): (fake_corrected(x), fake_corrected(y))})

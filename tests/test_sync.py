@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridsync.events import EventSeries
-from gridsync.grid_io import GridSpec
 from gridsync.seeding import NULL_MODEL_TAG, mix64, stream
 from gridsync.sync import SyncParams, _es_matrix, build_network
 
-from conftest import random_event_series, random_grid
+from conftest import random_events, random_grid
 from oracles import (
     event_sync,
     has_edge,
@@ -23,8 +21,11 @@ from oracles import (
 )
 
 
-def mk(days, T=50, node_id=0):
-    return EventSeries(node_id, np.asarray(days, dtype=np.int64), np.arange(T, dtype=np.int64))
+def mk(days, T=50):
+    """One node's bool event row over T season days, with events on the given days."""
+    events = np.zeros(T, dtype=bool)
+    events[np.asarray(days, dtype=np.int64)] = True
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +33,7 @@ def mk(days, T=50, node_id=0):
 
 
 def test_es_identical_series():
-    a, b = mk([10, 20, 30]), mk([10, 20, 30], node_id=1)
+    a, b = mk([10, 20, 30]), mk([10, 20, 30])
     assert event_sync(a, b, 0) == 3
 
 
@@ -42,34 +43,33 @@ def test_es_disjoint():
 
 def test_es_intersection_oracle(rng):
     for _ in range(200):
-        a = random_event_series(0, 2760, rng.uniform(0.01, 0.10), rng)
-        b = random_event_series(1, 2760, rng.uniform(0.01, 0.10), rng)
+        a = random_events(2760, rng.uniform(0.01, 0.10), rng)
+        b = random_events(2760, rng.uniform(0.01, 0.10), rng)
         assert event_sync(a, b, 0) == shared_days(a, b)
 
 
 def test_es_symmetry(rng):
     for _ in range(30):
-        a = random_event_series(0, 300, 0.08, rng)
-        b = random_event_series(1, 300, 0.08, rng)
+        a = random_events(300, 0.08, rng)
+        b = random_events(300, 0.08, rng)
         assert event_sync(a, b, 0) == event_sync(b, a, 0)
 
 
 def test_es_monotone_in_shared_days(rng):
     # splicing one more shared day (with room on both sides) never lowers ES
     for trial in range(20):
-        a = random_event_series(0, 500, 0.05, rng)
-        b = random_event_series(1, 500, 0.05, rng)
+        a = random_events(500, 0.05, rng)
+        b = random_events(500, 0.05, rng)
         base = event_sync(a, b, 0)
-        taken = set(a.event_days.tolist()) | set(b.event_days.tolist())
+        taken = set(np.flatnonzero(a | b).tolist())
         candidates = [
             d
             for d in range(502, 998)
             if not taken & {d - 1, d, d + 1}
         ]
         d = candidates[0]
-        universe = np.arange(1000, dtype=np.int64)
-        a2 = EventSeries(0, np.sort(np.append(a.event_days, d)), universe)
-        b2 = EventSeries(1, np.sort(np.append(b.event_days, d)), universe)
+        a2 = mk(np.append(np.flatnonzero(a), d), T=1000)
+        b2 = mk(np.append(np.flatnonzero(b), d), T=1000)
         assert event_sync(a2, b2, 0) >= base
 
 
@@ -80,7 +80,7 @@ def test_es_monotone_in_shared_days(rng):
 def test_null_threshold_empty_series():
     params = SyncParams()
     a = mk([], T=100)
-    b = mk([5, 10], T=100, node_id=1)
+    b = mk([5, 10], T=100)
     assert null_threshold(a, b, params, pair_seed=1) == 0.0
     r = pair_sync(a, b, params, pair_seed=1)
     assert not r.significant
@@ -88,9 +88,7 @@ def test_null_threshold_empty_series():
 
 def test_null_threshold_saturated_series():
     T = 40
-    days = np.arange(T, dtype=np.int64)
-    a = EventSeries(0, days, days)
-    b = EventSeries(1, days, days)
+    a = b = np.ones(T, dtype=bool)
     params = SyncParams(n_shuffles=100)
     assert null_threshold(a, b, params, pair_seed=3) == float(T)
 
@@ -103,9 +101,7 @@ def test_null_threshold_rejects_few_shuffles():
 def test_null_threshold_matches_hypergeometric(rng):
     # unit-scale version of the oracle check (the full one runs in acceptance)
     T, N = 600, 30
-    universe = np.arange(T, dtype=np.int64)
-    a = EventSeries(0, universe[:N], universe)
-    b = EventSeries(1, universe[:N], universe)
+    a = b = mk(range(N), T)
     params = SyncParams(n_shuffles=1000, link_quantile=0.995)
     exact = null_threshold_exact(T, N, N, 0.995)
     hits = sum(
@@ -118,12 +114,10 @@ def test_null_threshold_matches_hypergeometric(rng):
 def test_null_threshold_unequal_counts_match_hypergeometric():
     # the direct hypergeometric draw must respect which count is which
     T = 600
-    universe = np.arange(T, dtype=np.int64)
     params = SyncParams(n_shuffles=1000, link_quantile=0.995)
     exact = null_threshold_exact(T, 40, 300, 0.995)
     for n_i, n_j in ((40, 300), (300, 40)):
-        a = EventSeries(0, universe[:n_i], universe)
-        b = EventSeries(1, universe[:n_j], universe)
+        a, b = mk(range(n_i), T), mk(range(n_j), T)
         hits = sum(
             abs(null_threshold(a, b, params, pair_seed=mix64(8, t)) - exact) <= 1
             for t in range(20)
@@ -150,9 +144,7 @@ def test_null_threshold_is_nearest_rank_of_the_draws():
     # stream's n draws; q runs over every rank and rank boundary, so an
     # off-by-one rank shows at each step between tied draws
     T, n = 300, 100
-    universe = np.arange(T, dtype=np.int64)
-    a = EventSeries(0, universe[:20], universe)
-    b = EventSeries(1, universe[:45], universe)
+    a, b = mk(range(20), T), mk(range(45), T)
     draws = np.sort(np.random.Generator(np.random.PCG64(5)).hypergeometric(20, T - 20, 45, n))
     assert np.unique(draws).size > 3
     for q in [(r - 0.5) / n for r in range(1, n + 1)] + [r / n for r in range(1, n)]:
@@ -194,8 +186,7 @@ def test_null_threshold_exact_enumeration_oracle():
 
 
 def empty_series(n, T=100):
-    days = np.arange(T, dtype=np.int64)
-    return [EventSeries(i, np.empty(0, dtype=np.int64), days) for i in range(n)]
+    return np.zeros((n, T), dtype=bool)
 
 
 def test_build_network_all_empty():
@@ -206,11 +197,8 @@ def test_build_network_all_empty():
 
 def test_build_network_two_heavy_series():
     T = 400
-    days = np.arange(T, dtype=np.int64)
-    heavy = np.arange(0, T, 2, dtype=np.int64)  # 200 events, deduped by construction
     series = empty_series(6, T)
-    series[1] = EventSeries(1, heavy, days)
-    series[4] = EventSeries(4, heavy, days)
+    series[[1, 4], ::2] = True  # 200 events, deduped by construction
     grid = random_grid(6, 3)
     net = build_network(series, grid, SyncParams(n_shuffles=200, seed=5))
     assert net.edge_count == 1
@@ -221,7 +209,7 @@ def test_build_network_two_heavy_series():
 
 def test_build_network_rerun_deterministic(rng):
     n, T = 12, 400
-    series = [random_event_series(i, T, 0.06, rng) for i in range(n)]
+    series = np.stack([random_events(T, 0.06, rng) for _ in range(n)])
     grid = random_grid(n, 4)
     params = SyncParams(n_shuffles=200, seed=11)
     nets = [build_network(series, grid, params) for _ in range(2)]
@@ -232,24 +220,21 @@ def test_memoized_threshold_equals_fresh_compute(rng):
     # the cache key fixes the RNG stream, so a cached entry must equal a
     # fresh pairwise computation that uses the key-derived stream
     T = 300
-    universe = np.arange(T, dtype=np.int64)
     params = SyncParams(n_shuffles=200, seed=21)
     for n_lo, n_hi in [(10, 15), (12, 12), (5, 30)]:
-        a = EventSeries(0, universe[:n_lo], universe)
-        b = EventSeries(1, universe[:n_hi], universe)
+        a, b = mk(range(n_lo), T), mk(range(n_hi), T)
         seed = mix64(params.seed, NULL_MODEL_TAG, T, n_lo, n_hi)
         direct = null_threshold(a, b, params, pair_seed=seed)
         # same key, different pair objects: same stream, same threshold
-        a2 = EventSeries(0, universe[100 : 100 + n_lo], universe)
-        b2 = EventSeries(1, universe[50 : 50 + n_hi], universe)
+        a2, b2 = mk(range(100, 100 + n_lo), T), mk(range(50, 50 + n_hi), T)
         again = null_threshold(a2, b2, params, pair_seed=seed)
         assert direct == again
 
 
 def key_seed(params, series, i, j):
     """Seed of the null stream build_network uses for pair (i, j)."""
-    lo, hi = sorted((series[i].n_events, series[j].n_events))
-    return mix64(params.seed, NULL_MODEL_TAG, series[i].n_days_in_season, lo, hi)
+    lo, hi = sorted((int(series[i].sum()), int(series[j].sum())))
+    return mix64(params.seed, NULL_MODEL_TAG, series.shape[1], lo, hi)
 
 
 def assert_matches_pair_sync(series, grid, params):
@@ -269,31 +254,20 @@ def test_build_network_matches_pair_sync_oracle(rng):
     # every edge decision equals the one-pair path seeded with the pair's key
     # stream; an empty node and mixed event rates give several keys
     n, T = 14, 300
-    series = [random_event_series(i, T, rng.uniform(0.03, 0.12), rng) for i in range(n)]
-    series[3] = EventSeries(3, np.empty(0, dtype=np.int64), series[0].season_days)
+    series = np.stack([random_events(T, rng.uniform(0.03, 0.12), rng) for _ in range(n)])
+    series[3] = False
     grid = random_grid(n, 8)
     net = assert_matches_pair_sync(series, grid, SyncParams(n_shuffles=150, seed=9))
-    assert net.neighbors(3).size == 0
+    assert net.degrees()[3] == 0
 
 
 def test_build_network_heavy_pairs_match_pair_sync_oracle():
     # planted shared days make some pairs link, so the oracle is not vacuous
     T = 300
-    universe = np.arange(T, dtype=np.int64)
-    base = np.arange(0, T, 6, dtype=np.int64)
-    series = [EventSeries(i, np.sort(np.union1d(base[i % 2::2], universe[i + 1::37])), universe)
-              for i in range(8)]
+    base = np.arange(0, T, 6)
+    series = np.stack([mk(np.union1d(base[i % 2::2], np.arange(i + 1, T, 37)), T) for i in range(8)])
     net = assert_matches_pair_sync(series, random_grid(8, 5), SyncParams(n_shuffles=200, seed=3))
     assert net.edge_count > 0
-
-
-def test_build_network_rejects_mixed_universes():
-    T = 100
-    days = np.arange(T, dtype=np.int64)
-    series = [EventSeries(i, np.array([i, 50]), days) for i in range(4)]
-    series[2] = EventSeries(2, np.array([2, 50]), np.arange(1, T + 1, dtype=np.int64))
-    with pytest.raises(ValueError, match="node 2 has a different season-day universe"):
-        build_network(series, random_grid(4, 2), SyncParams(n_shuffles=100))
 
 
 @settings(max_examples=60, deadline=None)
@@ -301,10 +275,8 @@ def test_build_network_rejects_mixed_universes():
 def test_es_matrix_equals_pairwise_es(day_sets):
     # E @ E.T equals the set-intersection count of every pair, empty and
     # singleton series included
-    universe = np.arange(60, dtype=np.int64)
-    series = [EventSeries(i, np.array(sorted(d), dtype=np.int64), universe)
-              for i, d in enumerate(day_sets)]
-    es = _es_matrix(series, universe)
+    series = np.stack([mk(sorted(d), T=60) for d in day_sets])
+    es = _es_matrix(series)
     for i, a in enumerate(series):
         for j, b in enumerate(series):
             assert es[i, j] == shared_days(a, b)
@@ -315,11 +287,7 @@ def test_false_link_rate(rng):
     # 1 - link_quantile plus the discreteness slack of the integer-valued
     # null (quantified by the exact hypergeometric tail)
     n, T, N = 160, 2760, 138
-    universe = np.arange(T, dtype=np.int64)
-    series = []
-    for i in range(n):
-        days = np.sort(rng.choice(T, size=N, replace=False)).astype(np.int64)
-        series.append(EventSeries(i, days, universe))
+    series = np.stack([mk(rng.choice(T, size=N, replace=False), T) for _ in range(n)])
     grid = random_grid(n, 6)
     params = SyncParams(n_shuffles=1000, seed=13, link_quantile=0.995)
     net = build_network(series, grid, params)

@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
-from gridsync.events import dedup_consecutive
 from gridsync.stats import ks_two_sample, paired_t_test
 from gridsync.synth import (
     Exponential,
     HardCutoff,
     RectLattice,
-    SynthEventSpec,
     SynthNetSpec,
-    gen_divergence_fixture,
     gen_embedded_network,
-    gen_event_field,
     gen_gridded_values,
     lattice_boundary_mask,
     lattice_grid,
@@ -19,6 +15,7 @@ from gridsync.synth import (
 
 from conftest import dense_adjacency
 from oracles import event_sync, haversine_matrix, null_threshold_exact
+from synthetic import SynthEventSpec, gen_divergence_fixture, gen_event_field
 
 
 def test_lattice_spacing_near_planar():
@@ -80,18 +77,18 @@ def test_cluster_rho_one_identical_series():
 
     grid = random_grid(2, 1)
     spec = SynthEventSpec(grid=grid, T=200, base_rate=0.0, cluster_groups=(((0, 1), 1.0),), seed=3)
-    series = gen_event_field(spec)
-    assert np.array_equal(series[0].event_days, series[1].event_days)
-    assert series[0].n_events > 0
+    events = gen_event_field(spec)
+    assert np.array_equal(events[0], events[1])
+    assert events[0].any()
     # dedup applied: no consecutive retained days
-    assert np.all(np.diff(series[0].event_days) >= 2)
+    assert np.all(np.diff(np.flatnonzero(events[0])) >= 2)
 
 
 def test_no_rate_no_groups_empty():
     from conftest import random_grid
 
-    series = gen_event_field(SynthEventSpec(grid=random_grid(3, 2), T=100, base_rate=0.0, seed=1))
-    assert all(s.n_events == 0 for s in series)
+    events = gen_event_field(SynthEventSpec(grid=random_grid(3, 2), T=100, base_rate=0.0, seed=1))
+    assert events.shape == (3, 100) and not events.any()
 
 
 def test_event_rate_within_binomial_bounds():
@@ -101,13 +98,12 @@ def test_event_rate_within_binomial_bounds():
     spec = SynthEventSpec(grid=random_grid(6, 4), T=T, base_rate=rate, seed=11)
     # pre-dedup counts are binomial; dedup only removes the run tails, so
     # check the raw firing process through a no-dedup reconstruction
-    series = gen_event_field(spec)
+    counts = gen_event_field(spec).sum(axis=1)
     sigma = np.sqrt(T * rate * (1 - rate))
-    for s in series:
-        # post-dedup count is below the raw binomial count but above the
-        # count with every consecutive pair collapsed; bracket generously
-        assert s.n_events <= T * rate + 4 * sigma
-        assert s.n_events >= (T * rate - 4 * sigma) * (1 - rate)
+    # post-dedup count is below the raw binomial count but above the
+    # count with every consecutive pair collapsed; bracket generously
+    assert (counts <= T * rate + 4 * sigma).all()
+    assert (counts >= (T * rate - 4 * sigma) * (1 - rate)).all()
 
 
 def test_within_group_sync_beats_null():
@@ -122,15 +118,16 @@ def test_within_group_sync_beats_null():
     hits = misses = 0
     trials = 20
     for trial in range(trials):
-        series = gen_event_field(
+        events = gen_event_field(
             SynthEventSpec(grid=grid, T=T, base_rate=0.02, cluster_groups=((group, 0.3),), seed=trial)
         )
+        counts = events.sum(axis=1).tolist()
         q = 0.995
-        es_in = event_sync(series[0], series[1], 0)
-        thr_in = null_threshold_exact(T, series[0].n_events, series[1].n_events, q)
+        es_in = event_sync(events[0], events[1], 0)
+        thr_in = null_threshold_exact(T, counts[0], counts[1], q)
         hits += es_in >= thr_in
-        es_out = event_sync(series[0], series[7], 0)
-        thr_out = null_threshold_exact(T, series[0].n_events, series[7].n_events, q)
+        es_out = event_sync(events[0], events[7], 0)
+        thr_out = null_threshold_exact(T, counts[0], counts[7], q)
         misses += es_out < thr_out
     assert hits >= int(0.95 * trials)
     assert misses >= int(0.95 * trials)
