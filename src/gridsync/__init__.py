@@ -5,6 +5,19 @@ synchronization with a shuffle null -> network metrics -> surrogate
 ensembles -> boundary corrections -> method comparison statistics.
 """
 
+import os
+
+# One BLAS thread per process, set before any submodule imports numpy (and
+# so starts OpenBLAS). The only BLAS call is the ES product E @ E.T, and the
+# thread pool costs more than it saves: on a 2-vCPU host, `import numpy`
+# took 0.133-0.143 s with the pool and 0.060-0.075 s without; the product
+# took 52-68 ms with two threads and 1.2-2.5 ms with one at 144 x 2,760,
+# and 0.20-0.39 s with two against 0.24-0.29 s with one at CONUS size
+# (3,249 x 2,760). Parallel work goes to processes, which inherit the
+# setting. A caller's own OPENBLAS_NUM_THREADS wins; no artifact byte
+# depends on it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.7.0"
 
 from .correction import CorrectedField, DegenerateFieldError, correct_divide, correct_subtract, paired_fields

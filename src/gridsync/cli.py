@@ -4,8 +4,9 @@ Every stage reads its inputs from disk, writes its artifact plus a JSON
 manifest (content hashes of inputs and outputs, result-affecting parameters,
 seed, version), and reports progress and timing to stderr. Reruns with the
 same config are byte-identical; the output location never influences artifact
-bytes, so it is not recorded in manifests. Stages run serially (BLAS aside),
-and no artifact byte depends on the BLAS thread count.
+bytes, so it is not recorded in manifests. Stages run serially on one BLAS
+thread (importing gridsync sets OPENBLAS_NUM_THREADS=1 unless it is already
+set), and no artifact byte depends on the BLAS thread count.
 
 Exit codes: 0 success, 1 usage or validation error, 2 runtime failure.
 """

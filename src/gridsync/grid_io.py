@@ -268,6 +268,11 @@ def _artifact(path):
         raise GridIOError(str(e), path) from e
 
 
+def _json_int(v) -> bool:
+    """Whether a parsed JSON value is an integer (json gives true/false as bool, a subclass of int)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _read_nodes(path, header: str, *casts) -> tuple[GridSpec, list[np.ndarray]]:
     """A per-node CSV (node_id,lat,lon,...) in node order: its grid and its other columns."""
     ids, lat, lon, *columns = _read_rows(path, header, int, float, float, *casts)
@@ -411,10 +416,15 @@ def read_event_series(path) -> tuple[np.ndarray, dict]:
         sidecar = json.load(f)
         if not isinstance(sidecar, dict) or not {"season_days", "n_nodes"} <= sidecar.keys():
             raise ValueError("sidecar must be a JSON object with season_days and n_nodes")
-        season_days = np.asarray(sidecar["season_days"], dtype=np.int64)
-        if season_days.ndim != 1 or (np.diff(season_days) <= 0).any():
+        n_nodes, season_days = sidecar["n_nodes"], sidecar["season_days"]
+        if not _json_int(n_nodes) or n_nodes < 0:
+            raise ValueError(f"n_nodes must be an integer >= 0, got {json.dumps(n_nodes)}")
+        if not isinstance(season_days, list) or not all(map(_json_int, season_days)):
+            raise ValueError("season_days must be a list of integers")
+        season_days = np.array(season_days, dtype=np.int64)
+        if (np.diff(season_days) <= 0).any():
             raise ValueError("season_days must be strictly increasing")
-        events = np.zeros((int(sidecar["n_nodes"]), season_days.size), dtype=bool)
+        events = np.zeros((n_nodes, season_days.size), dtype=bool)
     n_nodes, T = events.shape
     ids, days = np.array(_read_rows(path, EVENT_HEADER, int, int), dtype=np.int64)
     bad = np.flatnonzero((ids < 0) | (ids >= n_nodes))

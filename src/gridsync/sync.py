@@ -13,6 +13,7 @@ drawn from that law directly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ import numpy as np
 from .grid_io import GridSpec
 from .netmetrics import Network
 from .seeding import NULL_MODEL_TAG, stream
+
+# rows of E per ES block: the n x n ES, threshold and link arrays are never built whole
+_ES_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -42,13 +46,18 @@ def _key_threshold(T: int, n_lo: int, n_hi: int, params: SyncParams, rng: np.ran
     return float(sample[math.ceil(params.link_quantile * sample.size) - 1])
 
 
-def _es_matrix(events: np.ndarray) -> np.ndarray:
-    """All-pairs zero-lag ES: E @ E.T for the n x T bool event matrix E, in float32.
+def _es_matrix(events: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """All-pairs zero-lag ES of the n x T bool event matrix E, in row blocks.
 
-    Sums of 0/1 below 2**24 are exact in float32 in any BLAS order.
+    ES is symmetric, so each block holds only the rows' upper triangle and
+    diagonal block: yields (r0, E[r0:r1] @ E[r0:].T) in float32 for r1 =
+    r0 + _ES_ROWS, and no n x n array is ever held. Each block is one sgemm,
+    serial under gridsync's default of one BLAS thread. Sums of 0/1 below
+    2**24 are exact in float32 in any BLAS order and any blocking.
     """
     e = events.astype(np.float32)
-    return e @ e.T
+    for r0 in range(0, e.shape[0], _ES_ROWS):
+        yield r0, e[r0 : r0 + _ES_ROWS] @ e[r0:].T
 
 
 def _threshold_table(counts: np.ndarray, T: int, params: SyncParams) -> np.ndarray:
@@ -80,6 +89,8 @@ def build_network(events: np.ndarray, grid: GridSpec, params: SyncParams) -> Net
         raise ValueError(f"{events.shape[0]} event series for {grid.n} grid nodes")
     counts = events.sum(axis=1)
     thr = _threshold_table(counts, events.shape[1], params)
-    linked = _es_matrix(events) >= thr[np.ix_(counts, counts)]
-    i, j = np.nonzero(np.triu(linked, 1))
-    return Network.from_edges(grid, np.stack([i, j], axis=1))
+    edges = [np.empty((0, 2), dtype=np.intp)]
+    for r0, es in _es_matrix(events):
+        i, j = np.nonzero(es >= thr[counts[r0 : r0 + es.shape[0]]][:, counts[r0:]])
+        edges.append(np.stack([i, j], axis=1)[j > i] + r0)
+    return Network.from_edges(grid, np.concatenate(edges))

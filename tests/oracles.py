@@ -60,7 +60,8 @@ def shared_days(ei, ej) -> int:
 def event_sync(ei, ej, tau_max: int = 0) -> int:
     """Zero-lag ES of one pair, computed by the production all-pairs kernel."""
     assert tau_max == 0, "only zero-lag ES exists"
-    return int(_es_matrix(np.stack([ei, ej]))[0, 1])
+    (_, es), = _es_matrix(np.stack([ei, ej]))
+    return int(es[0, 1])
 
 
 def null_threshold(ei, ej, params, pair_seed: int) -> float:

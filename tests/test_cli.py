@@ -338,6 +338,13 @@ def test_exit_code_runtime_failure(tmp_path):
                  "Expecting property name", id="truncated-sidecar"),
     pytest.param("network", "events.csv.json", lambda text: re.sub(r'"n_nodes": \d+', '"n_nodes": 70', text),
                  "70 event series for 36 grid nodes", id="sidecar-n-nodes"),
+    pytest.param("network", "events.csv.json", lambda text: re.sub(r'"n_nodes": \d+', '"n_nodes": null', text),
+                 "n_nodes must be an integer >= 0, got null", id="sidecar-n-nodes-null"),
+    pytest.param("network", "events.csv.json", lambda text: re.sub(r'"n_nodes": \d+', '"n_nodes": 36.7', text),
+                 "n_nodes must be an integer >= 0, got 36.7", id="sidecar-n-nodes-float"),
+    pytest.param("network", "events.csv.json",
+                 lambda text: re.sub(r'("season_days": \[\s*\d+)', r'\1.0', text),
+                 "season_days must be a list of integers", id="sidecar-season-day-float"),
 ])
 def test_exit_code_corrupt_artifact(pipeline_run, tmp_path, capsys, stage, name, edit, detail):
     # an artifact damaged between stages stops the next stage (exit 2) with the file named
@@ -362,12 +369,38 @@ def test_surrogate_rejects_edgeless_network(pipeline_run, tmp_path, capsys):
     assert f"error: GridIOError: {out / 'edges.csv'}: the network has no links" in capsys.readouterr().err
 
 
+def child_env():
+    """The environment of a fresh Python process that imports gridsync from where this one did."""
+    src = str(Path(gridsync.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+_THREAD_PROBE = """
+import os, sys, gridsync
+tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+print(os.environ["OPENBLAS_NUM_THREADS"], tasks)
+"""
+
+
+@pytest.mark.parametrize("preset, value", [(None, "1"), ("2", "2")])
+def test_import_sets_one_blas_thread_unless_preset(preset, value):
+    # importing gridsync before numpy leaves one BLAS thread, so the process has
+    # no thread besides the main one; a caller's own OPENBLAS_NUM_THREADS wins
+    env = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", _THREAD_PROBE], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    got, tasks = out.stdout.split()
+    assert got == value
+    if preset is None and sys.platform == "linux":
+        assert tasks == "1"
+
+
 def test_console_entry_point():
     # the child process finds the package where this process imported it from
-    src = str(Path(gridsync.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
-        [sys.executable, "-m", "gridsync.cli", "--version"], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "gridsync.cli", "--version"], capture_output=True, text=True, env=child_env()
     )
     assert out.returncode == 0
     assert out.stdout.split() == ["gridsync", gridsync.__version__]

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridsync.seeding import NULL_MODEL_TAG, mix64, stream
-from gridsync.sync import SyncParams, _es_matrix, build_network
+from gridsync import sync
+from gridsync.sync import SyncParams, _es_matrix, _threshold_table, build_network
 
 from conftest import random_events, random_grid
 from oracles import (
@@ -276,10 +277,31 @@ def test_es_matrix_equals_pairwise_es(day_sets):
     # E @ E.T equals the set-intersection count of every pair, empty and
     # singleton series included
     series = np.stack([mk(sorted(d), T=60) for d in day_sets])
-    es = _es_matrix(series)
+    (r0, es), = _es_matrix(series)
+    assert r0 == 0
     for i, a in enumerate(series):
         for j, b in enumerate(series):
             assert es[i, j] == shared_days(a, b)
+
+
+@pytest.mark.parametrize("block_rows", [sync._ES_ROWS, 7])
+def test_build_network_row_blocks_equal_whole_matrix(rng, monkeypatch, block_rows):
+    # 600 nodes span several ES row blocks, the last one partial; the edges
+    # equal those of the whole integer ES matrix against the same thresholds
+    n, T = 600, 300
+    series = np.stack([random_events(T, rng.uniform(0.02, 0.1), rng) for _ in range(n)])
+    series[[0, 255, 256, 599]] = False
+    params = SyncParams(n_shuffles=150, seed=4)
+    monkeypatch.setattr(sync, "_ES_ROWS", block_rows)
+    blocks = list(_es_matrix(series))
+    assert [r0 for r0, _ in blocks] == list(range(0, n, block_rows))
+    net = build_network(series, random_grid(n, 2), params)
+    counts = series.sum(axis=1)
+    es = series.astype(np.int64) @ series.T.astype(np.int64)
+    linked = es >= _threshold_table(counts, T, params)[np.ix_(counts, counts)]
+    i, j = np.nonzero(np.triu(linked, 1))
+    assert net.edge_array().tolist() == np.stack([i, j], axis=1).tolist()
+    assert net.edge_count > 0
 
 
 def test_false_link_rate(rng):
