@@ -259,12 +259,13 @@ def _node_order(path, ids) -> np.ndarray:
 
 @contextmanager
 def _artifact(path):
-    """Report a ValueError raised while building objects from a file as a GridIOError naming it."""
+    """Report a ValueError (or an OverflowError, from an integer too large for
+    int64) raised while building objects from a file as a GridIOError naming it."""
     try:
         yield
     except GridIOError:
         raise
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise GridIOError(str(e), path) from e
 
 

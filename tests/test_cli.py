@@ -345,6 +345,9 @@ def test_exit_code_runtime_failure(tmp_path):
     pytest.param("network", "events.csv.json",
                  lambda text: re.sub(r'("season_days": \[\s*\d+)', r'\1.0', text),
                  "season_days must be a list of integers", id="sidecar-season-day-float"),
+    pytest.param("network", "events.csv.json",
+                 lambda text: re.sub(r'("season_days": \[\s*)\d+', r'\g<1>100000000000000000000', text),
+                 "too large", id="sidecar-season-day-overflow"),
 ])
 def test_exit_code_corrupt_artifact(pipeline_run, tmp_path, capsys, stage, name, edit, detail):
     # an artifact damaged between stages stops the next stage (exit 2) with the file named
