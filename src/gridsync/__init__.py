@@ -8,13 +8,15 @@ ensembles -> boundary corrections -> method comparison statistics.
 import os
 
 # One BLAS thread per process, set before any submodule imports numpy (and
-# so starts OpenBLAS). The only BLAS call is the ES product E @ E.T, and the
-# thread pool costs more than it saves: on a 2-vCPU host, `import numpy`
-# took 0.133-0.143 s with the pool and 0.060-0.075 s without; the product
-# took 52-68 ms with two threads and 1.2-2.5 ms with one at 144 x 2,760,
-# and 0.20-0.39 s with two against 0.24-0.29 s with one at CONUS size
-# (3,249 x 2,760). Parallel work goes to processes, which inherit the
-# setting. A caller's own OPENBLAS_NUM_THREADS wins; no artifact byte
+# so starts OpenBLAS). The only BLAS call is the ES product E @ E.T. On a
+# shared 2-vCPU host (BENCH_0.7.0.json) the pool cost more than it saved:
+# `import gridsync` took 0.16-0.22 s with it and 0.09-0.16 s without; at
+# 144 nodes the product took about 1 ms either way, but up to 56 ms with two
+# threads when the other vCPU was busy; and the pool's spinning thread made
+# the network_30y pipeline cost 0.80 s of CPU against 0.51 s. At CONUS size
+# (3,249 nodes) a second thread saves about 0.1 s of a 0.6-0.8 s network
+# build when a vCPU is free. Parallel work goes to processes, which inherit
+# the setting. A caller's own OPENBLAS_NUM_THREADS wins; no artifact byte
 # depends on it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
