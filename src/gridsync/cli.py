@@ -422,11 +422,10 @@ def stage_events(cfg: RunConfig, out_dir: Path) -> None:
 def stage_network(cfg: RunConfig, out_dir: Path) -> None:
     events_path = _require(out_dir / "events.csv", "events artifact")
     grid_path = _require(out_dir / "grid.csv", "grid artifact")
-    events, sidecar = read_event_series(events_path)
     grid = read_grid_csv(grid_path)
-    # the reader makes one row per sidecar n_nodes, so a count that disagrees with the grid is the sidecar's
-    with _artifact(Path(str(events_path) + ".json")):
-        net = build_network(events, grid, cfg.sync)
+    # a sidecar n_nodes that disagrees with the grid is rejected before its event matrix is allocated
+    events, sidecar = read_event_series(events_path, grid.n)
+    net = build_network(events, grid, cfg.sync)
     edges_path = out_dir / "edges.csv"
     write_edge_list(net.edge_array(), edges_path)
     _write_manifest(

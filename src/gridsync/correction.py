@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_io import _flag, _read_nodes, _write_rows
+from .grid_io import _flag, _node_cells, _read_nodes, _write_rows
 from .netmetrics import MetricField
 from .surrogate import SurrogateStats
 
@@ -101,8 +101,8 @@ def write_corrected_csv(cf: CorrectedField, grid, path) -> None:
         raise ValueError("grid size does not match corrected field")
     with open(path, "w", newline="") as f:
         f.write(CORRECTED_HEADER + "\n")
-        _write_rows(f, range(cf.n), grid.lat, grid.lon, cf.raw, cf.surrogate_mean, cf.corrected,
-                    cf.normalized, (~cf.undefined).astype(np.int8))
+        _write_rows(f, _node_cells(grid), cf.raw, cf.surrogate_mean, cf.corrected, cf.normalized,
+                    (~cf.undefined).astype(np.int8))
 
 
 def read_corrected_csv(path) -> CorrectedField:

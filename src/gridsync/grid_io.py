@@ -62,7 +62,7 @@ class GridSpec:
 
     lat: np.ndarray
     lon: np.ndarray
-    # arrays computed once per grid (netmetrics.pair_bins); the coordinates are read-only copies
+    # values computed once per grid (netmetrics.pair_bins, _node_cells); the coordinates are read-only copies
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -241,6 +241,14 @@ def _read_rows(path, header: str, *casts) -> list[list]:
     return columns
 
 
+def _node_cells(grid: GridSpec) -> tuple[str, ...]:
+    """The "node_id,lat,lon" cells of every node, as _write_rows prints them; built once per grid."""
+    if "node_cells" not in grid.derived:
+        cols = map(str, range(grid.n)), map(str, grid.lat.tolist()), map(str, grid.lon.tolist())
+        grid.derived["node_cells"] = tuple(map(",".join, zip(*cols)))
+    return grid.derived["node_cells"]
+
+
 def _flag(cell: str) -> bool:
     """A 0/1 flag cell."""
     if cell not in ("0", "1"):
@@ -288,11 +296,11 @@ def _read_nodes(path, header: str, *casts) -> tuple[GridSpec, list[np.ndarray]]:
 
 
 def write_gridded_csv(gs: GriddedSeries, path) -> None:
-    lat, lon, days = gs.grid.lat.tolist(), gs.grid.lon.tolist(), gs.days.tolist()
+    days = gs.days.tolist()
     with open(path, "w", newline="") as f:
         f.write(GRIDDED_HEADER + "\n")
-        for i in range(gs.n_nodes):
-            _write_rows(f, repeat(f"{i},{lat[i]},{lon[i]}", gs.n_days), days, gs.values[i])
+        for i, cell in enumerate(_node_cells(gs.grid)):
+            _write_rows(f, repeat(cell, gs.n_days), days, gs.values[i])
 
 
 def read_gridded_csv(path) -> GriddedSeries:
@@ -346,7 +354,7 @@ def write_gridded(gs: GriddedSeries, path, format: str = "binary") -> None:
 def write_grid_csv(grid: GridSpec, path) -> None:
     with open(path, "w", newline="") as f:
         f.write(GRID_HEADER + "\n")
-        _write_rows(f, range(grid.n), grid.lat, grid.lon)
+        _write_rows(f, _node_cells(grid))
 
 
 def read_grid_csv(path) -> GridSpec:
@@ -359,7 +367,7 @@ def write_metric_csv(values: np.ndarray, grid: GridSpec, path) -> None:
         raise ValueError("value vector does not match grid size")
     with open(path, "w", newline="") as f:
         f.write(METRIC_HEADER + "\n")
-        _write_rows(f, range(grid.n), grid.lat, grid.lon, values)
+        _write_rows(f, _node_cells(grid), values)
 
 
 def read_metric_csv(path) -> tuple[np.ndarray, GridSpec]:
@@ -409,8 +417,12 @@ def write_event_series(events: np.ndarray, days: np.ndarray, path, sidecar: dict
         f.write("\n")
 
 
-def read_event_series(path) -> tuple[np.ndarray, dict]:
-    """Read events + sidecar back into the (n_nodes, n_days) bool event matrix and the sidecar."""
+def read_event_series(path, grid_n: int | None = None) -> tuple[np.ndarray, dict]:
+    """Read events + sidecar back into the (n_nodes, n_days) bool event matrix and the sidecar.
+
+    With grid_n, a sidecar n_nodes other than grid_n is rejected before the
+    matrix is allocated.
+    """
     path = Path(path)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     with open(sidecar_path) as f, _artifact(sidecar_path):
@@ -420,6 +432,8 @@ def read_event_series(path) -> tuple[np.ndarray, dict]:
         n_nodes, season_days = sidecar["n_nodes"], sidecar["season_days"]
         if not _json_int(n_nodes) or n_nodes < 0:
             raise ValueError(f"n_nodes must be an integer >= 0, got {json.dumps(n_nodes)}")
+        if grid_n is not None and n_nodes != grid_n:
+            raise ValueError(f"{n_nodes} event series for {grid_n} grid nodes")
         if not isinstance(season_days, list) or not all(map(_json_int, season_days)):
             raise ValueError("season_days must be a list of integers")
         season_days = np.array(season_days, dtype=np.int64)

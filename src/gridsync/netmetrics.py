@@ -105,31 +105,64 @@ class MetricField:
         return int(self.values.size)
 
 
-def _great_circle(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """Haversine distance in km between points in radians (broadcasting)."""
-    s1 = np.sin(0.5 * (lat1 - lat2))
-    s2 = np.sin(0.5 * (lon1 - lon2))
-    h = s1 * s1 + np.cos(lat1) * np.cos(lat2) * s2 * s2
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+def _great_circle(lat1, lon1, lat2, lon2, cos1, cos2, out=None) -> np.ndarray:
+    """Haversine distance in km between points in radians (broadcasting).
+
+    cos1 and cos2 are the cosines of lat1 and lat2. The result is computed in
+    place in out (allocated when None) with one scratch array of its shape;
+    each element is the double of s1*s1 + cos1*cos2*s2*s2 evaluated in that
+    order, whatever the operands' shapes.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(lat1), np.shape(lat2)))
+    s = np.empty_like(out)
+    np.multiply(cos1, cos2, out=out)
+    np.subtract(lon1, lon2, out=s)
+    s *= 0.5
+    np.sin(s, out=s)
+    out *= s
+    out *= s
+    np.subtract(lat1, lat2, out=s)
+    s *= 0.5
+    np.sin(s, out=s)
+    s *= s
+    out += s
+    np.sqrt(out, out=out)
+    np.minimum(out, 1.0, out=out)
+    np.arcsin(out, out=out)
+    out *= 2.0 * EARTH_RADIUS_KM
+    return out
+
+
+# pairs per block of the all-pairs distance pass, so a block and its scratch stay in cache
+_PAIR_BLOCK = 1 << 15
 
 
 def _pair_blocks(grid: GridSpec):
     """Distances in km of all pairs i < j, in np.triu_indices(n, 1) order, as row blocks.
 
-    Yields (position of the block's first pair, its distances); no n x n
-    matrix is built, and each value is the one the full broadcast of
-    _great_circle gives for that pair.
+    Yields (position of the block's first pair, its distances). A block is
+    max(1, _PAIR_BLOCK // n) rows against the columns right of its first
+    row, computed by _great_circle in place in one buffer allocated once;
+    the yielded distances are its pairs with column > row, and no n x n
+    matrix is built.
     """
     n = grid.n
     lat = np.radians(grid.lat)
     lon = np.radians(grid.lon)
-    rows = max(1, (1 << 20) // max(n, 1))
+    cos = np.cos(lat)
+    rows = max(1, min(_PAIR_BLOCK // max(n, 1), n - 1))
+    buf = np.empty(rows * max(n - 1, 0))
+    # row r of a block keeps the columns at or right of r, i.e. the pairs with column > row
+    keep = np.arange(rows)[:, None] <= np.arange(max(n - 1, 0))[None, :]
     pos = 0
     for r0 in range(0, n - 1, rows):
         r1 = min(r0 + rows, n - 1)
-        # rows r0..r1-1 against columns r0+1..n-1; keep column > row
-        block = _great_circle(lat[r0:r1, None], lon[r0:r1, None], lat[None, r0 + 1 :], lon[None, r0 + 1 :])
-        upper = block[np.arange(r1 - r0)[:, None] <= np.arange(n - r0 - 1)[None, :]]
+        m = n - r0 - 1
+        block = buf[: (r1 - r0) * m].reshape(r1 - r0, m)
+        _great_circle(lat[r0:r1, None], lon[r0:r1, None], lat[None, r0 + 1 :], lon[None, r0 + 1 :],
+                      cos[r0:r1, None], cos[None, r0 + 1 :], out=block)
+        upper = block[keep[: r1 - r0, :m]]
         yield pos, upper
         pos += upper.size
 
@@ -153,8 +186,9 @@ def pair_bins(grid: GridSpec, bin_width_km: float) -> np.ndarray:
         dtype = np.min_scalar_type(int(np.pi * EARTH_RADIUS_KM / bin_width_km) + 1)
         out = np.empty(grid.n * (grid.n - 1) // 2, dtype=dtype)
         for pos, d in _pair_blocks(grid):
+            d /= bin_width_km
             # the cast truncates, which is floor for d >= 0
-            out[pos : pos + d.size] = d / bin_width_km
+            out[pos : pos + d.size] = d
         out.setflags(write=False)
         grid.derived[key] = out
     return grid.derived[key]
@@ -218,8 +252,9 @@ def mean_geo_distance(net: Network) -> MetricField:
     edges = net.edge_array()
     lat = np.radians(net.grid.lat)
     lon = np.radians(net.grid.lon)
+    cos = np.cos(lat)
     i, j = edges[:, 0], edges[:, 1]
-    d = _great_circle(lat[i], lon[i], lat[j], lon[j])
+    d = _great_circle(lat[i], lon[i], lat[j], lon[j], cos[i], cos[j])
     total = np.bincount(edges.ravel(), np.repeat(d, 2), minlength=net.n)
     undef = deg == 0
     vals = np.zeros(net.n)

@@ -55,6 +55,10 @@ class SurrogateStats:
         return np.flatnonzero(self.mean == 0.0)
 
 
+# pairs per bincount of estimate_profile
+_COUNT_CHUNK = 1 << 16
+
+
 def estimate_profile(net: Network, bin_width_km: float = 50.0) -> DistanceProfile:
     """Bin all unordered node pairs by distance; probability = edges / pairs.
 
@@ -66,7 +70,10 @@ def estimate_profile(net: Network, bin_width_km: float = 50.0) -> DistanceProfil
     if net.edge_count == 0:
         raise ValueError("cannot estimate a link-probability profile from an edgeless network")
     bins = pair_bins(net.grid, bin_width_km)
-    pair_count = np.bincount(bins)
+    # counted a chunk at a time, so no intp copy of every pair's bin is built
+    pair_count = np.zeros(int(bins.max()) + 1, dtype=np.intp)
+    for c0 in range(0, bins.size, _COUNT_CHUNK):
+        pair_count += np.bincount(bins[c0 : c0 + _COUNT_CHUNK], minlength=pair_count.size)
     edges = net.edge_array()
     link_count = np.bincount(bins[pair_rank(edges[:, 0], edges[:, 1], net.n)], minlength=pair_count.size)
     return DistanceProfile(

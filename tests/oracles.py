@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gridsync.netmetrics import EARTH_RADIUS_KM, _great_circle, bernoulli_network
+from gridsync.netmetrics import EARTH_RADIUS_KM, bernoulli_network
 from gridsync.surrogate import pair_link_probabilities
 from gridsync.sync import _es_matrix, _key_threshold
 
@@ -151,10 +151,19 @@ def haversine(a: tuple[float, float], b: tuple[float, float]) -> float:
 
 
 def haversine_matrix(grid) -> np.ndarray:
-    """Full n x n great-circle distance matrix in km, by the production kernel."""
+    """Full n x n great-circle distance matrix in km, by the 0.7.0 broadcast formula.
+
+    Each element is the double the in-place production kernel must give for
+    its pair; the formula is spelled out here so the bitwise tests do not
+    restate the kernel.
+    """
     lat = np.radians(grid.lat)
     lon = np.radians(grid.lon)
-    return _great_circle(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
+    lat1, lon1, lat2, lon2 = lat[:, None], lon[:, None], lat[None, :], lon[None, :]
+    s1 = np.sin(0.5 * (lat1 - lat2))
+    s2 = np.sin(0.5 * (lon1 - lon2))
+    h = s1 * s1 + np.cos(lat1) * np.cos(lat2) * s2 * s2
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
 def neighbors(net, i: int) -> np.ndarray:

@@ -338,6 +338,9 @@ def test_exit_code_runtime_failure(tmp_path):
                  "Expecting property name", id="truncated-sidecar"),
     pytest.param("network", "events.csv.json", lambda text: re.sub(r'"n_nodes": \d+', '"n_nodes": 70', text),
                  "70 event series for 36 grid nodes", id="sidecar-n-nodes"),
+    pytest.param("network", "events.csv.json",
+                 lambda text: re.sub(r'"n_nodes": \d+', '"n_nodes": 1000000000000', text),
+                 "1000000000000 event series for 36 grid nodes", id="sidecar-n-nodes-huge"),
     pytest.param("network", "events.csv.json", lambda text: re.sub(r'"n_nodes": \d+', '"n_nodes": null', text),
                  "n_nodes must be an integer >= 0, got null", id="sidecar-n-nodes-null"),
     pytest.param("network", "events.csv.json", lambda text: re.sub(r'"n_nodes": \d+', '"n_nodes": 36.7', text),

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gridsync import netmetrics
 from gridsync.grid_io import GridSpec
 from gridsync.netmetrics import (
     _BC_BLOCK,
@@ -410,7 +411,7 @@ def test_metrics_match_networkx_and_haversine_loop_above_2048_nodes():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 1500])
 def test_pair_distances_bitwise_equal_to_matrix_triangle(n):
-    # 1500 nodes span three row blocks
+    # at the default _PAIR_BLOCK, 1,500 nodes span 72 row blocks of 21 rows, the last one short
     grid = random_grid(n, 40 + n)
     got = pair_distances(grid)
     expect = haversine_matrix(grid)[np.triu_indices(n, 1)]
@@ -420,8 +421,9 @@ def test_pair_distances_bitwise_equal_to_matrix_triangle(n):
 
 @pytest.mark.parametrize("width, dtype", [(50.0, np.uint16), (100.0, np.uint8)])
 def test_pair_bins_equal_floor_of_matrix_distances(width, dtype):
-    # 33 x 33 = 1,089 nodes span two row blocks; along the equator row and on
-    # many other lattice pairs the distance falls on a multiple of 50 km
+    # at the default _PAIR_BLOCK, 33 x 33 = 1,089 nodes span 37 row blocks of 30
+    # rows, the last one short; along the equator row and on many other lattice
+    # pairs the distance falls on a multiple of 50 km
     grid = lattice_grid(RectLattice(rows=33, cols=33, spacing_km=50.0))
     d = haversine_matrix(grid)[np.triu_indices(grid.n, 1)]
     assert (np.abs(d / 50.0 - np.rint(d / 50.0)) < 1e-9).sum() > 1000
@@ -431,6 +433,18 @@ def test_pair_bins_equal_floor_of_matrix_distances(width, dtype):
     assert pair_bins(grid, width) is bins and not bins.flags.writeable
     assert not (grid.lat.flags.writeable or grid.lon.flags.writeable)  # the memo stays valid
     assert np.array_equal(pair_bins(grid, 3 * width), np.floor(d / (3 * width)))
+
+
+@pytest.mark.parametrize("block", [100, 7 * 1500, 1 << 30])
+def test_pair_pass_at_other_block_sizes(monkeypatch, block):
+    # 100 is below n, so every block is one row; 7 x 1,500 gives 7 rows per block
+    # at 1,500 nodes and 9 at 1,089, neither dividing the rows evenly; 2^30 is
+    # more than all pairs, so one block holds every row
+    monkeypatch.setattr(netmetrics, "_PAIR_BLOCK", block)
+    for n in (0, 1, 2, 3, 1500):
+        test_pair_distances_bitwise_equal_to_matrix_triangle(n)
+    test_pair_bins_equal_floor_of_matrix_distances(50.0, np.uint16)
+    test_pair_bins_equal_floor_of_matrix_distances(100.0, np.uint8)
 
 
 def test_network_structure_invariants(rng):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gridsync import netmetrics
-from gridsync.netmetrics import Network, degree
+from gridsync import netmetrics, surrogate
+from gridsync.netmetrics import Network, degree, pair_bins
 from gridsync.seeding import SURROGATE_TAG, mix64
 from gridsync.surrogate import (
     DistanceProfile,
@@ -30,6 +30,17 @@ def complete_net(n, seed=0):
 
 # ---------------------------------------------------------------------------
 # profile estimation
+
+
+@pytest.mark.parametrize("chunk", [surrogate._COUNT_CHUNK, 997, 1 << 30])
+def test_profile_pair_count_equals_whole_bincount(monkeypatch, chunk):
+    # 400 nodes have 79,800 pairs: 2 chunks at the default, 81 chunks of 997 pairs, or one chunk
+    monkeypatch.setattr(surrogate, "_COUNT_CHUNK", chunk)
+    net = random_network(400, 0.05, 9)
+    prof = estimate_profile(net, bin_width_km=50.0)
+    whole = np.bincount(pair_bins(net.grid, 50.0))
+    assert prof.bin_pair_count.dtype == whole.dtype
+    assert np.array_equal(prof.bin_pair_count, whole)
 
 
 def test_profile_complete_graph():
