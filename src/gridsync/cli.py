@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,7 @@ from .grid_io import (
     write_gridded,
     write_metric_csv,
 )
-from .netmetrics import METRIC_NAMES, Network, compute_metric, log_bc
+from .netmetrics import METRIC_NAMES, MetricField, Network, compute_metric, log_bc
 from .render import PALETTES, render_map
 from .stats import compare_methods
 from .surrogate import (
@@ -91,6 +91,8 @@ _BLOCK_KEYS = {
 
 # the stages a pipeline runs, in order; stage "x" is the module function stage_x
 STAGES = ("events", "network", "metrics", "surrogate", "correct", "compare")
+# every run writes both corrections, in this order
+CORRECTIONS = ("subtract", "divide")
 
 
 class ConfigError(ValueError):
@@ -281,8 +283,12 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
             lattice_grid(RectLattice(**{k: y[k] for k in ("rows", "cols", "spacing_km", "lat0", "lon0")}))
         except ValueError as e:
             problems.append(f"synth: {e}")
-    if not isinstance(_get(ydoc, "output", ""), str):
-        problems.append(f"synth.output must be a file name, got {ydoc['output']!r}")
+    output = ydoc.get("output")
+    # a bare file name: no directory part, and not "" or ".."
+    if output is not None and (not isinstance(output, str) or Path(output).name in ("", "..")
+                               or Path(output).name != output):
+        problems.append(f"synth.output must be a file name, got {output!r}")
+        output = None
 
     cfg = RunConfig(
         input=doc.get("input"),
@@ -299,6 +305,10 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         seed=seed,
         synth=doc.get("synth"),
     )
+    # the synth stage writes its output into the output directory, next to every other artifact
+    if output is not None and output in {f"{s}_manifest.json" for s in ("synth", *STAGES)} | {
+            name for s in STAGES for name in _files(s, cfg, Path())[1]}:
+        problems.append(f"synth.output {output!r} would overwrite a pipeline artifact")
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -316,7 +326,36 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# manifests and progress
+# the artifacts of each stage, manifests and progress
+
+
+def _synth_name(cfg: RunConfig) -> str:
+    return _get(cfg.synth or {}, "output", "synthetic.cng1" if cfg.format == "binary" else "synthetic.csv")
+
+
+def _files(stage: str, cfg: RunConfig, out_dir: Path) -> tuple[dict[str, Path], dict[str, Path]]:
+    """What a stage reads, as {manifest input name: path}, and writes, as {file name: path}.
+
+    This is the one place that names a stage's artifacts: the stage bodies take
+    their paths from it, and _run_stage checks the reads and hashes both into
+    the manifest. Input "x" is the file x.csv, except the events stage's
+    gridded input: the configured input, or else the synth stage's output.
+    """
+    metrics = (*cfg.metrics, "logBC") if "BC" in cfg.metrics else cfg.metrics
+    corrected = [f"corrected_{m}_{method}" for m in cfg.metrics for method in CORRECTIONS]
+    reads, writes = {
+        "synth": ((), (_synth_name(cfg),)),
+        "events": ((), ("events.csv", "events.csv.json", "grid.csv")),
+        "network": (("events", "grid"), ("edges.csv",)),
+        "metrics": (("edges", "grid"), [f"metric_{m}.csv" for m in metrics]),
+        "surrogate": (("edges", "grid"), ("profile.csv", "surrogate_stats.csv")),
+        "correct": (("surrogate_stats", *[f"metric_{m}" for m in cfg.metrics]), [f"{c}.csv" for c in corrected]),
+        "compare": (corrected, ("report.json", "report.txt")),
+    }[stage]
+    reads = {key: out_dir / f"{key}.csv" for key in reads}
+    if stage == "events":
+        reads["gridded"] = Path(cfg.input) if cfg.input is not None else out_dir / _synth_name(cfg)
+    return reads, {name: out_dir / name for name in writes}
 
 
 def _sha256(path) -> str:
@@ -327,7 +366,7 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, stage: str, cfg: RunConfig, inputs: dict, outputs: list,
+def _write_manifest(out_dir: Path, stage: str, cfg: RunConfig, inputs: dict, outputs,
                     extra: dict | None = None) -> None:
     doc = {
         "stage": stage,
@@ -360,36 +399,43 @@ class _Progress:
         return False
 
 
-def _require(path: Path, what: str) -> Path:
-    if not path.exists():
-        raise ConfigError([f"{what} not found: {path} (run the upstream stage first)"])
-    return path
+def _stage(name: str):
+    """The stage function, looked up when called so a replaced module attribute takes effect."""
+    return globals()[f"stage_{name}"]
+
+
+def _run_stage(name: str, cfg: RunConfig, out_dir: Path) -> None:
+    """Check that a stage's inputs exist, run the stage, and write its manifest, all from _files.
+
+    A stage function takes (cfg, reads, writes) and may return extra manifest fields.
+    """
+    reads, writes = _files(name, cfg, out_dir)
+    with _Progress(name):
+        for path in reads.values():
+            if not path.exists():
+                writers = [s for s in ("synth", *STAGES) if path in _files(s, cfg, out_dir)[1].values()]
+                why = f"the {writers[0]} stage writes it; run that first" if writers else "the configured input"
+                raise ConfigError([f"{name} stage: {path} not found ({why})"])
+        extra = _stage(name)(cfg, reads, writes)
+        _write_manifest(out_dir, name, cfg, reads, writes.values(), extra)
 
 
 # ---------------------------------------------------------------------------
 # stages
 
 
-def stage_synth(cfg: RunConfig, out_dir: Path) -> Path:
+def stage_synth(cfg: RunConfig, reads: dict, writes: dict) -> None:
     """Generate a synthetic gridded input file from cfg.synth."""
-    sdoc = cfg.synth or {}
-    kw = {key: type(default)(_get(sdoc, key, default)) for key, default in _SYNTH_DEFAULTS.items()}
+    kw = {key: type(default)(_get(cfg.synth or {}, key, default)) for key, default in _SYNTH_DEFAULTS.items()}
     layout = RectLattice(**{key: kw.pop(key) for key in ("rows", "cols", "spacing_km", "lat0", "lon0")})
     gs = gen_gridded_values(layout, seed=cfg.seed, season=cfg.season, **kw)
-    default_name = "synthetic.cng1" if cfg.format == "binary" else "synthetic.csv"
-    name = _get(sdoc, "output", default_name)
-    path = out_dir / name
+    (path,) = writes.values()
     write_gridded(gs, path, format=cfg.format)
-    _write_manifest(out_dir, "synth", cfg, inputs={}, outputs=[path])
-    return path
 
 
-def stage_events(cfg: RunConfig, out_dir: Path) -> None:
-    if cfg.input is None:
-        raise ConfigError(["input is required for the events stage"])
-    in_path = _require(Path(cfg.input), "input gridded file")
+def stage_events(cfg: RunConfig, reads: dict, writes: dict) -> None:
     # the whole-year series is dropped once the season is cut, before the event matrix is built
-    seasonal = extract_season(load_gridded(in_path, cfg.format), cfg.season)
+    seasonal = extract_season(load_gridded(reads["gridded"], cfg.format), cfg.season)
     events, unusable = extract_events(seasonal, cfg.threshold)
     if unusable:
         print(
@@ -406,154 +452,88 @@ def stage_events(cfg: RunConfig, out_dir: Path) -> None:
         "season_days": [int(d) for d in seasonal.days],
         "unusable_nodes": unusable,
     }
-    events_path = out_dir / "events.csv"
-    grid_path = out_dir / "grid.csv"
-    write_event_series(events, seasonal.days, events_path, sidecar)
-    write_grid_csv(seasonal.grid, grid_path)
-    _write_manifest(
-        out_dir,
-        "events",
-        cfg,
-        inputs={"gridded": in_path},
-        outputs=[events_path, Path(str(events_path) + ".json"), grid_path],
-    )
+    # write_event_series also writes the sidecar, events.csv.json
+    write_event_series(events, seasonal.days, writes["events.csv"], sidecar)
+    write_grid_csv(seasonal.grid, writes["grid.csv"])
 
 
-def stage_network(cfg: RunConfig, out_dir: Path) -> None:
-    events_path = _require(out_dir / "events.csv", "events artifact")
-    grid_path = _require(out_dir / "grid.csv", "grid artifact")
-    grid = read_grid_csv(grid_path)
+def stage_network(cfg: RunConfig, reads: dict, writes: dict) -> dict:
+    grid = read_grid_csv(reads["grid"])
     # a sidecar n_nodes that disagrees with the grid is rejected before its event matrix is allocated
-    events, sidecar = read_event_series(events_path, grid.n)
+    events, sidecar = read_event_series(reads["events"], grid.n)
     net = build_network(events, grid, cfg.sync)
-    edges_path = out_dir / "edges.csv"
-    write_edge_list(net.edge_array(), edges_path)
-    _write_manifest(
-        out_dir,
-        "network",
-        cfg,
-        inputs={"events": events_path, "grid": grid_path},
-        outputs=[edges_path],
-        extra={
-            "event_counts": events.sum(axis=1).tolist(),
-            "unusable_count": len(sidecar.get("unusable_nodes", [])),
-            "edge_count": net.edge_count,
-        },
-    )
+    write_edge_list(net.edge_array(), writes["edges.csv"])
+    return {
+        "event_counts": events.sum(axis=1).tolist(),
+        "unusable_count": len(sidecar.get("unusable_nodes", [])),
+        "edge_count": net.edge_count,
+    }
 
 
-def _load_network(out_dir: Path) -> Network:
-    edges_path = _require(out_dir / "edges.csv", "edge-list artifact")
-    grid_path = _require(out_dir / "grid.csv", "grid artifact")
-    grid, edges = read_grid_csv(grid_path), read_edge_list(edges_path)
-    with _artifact(edges_path):
+def _load_network(reads: dict) -> Network:
+    grid, edges = read_grid_csv(reads["grid"]), read_edge_list(reads["edges"])
+    with _artifact(reads["edges"]):
         return Network.from_edges(grid, edges)
 
 
-def stage_metrics(cfg: RunConfig, out_dir: Path) -> None:
-    net = _load_network(out_dir)
-    outputs = []
+def stage_metrics(cfg: RunConfig, reads: dict, writes: dict) -> None:
+    net = _load_network(reads)
     for m in cfg.metrics:
         mf = compute_metric(net, m)
-        path = out_dir / f"metric_{m}.csv"
-        write_metric_csv(mf.values, net.grid, path)
-        outputs.append(path)
+        write_metric_csv(mf.values, net.grid, writes[f"metric_{m}.csv"])
         if m == "BC":
-            lb = log_bc(mf)
-            path = out_dir / "metric_logBC.csv"
-            write_metric_csv(lb.values, net.grid, path)
-            outputs.append(path)
-    _write_manifest(
-        out_dir,
-        "metrics",
-        cfg,
-        inputs={"edges": out_dir / "edges.csv", "grid": out_dir / "grid.csv"},
-        outputs=outputs,
-    )
+            write_metric_csv(log_bc(mf).values, net.grid, writes["metric_logBC.csv"])
 
 
-def stage_surrogate(cfg: RunConfig, out_dir: Path) -> None:
-    net = _load_network(out_dir)
+def stage_surrogate(cfg: RunConfig, reads: dict, writes: dict) -> dict:
+    net = _load_network(reads)
     if net.edge_count == 0:
         raise GridIOError("the network has no links, so there is no link-probability profile to "
-                          "draw surrogates from", out_dir / "edges.csv")
+                          "draw surrogates from", reads["edges"])
     profile = estimate_profile(net, bin_width_km=cfg.bin_width_km)
-    stats = ensemble_stats(
-        profile,
-        net.grid,
-        metrics=cfg.metrics,
-        ensemble_size=cfg.ensemble_size,
-        seed=cfg.seed,
-    )
-    profile_path = out_dir / "profile.csv"
-    stats_path = out_dir / "surrogate_stats.csv"
-    write_profile_csv(profile, profile_path)
-    write_surrogate_stats_csv(stats, stats_path)
-    _write_manifest(
-        out_dir,
-        "surrogate",
-        cfg,
-        inputs={"edges": out_dir / "edges.csv", "grid": out_dir / "grid.csv"},
-        outputs=[profile_path, stats_path],
-        extra={"zero_mean_counts": {m: int(st.zero_mean_nodes.size) for m, st in stats.items()}},
-    )
+    stats = ensemble_stats(profile, net.grid, metrics=cfg.metrics, ensemble_size=cfg.ensemble_size, seed=cfg.seed)
+    write_profile_csv(profile, writes["profile.csv"])
+    write_surrogate_stats_csv(stats, writes["surrogate_stats.csv"])
+    return {"zero_mean_counts": {m: int(st.zero_mean_nodes.size) for m, st in stats.items()}}
 
 
-def stage_correct(cfg: RunConfig, out_dir: Path) -> None:
-    from .netmetrics import MetricField
-
-    stats_path = _require(out_dir / "surrogate_stats.csv", "surrogate stats artifact")
-    stats = read_surrogate_stats_csv(stats_path)
-    grid = read_grid_csv(_require(out_dir / "grid.csv", "grid artifact"))
-    inputs = {"surrogate_stats": stats_path}
-    outputs = []
+def stage_correct(cfg: RunConfig, reads: dict, writes: dict) -> None:
+    # node coordinates come from each metric CSV, which holds them as written from grid.csv
+    stats = read_surrogate_stats_csv(reads["surrogate_stats"])
     for m in cfg.metrics:
-        metric_path = _require(out_dir / f"metric_{m}.csv", f"metric {m} artifact")
-        inputs[f"metric_{m}"] = metric_path
-        values, _ = read_metric_csv(metric_path)
+        values, grid = read_metric_csv(reads[f"metric_{m}"])
         raw = MetricField(m, values)
-        for method, correct in (("subtract", correct_subtract), ("divide", correct_divide)):
-            path = out_dir / f"corrected_{m}_{method}.csv"
-            write_corrected_csv(correct(raw, stats[m]), grid, path)
-            outputs.append(path)
-    _write_manifest(out_dir, "correct", cfg, inputs=inputs, outputs=outputs)
+        # the functions are looked up when called, so a replaced module attribute takes effect
+        for method, correct in zip(CORRECTIONS, (correct_subtract, correct_divide)):
+            write_corrected_csv(correct(raw, stats[m]), grid, writes[f"corrected_{m}_{method}.csv"])
 
 
-def stage_compare(cfg: RunConfig, out_dir: Path) -> None:
-    runs = {}
-    inputs = {}
-    for m in cfg.metrics:
-        pair = []
-        for method in ("subtract", "divide"):
-            path = _require(out_dir / f"corrected_{m}_{method}.csv", f"corrected {m} ({method})")
-            inputs[path.stem] = path
-            pair.append(read_corrected_csv(path))
-        runs[(cfg.network_label, cfg.season, m)] = tuple(pair)
+def stage_compare(cfg: RunConfig, reads: dict, writes: dict) -> None:
+    runs = {
+        (cfg.network_label, cfg.season, m): tuple(
+            read_corrected_csv(reads[f"corrected_{m}_{method}"])[0] for method in CORRECTIONS
+        )
+        for m in cfg.metrics
+    }
     report = compare_methods(runs, alpha=cfg.alpha)
-    json_path = out_dir / "report.json"
-    txt_path = out_dir / "report.txt"
-    with open(json_path, "w") as f:
+    with open(writes["report.json"], "w") as f:
         json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
-    with open(txt_path, "w") as f:
+    with open(writes["report.txt"], "w") as f:
         f.write(report.to_text_table())
-    _write_manifest(out_dir, "compare", cfg, inputs=inputs, outputs=[json_path, txt_path])
 
 
-def stage_render(cfg: RunConfig, out_dir: Path, field: str, palette: str,
-                 vmin: float | None, vmax: float | None) -> None:
-    path = Path(field)
-    if not path.is_absolute():
-        path = out_dir / path
-    _require(path, "field CSV")
+def stage_render(path: Path, palette: str, vmin: float | None, vmax: float | None) -> None:
+    """Rasterize a metric or corrected field CSV to path.ppm, with node coordinates from the CSV."""
+    if not path.exists():
+        raise ConfigError([f"field CSV not found: {path}"])
     with open(path) as f:
         header = f.readline().strip()
     if header == METRIC_HEADER:
         values, grid = read_metric_csv(path)
         defined = None
     elif header == CORRECTED_HEADER:
-        cf = read_corrected_csv(path)
-        grid = read_grid_csv(_require(out_dir / "grid.csv", "grid artifact"))
+        cf, grid = read_corrected_csv(path)
         values = cf.normalized
         defined = ~cf.undefined
         if vmin is None and vmax is None:
@@ -565,20 +545,10 @@ def stage_render(cfg: RunConfig, out_dir: Path, field: str, palette: str,
     print(f"[render] wrote {out_path} ({w} x {h})", file=sys.stderr)
 
 
-def _stage(name: str):
-    """The stage function, looked up when called so a replaced module attribute takes effect."""
-    return globals()[f"stage_{name}"]
-
-
 def run_pipeline(cfg: RunConfig, out_dir: Path) -> None:
-    """All stages in order, each re-reading its inputs from disk."""
-    if cfg.synth is not None and cfg.input is None:
-        with _Progress("synth"):
-            path = stage_synth(cfg, out_dir)
-        cfg = replace(cfg, input=str(path))
-    for name in STAGES:
-        with _Progress(name):
-            _stage(name)(cfg, out_dir)
+    """All stages in order, each re-reading its inputs from disk; synth first when no input is configured."""
+    for name in ("synth",) * (cfg.synth is not None and cfg.input is None) + STAGES:
+        _run_stage(name, cfg, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +595,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "pipeline":
             run_pipeline(cfg, out_dir)
         elif args.command == "render":
-            stage_render(cfg, out_dir, args.field, args.palette, args.vmin, args.vmax)
+            stage_render(out_dir / args.field, args.palette, args.vmin, args.vmax)
         else:
-            with _Progress(args.command):
-                _stage(args.command)(cfg, out_dir)
+            _run_stage(args.command, cfg, out_dir)
         return 0
     except ConfigError as e:
         print(str(e), file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_io import _flag, _node_cells, _read_nodes, _write_rows
+from .grid_io import GridSpec, _flag, _node_cells, _read_nodes, _write_rows
 from .netmetrics import MetricField
 from .surrogate import SurrogateStats
 
@@ -105,9 +105,9 @@ def write_corrected_csv(cf: CorrectedField, grid, path) -> None:
                     (~cf.undefined).astype(np.int8))
 
 
-def read_corrected_csv(path) -> CorrectedField:
-    _, (raw, mean, corrected, normalized, defined) = _read_nodes(
+def read_corrected_csv(path) -> tuple[CorrectedField, GridSpec]:
+    grid, (raw, mean, corrected, normalized, defined) = _read_nodes(
         path, CORRECTED_HEADER, float, float, float, float, _flag
     )
     return CorrectedField(raw=raw, surrogate_mean=mean, corrected=corrected, normalized=normalized,
-                          undefined=~defined.astype(bool))
+                          undefined=~defined.astype(bool)), grid

@@ -15,7 +15,7 @@ import numpy as np
 
 from .grid_io import GridIOError, GridSpec, _flag, _node_order, _read_rows, _write_rows
 from .netmetrics import Network, bernoulli_network, compute_metric, pair_bins, pair_rank
-from .seeding import SURROGATE_TAG, mix64
+from .seeding import SURROGATE_TAG, stream
 
 PROFILE_HEADER = "bin_lo_km,bin_hi_km,pairs,links,prob"
 SURROGATE_STATS_HEADER = "node_id,metric,mean,zero_flag"
@@ -105,7 +105,7 @@ def ensemble_stats(
     """Per-node ensemble means of the requested metrics.
 
     Member k is the Bernoulli draw of every pair at its link probability,
-    from a PCG64 stream seeded mix64(seed, SURROGATE_TAG, k).
+    from the PCG64 stream seeding.stream(seed, SURROGATE_TAG, k).
     Undefined-flag nodes contribute their numeric convention value (0).
     Member contributions are summed in member order, in blocks of 64.
     """
@@ -114,8 +114,7 @@ def ensemble_stats(
     p = pair_link_probabilities(profile, grid)
 
     def member_fields(k: int) -> dict[str, np.ndarray]:
-        rng = np.random.Generator(np.random.PCG64(mix64(seed, SURROGATE_TAG, k)))
-        net = bernoulli_network(grid, p, rng)
+        net = bernoulli_network(grid, p, stream(seed, SURROGATE_TAG, k))
         return {m: compute_metric(net, m).values for m in metrics}
 
     sums = {m: np.zeros(grid.n) for m in metrics}

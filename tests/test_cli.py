@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gridsync
-from gridsync.cli import ConfigError, load_config, main, validate_config
+from gridsync.cli import STAGES, ConfigError, load_config, main, validate_config
 
 
 def base_config(tmp_path, **over):
@@ -145,6 +145,12 @@ def test_config_rejects_unknown_sync_key(tmp_path):
     ({"synth": {"wet_prob": 7}}, "synth.wet_prob must lie in"),
     ({"synth": {"storm_rate": -0.1}}, "synth.storm_rate must lie in"),
     ({"synth": {"lat0": 95}}, "synth: latitude out of range"),
+    ({"synth": {"output": "grid.csv"}}, "synth.output 'grid.csv' would overwrite a pipeline artifact"),
+    ({"synth": {"output": "surrogate_manifest.json"}}, "synth.output 'surrogate_manifest.json' would overwrite"),
+    ({"synth": {"output": "synth_manifest.json"}}, "synth.output 'synth_manifest.json' would overwrite"),
+    ({"synth": {"output": ""}}, "synth.output must be a file name, got ''"),
+    ({"synth": {"output": "nodir/x.cng1"}}, "synth.output must be a file name, got 'nodir/x.cng1'"),
+    ({"synth": {"output": ".."}}, "synth.output must be a file name, got '..'"),
 ])
 def test_config_rejects_bad_document(tmp_path, capsys, doc, message):
     # each mistake is a config error (exit 1), never a silent default or a crash (exit 2)
@@ -227,6 +233,27 @@ EXPECTED_ARTIFACTS = [
 ]
 
 
+# each stage's inputs, as file names, with the stage that writes each
+METRICS = ("DC", "CC", "MGD", "BC")
+STAGE_INPUTS = {
+    "events": {"synthetic.cng1": "synth"},
+    "network": {"events.csv": "events", "grid.csv": "events"},
+    "metrics": {"edges.csv": "network", "grid.csv": "events"},
+    "surrogate": {"edges.csv": "network", "grid.csv": "events"},
+    "correct": {"surrogate_stats.csv": "surrogate", **{f"metric_{m}.csv": "metrics" for m in METRICS}},
+    "compare": {f"corrected_{m}_{method}.csv": "correct" for m in METRICS for method in ("subtract", "divide")},
+}
+
+
+def input_file(name):
+    """The file a manifest input names: input "x" is x.csv, and "gridded" is the synthetic input."""
+    return "synthetic.cng1" if name == "gridded" else f"{name}.csv"
+
+
+def read_manifests(out_dir):
+    return {p.name.removesuffix("_manifest.json"): json.loads(p.read_text()) for p in out_dir.glob("*_manifest.json")}
+
+
 def test_pipeline_produces_artifacts(pipeline_run):
     tmp, _ = pipeline_run
     out = tmp / "out"
@@ -276,6 +303,45 @@ def test_pipeline_rerun_byte_identical(pipeline_run, tmp_path):
     assert hash_artifacts(out2) == first
 
 
+def test_manifest_chain_consistent(pipeline_run):
+    # every file is the output of exactly one manifest, and every manifest input
+    # carries the hash that its producer's manifest lists for that file
+    out = pipeline_run[0] / "out"
+    manifests = read_manifests(out)
+    assert set(manifests) == {"synth", *STAGES}
+    producer = {}
+    for stage, doc in manifests.items():
+        for name in doc["outputs"]:
+            assert name not in producer, f"{name} is an output of {producer.get(name)} and {stage}"
+            producer[name] = stage
+    assert set(producer) == {p.name for p in out.iterdir() if not p.name.endswith("_manifest.json")}
+    for stage, inputs in STAGE_INPUTS.items():
+        hashes = {input_file(name): digest for name, digest in manifests[stage]["inputs"].items()}
+        assert hashes.keys() == inputs.keys(), stage
+        for name, digest in hashes.items():
+            assert producer[name] == inputs[name]
+            assert digest == manifests[producer[name]]["outputs"][name], (stage, name)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_stage_reads_only_what_its_manifest_hashes(pipeline_run, tmp_path, stage):
+    # a stage run in a directory that holds only its manifest's inputs reproduces
+    # its chained outputs and manifest exactly, and writes nothing else
+    tmp, cfg_path = pipeline_run
+    chained = tmp / "out"
+    manifest = read_manifests(chained)[stage]
+    names = [input_file(name) for name in manifest["inputs"]]
+    # the event file's JSON sidecar is part of it, and its manifest entry does not hash it
+    names += [name + ".json" for name in names if name == "events.csv"]
+    for name in names:
+        shutil.copy(chained / name, tmp_path / name)
+    assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    written = [*manifest["outputs"], f"{stage}_manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({*names, *written})
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (chained / name).read_bytes(), name
+
+
 def test_stage_rerun_from_disk_identical(pipeline_run):
     # stage isolation: re-running any stage from on-disk artifacts
     # reproduces the chained result exactly
@@ -296,18 +362,23 @@ def test_synth_command(tmp_path):
     assert (tmp_path / "out" / "synthetic.cng1").exists()
 
 
-def test_render_metric_and_corrected(pipeline_run):
+def test_render_metric_and_corrected(pipeline_run, tmp_path):
+    # maps go next to their fields, so render works on a copy of the shared run
     tmp, cfg_path = pipeline_run
-    assert main(["render", "--config", str(cfg_path), "--field", "metric_DC.csv"]) == 0
-    ppm = tmp / "out" / "metric_DC.csv.ppm"
+    out = tmp_path / "out"
+    shutil.copytree(tmp / "out", out)
+    (out / "grid.csv").unlink()  # both field CSVs hold their node coordinates
+    render = ["render", "--config", str(cfg_path), "--out", str(out), "--field"]
+    assert main([*render, "metric_DC.csv"]) == 0
+    ppm = out / "metric_DC.csv.ppm"
     assert ppm.exists()
     header = ppm.read_bytes()[:20].split(b"\n")
     assert header[0] == b"P6"
     w, h = map(int, header[1].split())
     assert (w, h) == (6, 6)  # one raster cell per lattice node
-    assert (tmp / "out" / "metric_DC.csv.ppm.legend.txt").exists()
-    assert main(["render", "--config", str(cfg_path), "--field", "corrected_DC_divide.csv"]) == 0
-    assert (tmp / "out" / "corrected_DC_divide.csv.ppm").exists()
+    assert (out / "metric_DC.csv.ppm.legend.txt").exists()
+    assert main([*render, "corrected_DC_divide.csv"]) == 0
+    assert (out / "corrected_DC_divide.csv.ppm").exists()
 
 
 def test_exit_code_validation_error(tmp_path):
@@ -316,9 +387,27 @@ def test_exit_code_validation_error(tmp_path):
     assert main(["pipeline", "--config", str(p)]) == 1
 
 
-def test_exit_code_missing_upstream(tmp_path):
-    cfg = base_config(tmp_path)
-    assert main(["network", "--config", str(cfg)]) == 1
+@pytest.mark.parametrize("stage, name, writer", [
+    pytest.param(stage, name, writer, id=f"{stage}-{name}")
+    for stage, inputs in STAGE_INPUTS.items() for name, writer in inputs.items()
+])
+def test_exit_code_missing_upstream(pipeline_run, tmp_path, capsys, stage, name, writer):
+    # a missing input stops its stage before it writes anything (exit 1),
+    # with a message that names the file and the stage that writes it
+    tmp, cfg_path = pipeline_run
+    out = tmp_path / "out"
+    shutil.copytree(tmp / "out", out)
+    (out / name).unlink()
+    before = hash_artifacts(out)
+    assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"{stage} stage: {out / name} not found (the {writer} stage writes it" in capsys.readouterr().err
+    assert hash_artifacts(out) == before
+
+
+def test_exit_code_missing_configured_input(tmp_path, capsys):
+    cfg = base_config(tmp_path, input=str(tmp_path / "absent.cng1"))
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    assert f"events stage: {tmp_path / 'absent.cng1'} not found (the configured input)" in capsys.readouterr().err
 
 
 def test_exit_code_runtime_failure(tmp_path):

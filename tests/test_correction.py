@@ -171,7 +171,8 @@ def test_corrected_csv_roundtrip(tmp_path):
     cf = correct_divide(raw, s)
     p = tmp_path / "corrected_DC_divide.csv"
     write_corrected_csv(cf, grid, p)
-    back = read_corrected_csv(p)
+    back, back_grid = read_corrected_csv(p)
+    assert np.array_equal(back_grid.lat, grid.lat) and np.array_equal(back_grid.lon, grid.lon)
     assert np.array_equal(back.raw, cf.raw)
     assert np.array_equal(back.surrogate_mean, cf.surrogate_mean)
     assert np.array_equal(back.corrected, cf.corrected, equal_nan=True)
