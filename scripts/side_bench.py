@@ -1,0 +1,300 @@
+"""Side measurements of one library layer at CONUS size, one labelled gridsync source against another.
+
+    python3 scripts/side_bench.py KERNEL --src change=src --src parent=../parent/src --seed 1 --repeats 5 --out FILE
+
+Each call runs in a fresh process that imports gridsync from one labelled
+--src directory (PYTHONPATH removed) and reports its result as its last line
+of output, in JSON. The labels alternate within each repeat (a, b / b, a /
+a, b ...). Inputs are made once, by a child on the first --src, and saved.
+This process never imports numpy: a child's ru_maxrss starts from its
+parent's RSS at spawn, so each call's peak RSS is its own. The result, every
+run and the medians, is printed and written to --out, which
+scripts/distill_bench.py embeds with --side KERNEL=FILE. Digests of the
+edges or the bins show whether the labels give the same bytes. KERNEL is:
+
+- bc_conus: netmetrics.betweenness on two networks that gridsync's own
+  generator makes on a 57 x 57 lattice at 50 km spacing (3,249 nodes): the
+  boundary_conus input for the same seed (Exponential(0.8, 100), about 28.5k
+  edges) and a denser one (Exponential(0.3, 400), about 133k edges, near the
+  chance-link density of a 99.5%-quantile ES network).
+- es_kernel: ``import gridsync`` with OPENBLAS_NUM_THREADS unset (wall time,
+  and the thread count after it on Linux); then sync.build_network on one
+  season of independent events (probability 0.029 a day over T = 2,760
+  days, a 95th-percentile JJA record of 30 years) on 144 nodes (the
+  network_30y size) and 3,249, with OPENBLAS_NUM_THREADS 1 and 2: the RSS
+  the call adds to its loaded input, and then sync._es_matrix alone.
+- pair_pass: netmetrics.pair_bins at 50 km on that lattice (5,276,376
+  pairs), pinned to one CPU with OPENBLAS_NUM_THREADS=1, next to a network
+  on 1% of the pairs: the first call (cold_s, and the RSS it adds), the
+  median of five on fresh grids (warm_s; bins are memoized per GridSpec)
+  and of five estimate_profile calls on memoized bins (profile_s), then
+  warm_s at each netmetrics._PAIR_BLOCK in PAIR_SWEEP.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROWS, SPACING_KM = 57, 50.0  # the CONUS-size square lattice: 3,249 nodes
+# a child process, given this file's directory and a step: import this file and run the step
+CHILD = "import sys; sys.path.insert(0, sys.argv[1]); import side_bench; side_bench.child(sys.argv[2])"
+
+
+def child(spec: str) -> None:
+    step, src, seed, *args = json.loads(spec)
+    sys.path.insert(0, src)
+    print(json.dumps(globals()[step](seed, *args)))
+
+
+def rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+class Harness:
+    """Runs the child steps of one kernel on labelled sources, each in a fresh process."""
+
+    def __init__(self, srcs: dict[str, str], seed: int, repeats: int, tmp: str = ""):
+        self.srcs, self.seed, self.repeats, self.tmp = srcs, seed, repeats, Path(tmp)
+        self.first = next(iter(srcs))  # the label whose source makes the inputs
+
+    def spawn(self, step: str, label: str, *args, env: dict | None = None):
+        """step(seed, *args) on label's source. env sets variables, and None removes one."""
+        environ = {k: v for k, v in {**os.environ, **(env or {})}.items() if k != "PYTHONPATH" and v is not None}
+        spec = json.dumps([step, self.srcs[label], self.seed, *args])
+        cmd = [sys.executable, "-c", CHILD, str(Path(__file__).resolve().parent), spec]
+        out = subprocess.run(cmd, env=environ, stdout=subprocess.PIPE, text=True, check=True).stdout
+        return json.loads(out.splitlines()[-1])
+
+    def alternate(self, step: str, *args, env: dict | None = None) -> dict[str, list]:
+        """Every label's runs of step, the label order reversed on every other repeat."""
+        runs: dict[str, list] = {label: [] for label in self.srcs}
+        for r in range(self.repeats):
+            for label in list(self.srcs)[:: -1 if r % 2 else 1]:
+                runs[label].append(self.spawn(step, label, *args, env=env))
+        return runs
+
+
+def medians(runs: dict[str, list], key: str, digits: int = 4) -> dict[str, float]:
+    return {label: round(statistics.median(r[key] for r in rs), digits) for label, rs in runs.items()}
+
+
+# bc_conus
+BC_GRAPHS = {"edges_28k": (0.8, 100.0), "edges_133k": (0.3, 400.0)}  # Exponential(p0, lambda_km)
+
+
+def bc_make(seed: int, name: str, path: str) -> int:
+    import numpy as np
+
+    from gridsync.synth import Exponential, RectLattice, SynthNetSpec, gen_embedded_network
+
+    layout = RectLattice(rows=ROWS, cols=ROWS, spacing_km=SPACING_KM)
+    net = gen_embedded_network(SynthNetSpec(layout, Exponential(*BC_GRAPHS[name]), seed=seed))
+    np.savez(path, lat=net.grid.lat, lon=net.grid.lon, indptr=net.indptr, indices=net.indices)
+    return net.edge_count
+
+
+def bc_measure(seed: int, path: str) -> dict:
+    import numpy as np
+
+    from gridsync.grid_io import GridSpec
+    from gridsync.netmetrics import Network, betweenness
+
+    a = np.load(path)
+    net = Network(GridSpec(lat=a["lat"], lon=a["lon"]), a["indptr"], a["indices"])
+    before = rss_mb()
+    t = time.perf_counter()
+    betweenness(net)
+    wall = time.perf_counter() - t
+    return {"bc_s": round(wall, 3), "peak_rss_mb": round(rss_mb(), 1), "rss_before_bc_mb": round(before, 1)}
+
+
+def bc_conus(h: Harness) -> dict:
+    result = {"nodes": ROWS * ROWS, "seed": h.seed, "graphs": {}}
+    for name, model in BC_GRAPHS.items():
+        path = str(h.tmp / f"{name}.npz")
+        edges = h.spawn("bc_make", h.first, name, path)
+        runs = h.alternate("bc_measure", path)
+        result["graphs"][name] = {"link_model": f"Exponential{model}", "edges": edges,
+                                  "bc_s_median": medians(runs, "bc_s", 3),
+                                  "peak_rss_mb_max": {label: max(r["peak_rss_mb"] for r in rs)
+                                                      for label, rs in runs.items()}, "runs": runs}
+    return result
+
+
+# es_kernel
+ES_SIZES = {"nodes_144": 12, "nodes_3249": ROWS}  # square lattice rows
+ES_T, ES_RATE, ES_SHUFFLES = 2760, 0.029, 1000
+
+
+def es_import(seed: int) -> dict:
+    t = time.perf_counter()
+    import gridsync  # noqa: F401
+
+    wall = time.perf_counter() - t
+    tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+    return {"import_s": round(wall, 4), "threads": tasks}
+
+
+def es_make(seed: int, rows: int, path: str) -> None:
+    import numpy as np
+
+    from gridsync.synth import RectLattice, lattice_grid
+
+    grid = lattice_grid(RectLattice(rows=rows, cols=rows, spacing_km=SPACING_KM))
+    events = np.random.default_rng(seed).random((grid.n, ES_T)) < ES_RATE
+    np.savez(path, lat=grid.lat, lon=grid.lon, events=events)
+
+
+def es_measure(seed: int, path: str) -> dict:
+    import hashlib
+
+    import numpy as np
+
+    from gridsync.grid_io import GridSpec
+    from gridsync.sync import SyncParams, _es_matrix, build_network
+
+    a = np.load(path)
+    grid, events = GridSpec(lat=a["lat"], lon=a["lon"]), a["events"]
+    before = rss_mb()
+    t = time.perf_counter()
+    net = build_network(events, grid, SyncParams(n_shuffles=ES_SHUFFLES, seed=seed))
+    wall = time.perf_counter() - t
+    peak = rss_mb()
+    kernel = []
+    for _ in range(3):
+        t = time.perf_counter()
+        for _ in _es_matrix(events):
+            pass
+        kernel.append(time.perf_counter() - t)
+    return {"build_network_s": round(wall, 4), "kernel_s": round(statistics.median(kernel), 4),
+            "peak_rss_mb": round(peak, 1), "above_input_mb": round(peak - before, 1), "edges": net.edge_count,
+            "edges_sha256": hashlib.sha256(net.edge_array().tobytes()).hexdigest()[:16]}
+
+
+def es_kernel(h: Harness) -> dict:
+    unset = {"OPENBLAS_NUM_THREADS": None}
+    runs = h.alternate("es_import", env=unset)
+    result = {"seed": h.seed, "repeats": h.repeats,
+              "import": {"openblas_num_threads": "unset", "import_s_median": medians(runs, "import_s"),
+                         "threads": {label: sorted({r["threads"] for r in rs}) for label, rs in runs.items()},
+                         "runs": runs},
+              "build_network": {"T": ES_T, "event_rate": ES_RATE, "n_shuffles": ES_SHUFFLES}}
+    for name, rows in ES_SIZES.items():
+        path = str(h.tmp / f"{name}.npz")
+        h.spawn("es_make", h.first, rows, path, env=unset)
+        for threads in ("1", "2"):
+            runs = h.alternate("es_measure", path, env={"OPENBLAS_NUM_THREADS": threads})
+            result["build_network"][f"{name}_threads_{threads}"] = {
+                "build_network_s_median": medians(runs, "build_network_s"),
+                "kernel_s_median": medians(runs, "kernel_s"),
+                "above_input_mb_max": {label: max(r["above_input_mb"] for r in rs) for label, rs in runs.items()},
+                "edges": sorted({(r["edges"], r["edges_sha256"]) for rs in runs.values() for r in rs}),
+                "runs": runs}
+    return result
+
+
+# pair_pass
+PAIR_BIN_KM, PAIR_DENSITY = 50.0, 0.01
+PAIR_SWEEP = (12, 13, 14, 15, 16, 17, 20)  # log2 of netmetrics._PAIR_BLOCK
+
+
+def pair_measure(seed: int) -> dict:
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    import hashlib
+
+    import numpy as np
+
+    from gridsync import netmetrics
+    from gridsync.grid_io import GridSpec
+    from gridsync.surrogate import estimate_profile
+    from gridsync.synth import RectLattice, lattice_grid
+
+    grid = lattice_grid(RectLattice(rows=ROWS, cols=ROWS, spacing_km=SPACING_KM))
+    pairs = grid.n * (grid.n - 1) // 2
+    # no per-pair draw, so the peak RSS before the pass is the grid and the network
+    rank = np.unique(np.random.default_rng(seed).integers(0, pairs, int(pairs * PAIR_DENSITY)))
+    net = netmetrics.Network.from_pair_ranks(grid, rank)
+
+    def warm() -> float:
+        times = []
+        for _ in range(5):
+            fresh = GridSpec(lat=grid.lat, lon=grid.lon)
+            t = time.perf_counter()
+            netmetrics.pair_bins(fresh, PAIR_BIN_KM)
+            times.append(time.perf_counter() - t)
+        return round(statistics.median(times), 4)
+
+    before = rss_mb()
+    t = time.perf_counter()
+    bins = netmetrics.pair_bins(grid, PAIR_BIN_KM)
+    cold = time.perf_counter() - t
+    peak = rss_mb()
+    profile = []
+    for _ in range(5):
+        t = time.perf_counter()
+        estimate_profile(net, PAIR_BIN_KM)
+        profile.append(time.perf_counter() - t)
+    out = {"cold_s": round(cold, 4), "warm_s": warm(), "above_input_mb": round(peak - before, 1),
+           "profile_s": round(statistics.median(profile), 4),
+           "bins_sha256": hashlib.sha256(bins.tobytes()).hexdigest()[:16], "sweep_warm_s": {}}
+    for e in PAIR_SWEEP:
+        netmetrics._PAIR_BLOCK = 1 << e
+        out["sweep_warm_s"][f"2^{e}"] = warm()
+    return out
+
+
+def pair_pass(h: Harness) -> dict:
+    runs = h.alternate("pair_measure", env={"OPENBLAS_NUM_THREADS": "1"})
+    sweeps = {label: {b: [x["sweep_warm_s"][b] for x in rs] for b in rs[0]["sweep_warm_s"]}
+              for label, rs in runs.items()}
+    return {
+        "input": {"nodes": ROWS * ROWS, "pairs": ROWS * ROWS * (ROWS * ROWS - 1) // 2,
+                  "bin_width_km": PAIR_BIN_KM, "links_drawn": PAIR_DENSITY},
+        "seed": h.seed, "repeats": h.repeats, "pinned_cpus": 1,
+        "medians": {label: {k: round(statistics.median(x[k] for x in rs), 4)
+                            for k in ("cold_s", "warm_s", "above_input_mb", "profile_s")}
+                    for label, rs in runs.items()},
+        "bins_sha256": {label: sorted({x["bins_sha256"] for x in rs}) for label, rs in runs.items()},
+        "sweep_warm_s": {label: {b: {"median": round(statistics.median(v), 4), "min": min(v), "max": max(v)}
+                                 for b, v in sweep.items()} for label, sweep in sweeps.items()},
+        "runs": runs,
+    }
+
+
+KERNELS = {"bc_conus": bc_conus, "es_kernel": es_kernel, "pair_pass": pair_pass}
+
+
+def parse(argv: list[str] | None = None) -> argparse.Namespace:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("kernel", choices=KERNELS)
+    ap.add_argument("--src", action="append", required=True, metavar="LABEL=DIR",
+                    help="a gridsync source directory and its label (repeatable)")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--out", required=True, help="JSON file the result is written to")
+    return ap.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse(argv)
+    srcs = {label: str(Path(d).resolve()) for label, d in (item.split("=", 1) for item in args.src)}
+    with tempfile.TemporaryDirectory() as tmp:
+        result = KERNELS[args.kernel](Harness(srcs, args.seed, args.repeats, tmp))
+    text = json.dumps(result, indent=2)
+    Path(args.out).write_text(text + "\n")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

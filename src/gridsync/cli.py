@@ -86,7 +86,7 @@ _BLOCK_KEYS = {
     "threshold": ("percentile", "direction", "support", "positive_floor", "min_support"),
     "sync": ("tau_max", "n_shuffles", "link_quantile"),
     "surrogate": ("ensemble_size", "bin_width_km"),
-    "synth": (*_SYNTH_DEFAULTS, "output"),
+    "synth": tuple(_SYNTH_DEFAULTS),
 }
 
 # the stages a pipeline runs, in order; stage "x" is the module function stage_x
@@ -283,14 +283,9 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
             lattice_grid(RectLattice(**{k: y[k] for k in ("rows", "cols", "spacing_km", "lat0", "lon0")}))
         except ValueError as e:
             problems.append(f"synth: {e}")
-    output = ydoc.get("output")
-    # a bare file name: no directory part, and not "" or ".."
-    if output is not None and (not isinstance(output, str) or Path(output).name in ("", "..")
-                               or Path(output).name != output):
-        problems.append(f"synth.output must be a file name, got {output!r}")
-        output = None
-
-    cfg = RunConfig(
+    if problems:
+        raise ConfigError(problems)
+    return RunConfig(
         input=doc.get("input"),
         format=fmt,
         variable=variable,
@@ -305,13 +300,6 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         seed=seed,
         synth=doc.get("synth"),
     )
-    # the synth stage writes its output into the output directory, next to every other artifact
-    if output is not None and output in {f"{s}_manifest.json" for s in ("synth", *STAGES)} | {
-            name for s in STAGES for name in _files(s, cfg, Path())[1]}:
-        problems.append(f"synth.output {output!r} would overwrite a pipeline artifact")
-    if problems:
-        raise ConfigError(problems)
-    return cfg
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
@@ -330,7 +318,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 
 def _synth_name(cfg: RunConfig) -> str:
-    return _get(cfg.synth or {}, "output", "synthetic.cng1" if cfg.format == "binary" else "synthetic.csv")
+    return "synthetic.cng1" if cfg.format == "binary" else "synthetic.csv"
 
 
 def _files(stage: str, cfg: RunConfig, out_dir: Path) -> tuple[dict[str, Path], dict[str, Path]]:

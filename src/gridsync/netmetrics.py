@@ -2,13 +2,12 @@
 
 Metrics: degree (DC), clustering coefficient (CC), mean geographic distance
 to neighbors (MGD, km), and normalized betweenness (BC). Nodes where a metric
-is undefined (degree < 2 for CC, isolated for MGD) carry the numeric value 0
-plus an undefined flag.
+is undefined (degree < 2 for CC, isolated for MGD) carry the value 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,20 +84,13 @@ class Network:
 
 @dataclass(frozen=True)
 class MetricField:
-    """One scalar per node for one metric, with per-node undefined flags."""
+    """One scalar per node for one metric."""
 
     metric: str
     values: np.ndarray
-    undefined: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        und = self.undefined
-        und = np.zeros(values.size, dtype=bool) if und is None else np.asarray(und, dtype=bool)
-        object.__setattr__(self, "undefined", und)
-        if und.shape != values.shape:
-            raise ValueError("undefined flags must match value vector length")
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
     @property
     def n(self) -> int:
@@ -222,7 +214,7 @@ def clustering(net: Network) -> MetricField:
     Each edge's common-neighbor count is the popcount of the AND of its two
     adjacency rows, bit-packed into 64-bit words; summed over a node's edges
     it counts every link among the node's neighbors twice. Nodes with degree
-    < 2 get value 0 and the undefined flag.
+    < 2 get value 0.
     """
     n = net.n
     deg = net.degrees()
@@ -236,17 +228,16 @@ def clustering(net: Network) -> MetricField:
         i, j = edges[e0 : e0 + step, 0], edges[e0 : e0 + step, 1]
         common[e0 : e0 + step] = np.bitwise_count(bits[i] & bits[j]).sum(axis=1)
     twice_links = np.bincount(edges.ravel(), np.repeat(common, 2), minlength=n)
-    undef = deg < 2
     vals = np.zeros(n)
-    good = ~undef
+    good = deg >= 2
     vals[good] = twice_links[good] / (deg[good] * (deg[good] - 1))
-    return MetricField("CC", vals, undef)
+    return MetricField("CC", vals)
 
 
 def mean_geo_distance(net: Network) -> MetricField:
     """Mean great-circle distance from each node to its neighbors (km).
 
-    Isolated nodes get value 0 and the undefined flag.
+    Isolated nodes get value 0.
     """
     deg = net.degrees()
     edges = net.edge_array()
@@ -256,10 +247,10 @@ def mean_geo_distance(net: Network) -> MetricField:
     i, j = edges[:, 0], edges[:, 1]
     d = _great_circle(lat[i], lon[i], lat[j], lon[j], cos[i], cos[j])
     total = np.bincount(edges.ravel(), np.repeat(d, 2), minlength=net.n)
-    undef = deg == 0
     vals = np.zeros(net.n)
-    vals[~undef] = total[~undef] / deg[~undef]
-    return MetricField("MGD", vals, undef)
+    linked = deg > 0
+    vals[linked] = total[linked] / deg[linked]
+    return MetricField("MGD", vals)
 
 
 # sources per batched BFS of betweenness; its state is a few arrays of _BC_BLOCK * n keys
@@ -349,7 +340,7 @@ def log_bc(mf: MetricField) -> MetricField:
     """Display transform log(1 + BC); preserves ordering, maps 0 to 0."""
     if (np.asarray(mf.values) < 0).any():
         raise ValueError("log transform requires non-negative values")
-    return MetricField("logBC", np.log1p(mf.values), mf.undefined.copy())
+    return MetricField("logBC", np.log1p(mf.values))
 
 
 _METRIC_FUNCS = {

@@ -26,9 +26,7 @@ class TestResult:
 
     statistic: float
     p_value: float
-    n: int
     alpha: float = 0.05
-    degenerate: bool = False
 
     @property
     def reject(self) -> bool:
@@ -109,9 +107,8 @@ def t_sf_two_sided(t: float, df: float) -> float:
 def paired_t_test(x, y, alpha: float = 0.05) -> TestResult:
     """Two-sided paired t-test on the per-node differences x - y.
 
-    Zero-variance differences are reported as degenerate with p = 1 rather
-    than an error (constant corrected fields legitimately arise on tiny
-    synthetic inputs).
+    Zero-variance differences get p = 1 rather than an error (constant
+    corrected fields legitimately arise on tiny synthetic inputs).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -125,9 +122,9 @@ def paired_t_test(x, y, alpha: float = 0.05) -> TestResult:
     sd = float(d.std(ddof=1))
     if sd == 0.0:
         stat = 0.0 if mean == 0.0 else math.copysign(math.inf, mean)
-        return TestResult(statistic=stat, p_value=1.0, n=n, alpha=alpha, degenerate=True)
+        return TestResult(statistic=stat, p_value=1.0, alpha=alpha)
     t = mean / (sd / math.sqrt(n))
-    return TestResult(statistic=t, p_value=t_sf_two_sided(t, n - 1), n=n, alpha=alpha)
+    return TestResult(statistic=t, p_value=t_sf_two_sided(t, n - 1), alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +169,7 @@ def ks_two_sample(x, y, alpha: float = 0.05) -> TestResult:
     d = ks_statistic(x, y)
     n_e = x.size * y.size / (x.size + y.size)
     lam = (math.sqrt(n_e) + 0.12 + 0.11 / math.sqrt(n_e)) * d
-    return TestResult(statistic=d, p_value=kolmogorov_sf(lam), n=min(x.size, y.size), alpha=alpha)
+    return TestResult(statistic=d, p_value=kolmogorov_sf(lam), alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

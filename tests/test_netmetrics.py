@@ -155,9 +155,7 @@ def test_clustering_triangle_and_star():
     grid = random_grid(5, 3)
     star = Network.from_edges(grid, np.array([[0, 1], [0, 2], [0, 3], [0, 4]]))
     cc = clustering(star)
-    assert cc.values[0] == 0.0
-    assert not cc.undefined[0]
-    assert cc.undefined[1:].all()  # leaves have degree 1
+    assert cc.values.tolist() == [0.0] * 5  # no leaf pair is linked, and CC is 0 below degree 2
 
 
 def test_clustering_matches_enumeration_oracle(rng):
@@ -171,7 +169,7 @@ def test_mgd_single_neighbor_and_isolated():
     net = Network.from_edges(grid, np.array([[0, 1]]))
     mgd = mean_geo_distance(net)
     assert mgd.values[0] == pytest.approx(math.pi * EARTH_RADIUS_KM / 2)
-    assert mgd.undefined[2] and mgd.values[2] == 0.0
+    assert mgd.values[2] == 0.0  # isolated
 
 
 def test_mgd_matches_direct_sum_oracle(rng):
@@ -381,7 +379,6 @@ def test_metrics_match_networkx_and_haversine_loop_above_2048_nodes():
     cc = clustering(net)
     tri = nx.triangles(g)
     links = np.array([tri[v] for v in range(net.n)])
-    assert np.array_equal(cc.undefined, deg < 2)
     good = deg >= 2
     # bit-exact: integer link counts over the same integer denominator
     assert np.array_equal(cc.values[good], 2.0 * links[good] / (deg[good] * (deg[good] - 1)))
@@ -390,7 +387,6 @@ def test_metrics_match_networkx_and_haversine_loop_above_2048_nodes():
     assert np.allclose(cc.values, [nx_cc[v] for v in range(net.n)], rtol=1e-14, atol=0)
 
     mgd = mean_geo_distance(net)
-    assert np.array_equal(mgd.undefined, deg == 0)
     for i in range(net.n):
         nbrs = neighbors(net, i).tolist()
         if not nbrs:

@@ -59,7 +59,6 @@ def test_t_identical_samples_degenerate():
     r = paired_t_test(x, x)
     assert r.statistic == 0.0
     assert r.p_value == 1.0
-    assert r.degenerate
     assert not r.reject
 
 
@@ -69,13 +68,12 @@ def test_t_alternating_differences():
     r = paired_t_test(x, y)
     assert r.statistic == 0.0
     assert r.p_value == 1.0
-    assert not r.degenerate
 
 
 def test_t_constant_nonzero_differences():
     x = np.arange(6.0)
     r = paired_t_test(x + 0.5, x)
-    assert r.degenerate and r.p_value == 1.0
+    assert r.p_value == 1.0
     assert math.isinf(r.statistic) and r.statistic > 0
 
 
@@ -266,8 +264,8 @@ def test_report_table_mixed_outcome():
     # a cell can reject under one test and not the other; both must render
     cells = {
         ("ETE", "DJF", "CC"): ComparisonCell(
-            paired_t=TestResult(statistic=0.01, p_value=9.95e-1, n=100),
-            ks=TestResult(statistic=0.3, p_value=8.23e-3, n=100),
+            paired_t=TestResult(statistic=0.01, p_value=9.95e-1),
+            ks=TestResult(statistic=0.3, p_value=8.23e-3),
         )
     }
     report = ComparisonReport(cells=cells)
