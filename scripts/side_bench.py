@@ -29,6 +29,14 @@ edges or the bins show whether the labels give the same bytes. KERNEL is:
   median of five on fresh grids (warm_s; bins are memoized per GridSpec)
   and of five estimate_profile calls on memoized bins (profile_s), then
   warm_s at each netmetrics._PAIR_BLOCK in PAIR_SWEEP.
+- surrogate_members: the surrogate ensemble's one-off set-up and its members
+  on the two bc_conus networks, pinned to one CPU with
+  OPENBLAS_NUM_THREADS=1: the distance pass (pair_bins at 50 km, pass_s),
+  the one-off that the member draw needs beyond it (one_off_s: the grouping
+  netmetrics.pair_groups, or at 0.7.0 the per-pair probability vector
+  pair_link_probabilities), estimate_profile on them (profile_s), then
+  MEMBERS members of stream(seed, SURROGATE_TAG, k): the median time of the
+  draw and of each metric in MEMBER_METRICS, and the process's peak RSS.
 """
 
 from __future__ import annotations
@@ -271,7 +279,80 @@ def pair_pass(h: Harness) -> dict:
     }
 
 
-KERNELS = {"bc_conus": bc_conus, "es_kernel": es_kernel, "pair_pass": pair_pass}
+# surrogate_members
+MEMBERS, MEMBER_METRICS = 8, ("DC", "CC", "MGD")
+
+
+def members_measure(seed: int, path: str) -> dict:
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    import hashlib
+
+    import numpy as np
+
+    from gridsync import netmetrics, surrogate
+    from gridsync.grid_io import GridSpec
+    from gridsync.seeding import SURROGATE_TAG, stream
+
+    a = np.load(path)
+    grid = GridSpec(lat=a["lat"], lon=a["lon"])
+    net = netmetrics.Network(grid, a["indptr"], a["indices"])
+    before = rss_mb()
+    t0 = time.perf_counter()
+    netmetrics.pair_bins(grid, PAIR_BIN_KM)
+    t1 = time.perf_counter()
+    if hasattr(surrogate, "surrogate_member"):
+        netmetrics.pair_groups(grid, PAIR_BIN_KM)
+        t2 = time.perf_counter()
+        profile = surrogate.estimate_profile(net, PAIR_BIN_KM)
+        t3 = time.perf_counter()
+        draw = lambda rng: surrogate.surrogate_member(profile, grid, rng)  # noqa: E731
+        one_off, prof = t2 - t1, t3 - t2
+    else:  # 0.7.0: one double per pair against the pair's probability
+        profile = surrogate.estimate_profile(net, PAIR_BIN_KM)
+        t2 = time.perf_counter()
+        p = surrogate.pair_link_probabilities(profile, grid)
+        t3 = time.perf_counter()
+        draw = lambda rng: netmetrics.bernoulli_network(grid, p, rng)  # noqa: E731
+        one_off, prof = t3 - t2, t2 - t1
+    times: dict[str, list] = {"draw_s": [], **{f"{m}_s": [] for m in MEMBER_METRICS}}
+    edges, first = [], ""
+    for k in range(MEMBERS):
+        t = time.perf_counter()
+        member = draw(stream(seed, SURROGATE_TAG, k))
+        times["draw_s"].append(time.perf_counter() - t)
+        for m in MEMBER_METRICS:
+            t = time.perf_counter()
+            netmetrics.compute_metric(member, m)
+            times[f"{m}_s"].append(time.perf_counter() - t)
+        edges.append(member.edge_count)
+        first = first or hashlib.sha256(member.edge_array().tobytes()).hexdigest()[:16]
+    return {"pass_s": round(t1 - t0, 4), "one_off_s": round(one_off, 4), "profile_s": round(prof, 4),
+            **{k: round(statistics.median(v), 5) for k, v in times.items()},
+            "member_edges_mean": round(statistics.mean(edges), 1), "member_0_sha256": first,
+            "peak_rss_mb": round(rss_mb(), 1), "above_input_mb": round(rss_mb() - before, 1)}
+
+
+def surrogate_members(h: Harness) -> dict:
+    keys = ("pass_s", "one_off_s", "profile_s", "draw_s", *(f"{m}_s" for m in MEMBER_METRICS), "peak_rss_mb")
+    result = {"nodes": ROWS * ROWS, "bin_width_km": PAIR_BIN_KM, "members": MEMBERS, "seed": h.seed,
+              "repeats": h.repeats, "pinned_cpus": 1, "graphs": {}}
+    for name, model in BC_GRAPHS.items():
+        path = str(h.tmp / f"{name}.npz")
+        edges = h.spawn("bc_make", h.first, name, path)
+        runs = h.alternate("members_measure", path, env={"OPENBLAS_NUM_THREADS": "1"})
+        result["graphs"][name] = {
+            "link_model": f"Exponential{model}", "edges": edges,
+            "medians": {label: {k: round(statistics.median(r[k] for r in rs), 5) for k in keys}
+                        for label, rs in runs.items()},
+            "peak_rss_mb_max": {label: max(r["peak_rss_mb"] for r in rs) for label, rs in runs.items()},
+            "member_0_sha256": {label: sorted({r["member_0_sha256"] for r in rs}) for label, rs in runs.items()},
+            "runs": runs}
+    return result
+
+
+KERNELS = {"bc_conus": bc_conus, "es_kernel": es_kernel, "pair_pass": pair_pass,
+           "surrogate_members": surrogate_members}
 
 
 def parse(argv: list[str] | None = None) -> argparse.Namespace:

@@ -8,19 +8,14 @@ ensembles -> boundary corrections -> method comparison statistics.
 import os
 
 # One BLAS thread per process, set before any submodule imports numpy (and
-# so starts OpenBLAS). The only BLAS call is the ES product E @ E.T. On a
-# shared 2-vCPU host (BENCH_0.7.0.json) the pool cost more than it saved:
-# `import gridsync` took 0.16-0.22 s with it and 0.09-0.16 s without; at
-# 144 nodes the product took about 1 ms either way, but up to 56 ms with two
-# threads when the other vCPU was busy; and the pool's spinning thread made
-# the network_30y pipeline cost 0.80 s of CPU against 0.51 s. At CONUS size
-# (3,249 nodes) a second thread saves about 0.1 s of a 0.6-0.8 s network
-# build when a vCPU is free. Parallel work goes to processes, which inherit
-# the setting. A caller's own OPENBLAS_NUM_THREADS wins; no artifact byte
-# depends on it.
+# so starts OpenBLAS). The only BLAS call is the ES product E @ E.T, where a
+# thread pool cost more import time and CPU than it saved (BENCH_0.7.0.json;
+# ROADMAP, "Where the time goes"). Parallel work goes to processes, which
+# inherit the setting. A caller's own OPENBLAS_NUM_THREADS wins; no artifact
+# byte depends on it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .correction import CorrectedField, DegenerateFieldError, correct_divide, correct_subtract, paired_fields
 from .events import ThresholdSpec, extract_events

@@ -22,8 +22,6 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .correction import (
     CORRECTED_HEADER,
@@ -129,14 +127,8 @@ class RunConfig:
             "variable": self.variable,
             "season": self.season,
             "threshold": asdict(self.threshold),
-            "sync": {
-                "n_shuffles": self.sync.n_shuffles,
-                "link_quantile": self.sync.link_quantile,
-            },
-            "surrogate": {
-                "ensemble_size": self.ensemble_size,
-                "bin_width_km": self.bin_width_km,
-            },
+            "sync": {"n_shuffles": self.sync.n_shuffles, "link_quantile": self.sync.link_quantile},
+            "surrogate": {"ensemble_size": self.ensemble_size, "bin_width_km": self.bin_width_km},
             "metrics": list(self.metrics),
             "alpha": self.alpha,
             "synth": self.synth,
@@ -217,7 +209,6 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         )
     except ValueError as e:
         problems.append(f"threshold: {e}")
-        threshold = ThresholdSpec(percentile=p_def, direction=dir_def, support=sup_def)
 
     if doc.get("seed") is None:
         problems.append("seed is mandatory (wall-clock seeding is not allowed)")
@@ -236,17 +227,14 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         )
     except ValueError as e:
         problems.append(f"sync: {e}")
-        sync = SyncParams(seed=seed)
 
     gdoc = _block(doc, "surrogate", problems)
     ensemble_size = _number(gdoc, "ensemble_size", 1000, problems, "surrogate.")
     if ensemble_size < 1:
         problems.append(f"surrogate.ensemble_size must be >= 1, got {ensemble_size}")
-        ensemble_size = 1
     bin_width_km = _number(gdoc, "bin_width_km", 50.0, problems, "surrogate.")
     if bin_width_km <= 0:
         problems.append(f"surrogate.bin_width_km must be positive, got {bin_width_km}")
-        bin_width_km = 50.0
 
     metrics = _get(doc, "metrics", list(METRIC_NAMES))
     if not isinstance(metrics, list) or not metrics:
@@ -261,7 +249,6 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     alpha = _number(doc, "alpha", 0.05, problems)
     if not 0.0 < alpha < 1.0:
         problems.append(f"alpha must lie in (0, 1), got {alpha}")
-        alpha = 0.05
 
     fmt = _choice(doc, "format", ("binary", "csv"), problems)
 

@@ -131,13 +131,11 @@ _PAIR_BLOCK = 1 << 15
 
 
 def _pair_blocks(grid: GridSpec):
-    """Distances in km of all pairs i < j, in np.triu_indices(n, 1) order, as row blocks.
+    """Yield (position of pair (i, i + 1), km from i to each j > i) for every row i in turn.
 
-    Yields (position of the block's first pair, its distances). A block is
-    max(1, _PAIR_BLOCK // n) rows against the columns right of its first
-    row, computed by _great_circle in place in one buffer allocated once;
-    the yielded distances are its pairs with column > row, and no n x n
-    matrix is built.
+    Each row is a view into one buffer that _great_circle fills in place, a
+    block of max(1, _PAIR_BLOCK // n) rows at a time against the columns right
+    of the block's first row: no n x n matrix and no copy of a block is built.
     """
     n = grid.n
     lat = np.radians(grid.lat)
@@ -145,8 +143,6 @@ def _pair_blocks(grid: GridSpec):
     cos = np.cos(lat)
     rows = max(1, min(_PAIR_BLOCK // max(n, 1), n - 1))
     buf = np.empty(rows * max(n - 1, 0))
-    # row r of a block keeps the columns at or right of r, i.e. the pairs with column > row
-    keep = np.arange(rows)[:, None] <= np.arange(max(n - 1, 0))[None, :]
     pos = 0
     for r0 in range(0, n - 1, rows):
         r1 = min(r0 + rows, n - 1)
@@ -154,9 +150,9 @@ def _pair_blocks(grid: GridSpec):
         block = buf[: (r1 - r0) * m].reshape(r1 - r0, m)
         _great_circle(lat[r0:r1, None], lon[r0:r1, None], lat[None, r0 + 1 :], lon[None, r0 + 1 :],
                       cos[r0:r1, None], cos[None, r0 + 1 :], out=block)
-        upper = block[keep[: r1 - r0, :m]]
-        yield pos, upper
-        pos += upper.size
+        for k in range(r1 - r0):  # column k of the block is node r0 + k + 1, row r0 + k's first partner
+            yield pos, block[k, k:]
+            pos += m - k
 
 
 def pair_distances(grid: GridSpec) -> np.ndarray:
@@ -178,29 +174,43 @@ def pair_bins(grid: GridSpec, bin_width_km: float) -> np.ndarray:
         dtype = np.min_scalar_type(int(np.pi * EARTH_RADIUS_KM / bin_width_km) + 1)
         out = np.empty(grid.n * (grid.n - 1) // 2, dtype=dtype)
         for pos, d in _pair_blocks(grid):
-            d /= bin_width_km
             # the cast truncates, which is floor for d >= 0
-            out[pos : pos + d.size] = d
+            np.divide(d, bin_width_km, out=out[pos : pos + d.size], casting="unsafe")
         out.setflags(write=False)
         grid.derived[key] = out
     return grid.derived[key]
 
 
-# pairs per random draw of bernoulli_network; a chunked draw gives the same doubles as one
-_DRAW_CHUNK = 1 << 20
+# pairs per chunk of the counting sort in pair_groups
+_GROUP_CHUNK = 1 << 16
 
 
-def bernoulli_network(grid: GridSpec, p: np.ndarray, rng: np.random.Generator) -> Network:
-    """Link each pair i < j independently with its probability p (np.triu_indices(n, 1) order).
+def pair_groups(grid: GridSpec, bin_width_km: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j grouped by distance bin, as (ranks, starts), computed once per grid and width.
 
-    Pair k is linked when the k-th double of rng.random is below p[k]. The
-    doubles are drawn in chunks, so no vector of one double per pair is built.
+    ranks[starts[b]:starts[b + 1]] are the np.triu_indices(n, 1) positions of
+    pair_bins' bin b, ascending: a stable counting sort in which each chunk of
+    _GROUP_CHUNK pairs, sorted by bin, adds one slice to each bin's ranks.
     """
-    ranks = [np.empty(0, dtype=np.int64)]
-    for c0 in range(0, p.size, _DRAW_CHUNK):
-        chunk = p[c0 : c0 + _DRAW_CHUNK]
-        ranks.append(c0 + np.flatnonzero(rng.random(chunk.size) < chunk))
-    return Network.from_pair_ranks(grid, np.concatenate(ranks))
+    key = ("pair_groups", float(bin_width_km))
+    if key not in grid.derived:
+        bins = pair_bins(grid, bin_width_km)
+        chunks = [bins[c0 : c0 + _GROUP_CHUNK] for c0 in range(0, bins.size, _GROUP_CHUNK)]
+        nb = int(bins.max(initial=0)) + 1
+        count = np.array([np.bincount(c, minlength=nb) for c in chunks], dtype=np.intp).reshape(-1, nb)
+        starts = np.concatenate([[0], np.cumsum(count.sum(axis=0))])
+        # where chunk c's pairs of bin b sit in the chunk sorted by bin, and where they go in ranks
+        src = (np.cumsum(count, axis=1) - count).tolist()
+        dst = (starts[:-1] + np.cumsum(count, axis=0) - count).tolist()
+        ranks = np.empty(bins.size, dtype=np.int32 if bins.size < 2**31 else np.int64)
+        for c, chunk in enumerate(chunks):
+            order = np.argsort(chunk, kind="stable") + c * _GROUP_CHUNK
+            for k, s, d in zip(count[c].tolist(), src[c], dst[c]):
+                ranks[d : d + k] = order[s : s + k]
+        grid.derived[key] = ranks, starts
+        for a in grid.derived[key]:
+            a.setflags(write=False)
+    return grid.derived[key]
 
 
 def degree(net: Network) -> MetricField:
@@ -208,25 +218,31 @@ def degree(net: Network) -> MetricField:
     return MetricField("DC", net.degrees().astype(float))
 
 
+_CC_STEP_WORDS = 1 << 16  # adjacency words a side per step of clustering, so a step stays in cache
+
+
 def clustering(net: Network) -> MetricField:
     """Fraction of realized links among each node's neighbor pairs.
 
     Each edge's common-neighbor count is the popcount of the AND of its two
-    adjacency rows, bit-packed into 64-bit words; summed over a node's edges
-    it counts every link among the node's neighbors twice. Nodes with degree
-    < 2 get value 0.
+    adjacency rows (neighbor c is bit c % 64 of 64-bit word c // 64), about
+    _CC_STEP_WORDS words a side at a time; summed over a node's edges it
+    counts every link among its neighbors twice. Degree < 2 gives value 0.
     """
     n = net.n
     deg = net.degrees()
     edges = net.edge_array()
-    a = np.zeros((n, -(-n // 64) * 64), dtype=bool)
-    a[np.repeat(np.arange(n), deg), net.indices] = True
-    bits = np.packbits(a, axis=1).view(np.uint64)
+    words = -(-n // 64)
+    bits = np.zeros((n, words), dtype=np.uint64)
+    col = net.indices
+    np.bitwise_or.at(bits.ravel(), np.repeat(np.arange(n) * words, deg) + (col >> 6),
+                     np.left_shift(np.uint64(1), (col & 63).astype(np.uint64)))
     common = np.empty(edges.shape[0], dtype=np.int64)
-    step = max(1, (1 << 19) // max(bits.shape[1], 1))
+    step = max(1, _CC_STEP_WORDS // max(words, 1))
     for e0 in range(0, edges.shape[0], step):
-        i, j = edges[e0 : e0 + step, 0], edges[e0 : e0 + step, 1]
-        common[e0 : e0 + step] = np.bitwise_count(bits[i] & bits[j]).sum(axis=1)
+        both = bits[edges[e0 : e0 + step, 0]]
+        both &= bits[edges[e0 : e0 + step, 1]]
+        common[e0 : e0 + step] = np.bitwise_count(both).sum(axis=1, dtype=np.int64)
     twice_links = np.bincount(edges.ravel(), np.repeat(common, 2), minlength=n)
     vals = np.zeros(n)
     good = deg >= 2
@@ -343,12 +359,7 @@ def log_bc(mf: MetricField) -> MetricField:
     return MetricField("logBC", np.log1p(mf.values))
 
 
-_METRIC_FUNCS = {
-    "DC": degree,
-    "CC": clustering,
-    "MGD": mean_geo_distance,
-    "BC": betweenness,
-}
+_METRIC_FUNCS = {"DC": degree, "CC": clustering, "MGD": mean_geo_distance, "BC": betweenness}
 
 
 def compute_metric(net: Network, metric: str) -> MetricField:

@@ -14,7 +14,7 @@ from itertools import repeat
 import numpy as np
 
 from .grid_io import GridIOError, GridSpec, _flag, _node_order, _read_rows, _write_rows
-from .netmetrics import Network, bernoulli_network, compute_metric, pair_bins, pair_rank
+from .netmetrics import Network, compute_metric, pair_bins, pair_groups, pair_rank
 from .seeding import SURROGATE_TAG, stream
 
 PROFILE_HEADER = "bin_lo_km,bin_hi_km,pairs,links,prob"
@@ -55,10 +55,6 @@ class SurrogateStats:
         return np.flatnonzero(self.mean == 0.0)
 
 
-# pairs per bincount of estimate_profile
-_COUNT_CHUNK = 1 << 16
-
-
 def estimate_profile(net: Network, bin_width_km: float = 50.0) -> DistanceProfile:
     """Bin all unordered node pairs by distance; probability = edges / pairs.
 
@@ -69,13 +65,10 @@ def estimate_profile(net: Network, bin_width_km: float = 50.0) -> DistanceProfil
         raise ValueError("bin width must be positive")
     if net.edge_count == 0:
         raise ValueError("cannot estimate a link-probability profile from an edgeless network")
-    bins = pair_bins(net.grid, bin_width_km)
-    # counted a chunk at a time, so no intp copy of every pair's bin is built
-    pair_count = np.zeros(int(bins.max()) + 1, dtype=np.intp)
-    for c0 in range(0, bins.size, _COUNT_CHUNK):
-        pair_count += np.bincount(bins[c0 : c0 + _COUNT_CHUNK], minlength=pair_count.size)
+    pair_count = np.diff(pair_groups(net.grid, bin_width_km)[1])
     edges = net.edge_array()
-    link_count = np.bincount(bins[pair_rank(edges[:, 0], edges[:, 1], net.n)], minlength=pair_count.size)
+    link_bins = pair_bins(net.grid, bin_width_km)[pair_rank(edges[:, 0], edges[:, 1], net.n)]
+    link_count = np.bincount(link_bins, minlength=pair_count.size)
     return DistanceProfile(
         bin_edges=np.arange(pair_count.size + 1, dtype=float) * bin_width_km,
         bin_prob=link_count / np.maximum(pair_count, 1),  # 0 in a bin without pairs
@@ -84,15 +77,21 @@ def estimate_profile(net: Network, bin_width_km: float = 50.0) -> DistanceProfil
     )
 
 
-def pair_link_probabilities(profile: DistanceProfile, grid: GridSpec) -> np.ndarray:
-    """Link probability of every pair i < j, in np.triu_indices(n, 1) order.
+def surrogate_member(profile: DistanceProfile, grid: GridSpec, rng: np.random.Generator) -> Network:
+    """One surrogate: every pair i < j linked independently at its distance bin's probability.
 
-    Pairs beyond the last bin get 0.
+    Bin by bin (netmetrics.pair_groups), a bin of N pairs at p > 0 draws
+    K = rng.binomial(N, p) links, then rng.choice(N, K, replace=False,
+    shuffle=False) as their positions in the bin: the law of N Bernoulli(p)
+    pairs, in O(links + bins). Pairs past the profile's last bin stay unlinked.
     """
-    bins = pair_bins(grid, profile.bin_width_km)
-    prob = np.zeros(max(profile.n_bins, int(bins.max(initial=0)) + 1))
-    prob[: profile.n_bins] = profile.bin_prob
-    return prob[bins]
+    ranks, starts = pair_groups(grid, profile.bin_width_km)
+    linked = [np.empty(0, dtype=np.int64)]
+    for b in np.flatnonzero(profile.bin_prob[: starts.size - 1] > 0):
+        size = int(starts[b + 1] - starts[b])
+        k = rng.binomial(size, profile.bin_prob[b])
+        linked.append(ranks[starts[b] + rng.choice(size, k, replace=False, shuffle=False)])
+    return Network.from_pair_ranks(grid, np.sort(np.concatenate(linked)))
 
 
 def ensemble_stats(
@@ -104,23 +103,21 @@ def ensemble_stats(
 ) -> dict[str, SurrogateStats]:
     """Per-node ensemble means of the requested metrics.
 
-    Member k is the Bernoulli draw of every pair at its link probability,
-    from the PCG64 stream seeding.stream(seed, SURROGATE_TAG, k).
+    Member k is surrogate_member drawn from the PCG64 stream
+    seeding.stream(seed, SURROGATE_TAG, k).
     Undefined-flag nodes contribute their numeric convention value (0).
     Member contributions are summed in member order, in blocks of 64.
     """
     if ensemble_size < 1:
         raise ValueError("ensemble_size must be >= 1")
-    p = pair_link_probabilities(profile, grid)
 
     def member_fields(k: int) -> dict[str, np.ndarray]:
-        net = bernoulli_network(grid, p, stream(seed, SURROGATE_TAG, k))
+        net = surrogate_member(profile, grid, stream(seed, SURROGATE_TAG, k))
         return {m: compute_metric(net, m).values for m in metrics}
 
     sums = {m: np.zeros(grid.n) for m in metrics}
-    chunk = 64
-    for start in range(0, ensemble_size, chunk):
-        fields = [member_fields(k) for k in range(start, min(start + chunk, ensemble_size))]
+    for start in range(0, ensemble_size, 64):
+        fields = [member_fields(k) for k in range(start, min(start + 64, ensemble_size))]
         for m in metrics:
             sums[m] += np.sum(np.stack([f[m] for f in fields]), axis=0)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid_io import GridSpec, GriddedSeries
-from .netmetrics import EARTH_RADIUS_KM, Network, bernoulli_network, pair_distances
+from .netmetrics import EARTH_RADIUS_KM, Network, pair_distances
 from .seeding import SYNTH_TAG, stream
 
 KM_PER_DEG = np.pi * EARTH_RADIUS_KM / 180.0
@@ -77,6 +77,16 @@ def link_probability(model, d_km: np.ndarray) -> np.ndarray:
             raise ValueError("lambda must be positive")
         return model.p0 * np.exp(-d_km / model.lambda_km)
     raise ValueError(f"unknown link model {model!r}")
+
+
+def bernoulli_network(grid: GridSpec, p: np.ndarray, rng: np.random.Generator) -> Network:
+    """Link pair k of np.triu_indices(n, 1) when the k-th double of rng.random is below p[k].
+
+    The doubles come 2^20 at a time, the same doubles as one draw of them all.
+    """
+    ranks = [c0 + np.flatnonzero(rng.random(p[c0 : c0 + (1 << 20)].size) < p[c0 : c0 + (1 << 20)])
+             for c0 in range(0, p.size, 1 << 20)]
+    return Network.from_pair_ranks(grid, np.concatenate([np.empty(0, dtype=np.int64), *ranks]))
 
 
 def gen_embedded_network(spec: SynthNetSpec) -> Network:

@@ -3,10 +3,10 @@
 Per-node event extraction, set-intersection ES, explicit shuffles and exact
 hypergeometric arithmetic for the null model, one-pair link decisions, the
 scalar haversine and the dense distance matrix, one-source-at-a-time Brandes
-betweenness, and pair-level helpers on networks and surrogates.
-Where a helper runs a production kernel on one pair (event_sync,
-null_threshold), its docstring says so; compare it only with an independent
-oracle, never with itself.
+betweenness, the per-bin surrogate draw by pair enumeration, and pair-level
+helpers on networks and surrogates. Where a helper runs a production kernel
+(event_sync, null_threshold, sample_surrogate), its docstring says so;
+compare it only with an independent oracle, never with itself.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gridsync.netmetrics import EARTH_RADIUS_KM, bernoulli_network
-from gridsync.surrogate import pair_link_probabilities
+from gridsync.netmetrics import EARTH_RADIUS_KM, pair_bins
+from gridsync.surrogate import surrogate_member
 from gridsync.sync import _es_matrix, _key_threshold
 
 
@@ -177,10 +177,42 @@ def has_edge(net, i: int, j: int) -> bool:
     return bool(k < a.size and a[k] == j)
 
 
+def pair_link_probabilities(profile, grid) -> np.ndarray:
+    """Link probability of every pair i < j, in np.triu_indices(n, 1) order.
+
+    Pairs beyond the last bin get 0.
+    """
+    bins = pair_bins(grid, profile.bin_width_km)
+    prob = np.zeros(max(profile.n_bins, int(bins.max(initial=0)) + 1))
+    prob[: profile.n_bins] = profile.bin_prob
+    return prob[bins]
+
+
 def sample_surrogate(profile, grid, member_seed: int):
-    """One surrogate member: the production draw at the profile's pair probabilities."""
-    rng = np.random.Generator(np.random.PCG64(member_seed))
-    return bernoulli_network(grid, pair_link_probabilities(profile, grid), rng)
+    """One surrogate member: the production draw from PCG64(member_seed)."""
+    return surrogate_member(profile, grid, np.random.Generator(np.random.PCG64(member_seed)))
+
+
+def surrogate_member_oracle(profile, grid, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The linked pairs (i, j) of the per-bin surrogate draw, by brute force.
+
+    Enumerates the pairs with np.triu_indices, bins them by the dense
+    distance matrix, and makes the production's rng calls bin by bin: a link
+    count K ~ Binomial(N, p), then K of the bin's N pairs (in rank order) by
+    rng.choice(N, K, replace=False, shuffle=False).
+    """
+    w = profile.bin_width_km
+    iu, ju = np.triu_indices(grid.n, k=1)
+    bins = np.floor(haversine_matrix(grid)[iu, ju] / w).astype(np.int64)
+    linked = []
+    for b in range(profile.n_bins):
+        members = np.flatnonzero(bins == b)
+        p = profile.bin_prob[b]
+        if p > 0 and members.size:
+            k = rng.binomial(members.size, p)
+            linked.extend(members[rng.choice(members.size, k, replace=False, shuffle=False)].tolist())
+    linked = np.sort(np.asarray(linked, dtype=np.int64))
+    return iu[linked], ju[linked]
 
 
 def brandes_oracle(net) -> np.ndarray:

@@ -164,6 +164,16 @@ def test_clustering_matches_enumeration_oracle(rng):
         assert np.array_equal(clustering(net).values, cc_oracle(net))
 
 
+@pytest.mark.parametrize("words", [1, 100, 1 << 30])
+def test_clustering_at_other_step_sizes(monkeypatch, words):
+    # 130 nodes take 3 adjacency words: 1 word is one edge per step, 100 words are
+    # 33 edges, which do not divide the edges evenly, and 2^30 holds every edge
+    monkeypatch.setattr(netmetrics, "_CC_STEP_WORDS", words)
+    net = random_network(130, 0.1, 77)
+    assert net.edge_count % 33
+    assert np.array_equal(clustering(net).values, cc_oracle(net))
+
+
 def test_mgd_single_neighbor_and_isolated():
     grid = GridSpec(lat=np.array([0.0, 0.0, 5.0]), lon=np.array([0.0, 90.0, 5.0]))
     net = Network.from_edges(grid, np.array([[0, 1]]))

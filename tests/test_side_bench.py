@@ -57,3 +57,47 @@ def test_child_runs_one_step_on_its_labelled_source(monkeypatch):
     assert set(run) == {"import_s", "threads"}
     if sys.platform == "linux":
         assert run["threads"] == 1  # gridsync's own one-BLAS-thread default
+
+
+def test_surrogate_members_step_draws_the_production_members(tmp_path):
+    # a fresh child on this source reports every key the summary reads, and its
+    # member 0 is the ensemble's member 0
+    import hashlib
+
+    import numpy as np
+
+    from gridsync.seeding import SURROGATE_TAG, stream
+    from gridsync.surrogate import estimate_profile, surrogate_member
+    from gridsync.synth import Exponential, RectLattice, SynthNetSpec, gen_embedded_network
+
+    net = gen_embedded_network(SynthNetSpec(RectLattice(10, 10, 50.0), Exponential(0.8, 100.0), seed=2))
+    path = tmp_path / "net.npz"
+    np.savez(path, lat=net.grid.lat, lon=net.grid.lon, indptr=net.indptr, indices=net.indices)
+    src = str(Path(gridsync.__file__).resolve().parents[1])
+    run = side_bench.Harness({"a": src}, seed=4, repeats=1).spawn("members_measure", "a", str(path))
+    assert set(run) == {"pass_s", "one_off_s", "profile_s", "draw_s", "DC_s", "CC_s", "MGD_s",
+                        "member_edges_mean", "member_0_sha256", "peak_rss_mb", "above_input_mb"}
+    member = surrogate_member(estimate_profile(net, side_bench.PAIR_BIN_KM), net.grid, stream(4, SURROGATE_TAG, 0))
+    assert run["member_0_sha256"] == hashlib.sha256(member.edge_array().tobytes()).hexdigest()[:16]
+
+
+def test_surrogate_members_summary_per_graph_and_label():
+    h = side_bench.Harness({"change": "C", "parent": "P"}, seed=1, repeats=2, tmp="work")
+    calls = []
+
+    def spawn(step, label, *args, env=None):
+        calls.append((step, label, args, env))
+        if step == "bc_make":
+            return 7
+        return {"pass_s": 0.1, "one_off_s": 0.2, "profile_s": 0.3, "draw_s": 0.4, "DC_s": 0.5, "CC_s": 0.6,
+                "MGD_s": 0.7, "peak_rss_mb": 90.0 if label == "change" else 110.0, "member_0_sha256": label}
+
+    h.spawn = spawn
+    out = side_bench.surrogate_members(h)
+    assert set(out["graphs"]) == set(side_bench.BC_GRAPHS)
+    g = out["graphs"]["edges_28k"]
+    assert g["edges"] == 7 and len(g["runs"]["change"]) == len(g["runs"]["parent"]) == 2
+    assert g["peak_rss_mb_max"] == {"change": 90.0, "parent": 110.0}
+    assert g["medians"]["parent"]["CC_s"] == 0.6 and g["member_0_sha256"] == {"change": ["change"], "parent": ["parent"]}
+    measured = [c for c in calls if c[0] == "members_measure"]
+    assert all(c[3] == {"OPENBLAS_NUM_THREADS": "1"} for c in measured) and len(measured) == 8

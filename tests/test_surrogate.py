@@ -3,23 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from gridsync import netmetrics, surrogate
-from gridsync.netmetrics import Network, degree, pair_bins
-from gridsync.seeding import SURROGATE_TAG, mix64
+from gridsync import netmetrics
+from gridsync.grid_io import GridSpec
+from gridsync.netmetrics import Network, degree, pair_bins, pair_groups, pair_rank
+from gridsync.seeding import SURROGATE_TAG, mix64, stream
 from gridsync.surrogate import (
     DistanceProfile,
     ensemble_stats,
     estimate_profile,
-    pair_link_probabilities,
     read_profile_csv,
     read_surrogate_stats_csv,
+    surrogate_member,
     write_profile_csv,
     write_surrogate_stats_csv,
 )
 from gridsync.synth import Exponential, HardCutoff, RectLattice, SynthNetSpec, gen_embedded_network, lattice_grid
 
 from conftest import random_grid, random_network
-from oracles import has_edge, haversine_matrix, sample_surrogate
+from oracles import has_edge, haversine_matrix, pair_link_probabilities, sample_surrogate, surrogate_member_oracle
 
 
 def complete_net(n, seed=0):
@@ -32,15 +33,21 @@ def complete_net(n, seed=0):
 # profile estimation
 
 
-@pytest.mark.parametrize("chunk", [surrogate._COUNT_CHUNK, 997, 1 << 30])
+@pytest.mark.parametrize("chunk", [netmetrics._GROUP_CHUNK, 997, 1 << 30])
 def test_profile_pair_count_equals_whole_bincount(monkeypatch, chunk):
-    # 400 nodes have 79,800 pairs: 2 chunks at the default, 81 chunks of 997 pairs, or one chunk
-    monkeypatch.setattr(surrogate, "_COUNT_CHUNK", chunk)
+    # 400 nodes have 79,800 pairs: 2 grouping chunks at the default, 81 chunks of 997 pairs, or one chunk
+    monkeypatch.setattr(netmetrics, "_GROUP_CHUNK", chunk)
     net = random_network(400, 0.05, 9)
     prof = estimate_profile(net, bin_width_km=50.0)
-    whole = np.bincount(pair_bins(net.grid, 50.0))
+    bins = pair_bins(net.grid, 50.0)
+    whole = np.bincount(bins)
     assert prof.bin_pair_count.dtype == whole.dtype
     assert np.array_equal(prof.bin_pair_count, whole)
+    ranks, starts = pair_groups(net.grid, 50.0)
+    assert ranks.dtype == np.int32 and not (ranks.flags.writeable or starts.flags.writeable)
+    assert np.array_equal(ranks, np.argsort(bins, kind="stable"))
+    assert starts.tolist() == [0] + np.cumsum(whole).tolist()
+    assert pair_groups(net.grid, 50.0)[0] is ranks
 
 
 def test_profile_complete_graph():
@@ -134,16 +141,15 @@ def test_pair_link_probabilities_follow_bins():
     assert np.all(pair_link_probabilities(const_profile(0.5, max_km=45000.0, width=w), net.grid) == 0.5)
 
 
-def member_oracle(p, n, member_seed):
-    """CSR of the member drawn pair by pair from a dense matrix, independent of Network."""
-    rng = np.random.Generator(np.random.PCG64(member_seed))
-    mask = rng.random(p.size) < p
-    iu, ju = np.triu_indices(n, k=1)
+def member_oracle(profile, grid, member_seed):
+    """CSR of the brute-force per-bin member, built from a dense matrix, independent of Network."""
+    i, j = surrogate_member_oracle(profile, grid, np.random.Generator(np.random.PCG64(member_seed)))
+    n = grid.n
     a = np.zeros((n, n), dtype=bool)
-    a[iu[mask], ju[mask]] = True
+    a[i, j] = True
     a |= a.T
     rows, cols = np.nonzero(a)
-    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]), cols, iu[mask], ju[mask]
+    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]), cols, i, j
 
 
 @pytest.mark.parametrize("profile", ["estimated", "zero", "one"])
@@ -154,10 +160,9 @@ def test_member_csr_equals_pairwise_draw(profile):
         "zero": const_profile(0.0),
         "one": const_profile(1.0),
     }[profile]
-    p = pair_link_probabilities(prof, net.grid)
     for member_seed in (0, 1, 77, mix64(5, SURROGATE_TAG, 3)):
         got = sample_surrogate(prof, net.grid, member_seed)
-        indptr, indices, i, j = member_oracle(p, net.n, member_seed)
+        indptr, indices, i, j = member_oracle(prof, net.grid, member_seed)
         assert got.indptr.tolist() == indptr.tolist()
         assert got.indices.tolist() == indices.tolist()
         assert got.indptr.dtype == got.indices.dtype == np.int64
@@ -170,15 +175,66 @@ def test_member_csr_equals_pairwise_draw(profile):
 
 
 def test_member_draw_across_chunks_and_row_blocks():
-    # 1,500 nodes: 1,124,250 pairs take two random chunks and three distance row blocks
+    # 1,500 nodes: 1,124,250 pairs take 18 grouping chunks and 72 distance row blocks
     net = random_network(1500, 0.01, 37)
     prof = estimate_profile(net, bin_width_km=300.0)
-    p = pair_link_probabilities(prof, net.grid)
-    assert netmetrics._DRAW_CHUNK < p.size < 2 * netmetrics._DRAW_CHUNK
+    assert 17 * netmetrics._GROUP_CHUNK < net.n * (net.n - 1) // 2
     got = sample_surrogate(prof, net.grid, mix64(8, SURROGATE_TAG, 1))
-    indptr, indices, i, j = member_oracle(p, net.n, mix64(8, SURROGATE_TAG, 1))
+    indptr, indices, i, j = member_oracle(prof, net.grid, mix64(8, SURROGATE_TAG, 1))
     assert np.array_equal(got.indptr, indptr) and np.array_equal(got.indices, indices)
-    assert netmetrics.pair_rank(i, j, net.n).max() >= netmetrics._DRAW_CHUNK
+    assert pair_rank(i, j, net.n).max() >= 17 * netmetrics._GROUP_CHUNK
+
+
+def banded_profile(probs, width):
+    """A profile of the given per-bin probabilities (pair and link counts unused by the draw)."""
+    k = len(probs)
+    return DistanceProfile(np.arange(k + 1) * width, np.asarray(probs, dtype=float),
+                           np.ones(k, dtype=int), np.zeros(k, dtype=int))
+
+
+# 400 nodes in 600 km bins: bins 1-4 hold more than 10,000 pairs each, and the
+# ninth bin, past the profile's last, 109 pairs
+WIDE_BINS = (1.0, 0.0, 0.004, 0.3, 0.05, 0.5, 0.0, 1.0)
+
+
+def test_member_with_bins_of_over_10k_pairs_equals_oracle():
+    # above 10,000 pairs numpy's choice takes Floyd's algorithm up to N/50 links
+    # and a tail shuffle beyond: the p = 0.004 bin takes the first, the p = 0.05 and 0.3 bins the second
+    grid = random_grid(400, 43)
+    prof = banded_profile(WIDE_BINS, 600.0)
+    sizes = np.diff(pair_groups(grid, 600.0)[1])
+    assert (sizes[1:5] > 10_000).all() and sizes.size == len(WIDE_BINS) + 1
+    for member_seed in (3, mix64(2, SURROGATE_TAG, 0)):
+        got = sample_surrogate(prof, grid, member_seed).edge_array()
+        i, j = surrogate_member_oracle(prof, grid, np.random.Generator(np.random.PCG64(member_seed)))
+        assert np.array_equal(got, np.stack([i, j], axis=1))
+
+
+def test_member_link_frequency_within_binomial_bounds():
+    # each pair's link count over 2,000 members is Binomial(2000, p_b) if the
+    # per-bin subsets are uniform; bins at p = 0 and p = 1 are exact
+    from scipy.stats import binom
+
+    grid = random_grid(400, 43)
+    prof = banded_profile(WIDE_BINS, 600.0)
+    p = pair_link_probabilities(prof, grid)
+    members = 2000
+    counts = np.zeros(p.size, dtype=np.int64)
+    for k in range(members):
+        e = surrogate_member(prof, grid, stream(11, SURROGATE_TAG, k)).edge_array()
+        counts += np.bincount(pair_rank(e[:, 0], e[:, 1], grid.n), minlength=p.size)
+    assert (counts[p == 0.0] == 0).all() and (counts[p == 1.0] == members).all()
+    assert (p == 0.0).sum() > 10_000 and (p == 1.0).any()
+    # each count inside its central binomial interval of mass 1 - 1e-7, so a
+    # chance failure among the 79,800 pairs has probability below 1e-2
+    mid = (p > 0) & (p < 1)
+    lo, hi = binom.ppf(5e-8, members, p[mid]), binom.isf(5e-8, members, p[mid])
+    assert ((counts[mid] >= lo) & (counts[mid] <= hi)).all()
+    # and the bins' totals sit within 4 sigma of their expected link counts
+    bins = pair_bins(grid, 600.0)
+    prob = np.append(prof.bin_prob, 0.0)  # the bin past the profile's last
+    expect = members * np.bincount(bins) * prob
+    assert (np.abs(np.bincount(bins, counts) - expect) <= 4 * np.sqrt(expect * (1 - prob)) + 1e-9).all()
 
 
 def test_profile_and_ensemble_share_one_distance_pass(monkeypatch):
@@ -233,8 +289,19 @@ def test_ensemble_size_one_equals_member():
     grid = random_grid(10, 17)
     prof = const_profile(0.4)
     stats = ensemble_stats(prof, grid, metrics=("DC",), ensemble_size=1, seed=55)
-    member = sample_surrogate(prof, grid, mix64(55, SURROGATE_TAG, 0))
+    member = surrogate_member(prof, grid, stream(55, SURROGATE_TAG, 0))
     assert np.array_equal(stats["DC"].mean, degree(member).values)
+
+
+@pytest.mark.parametrize("size", [1, 63, 64, 65])
+def test_ensemble_same_bytes_on_rerun(size):
+    # 64 members sum per block, so 63, 64 and 65 end inside, on and past a block edge
+    net = random_network(30, 0.2, 47)
+    prof = estimate_profile(net, bin_width_km=150.0)
+    runs = [ensemble_stats(prof, GridSpec(lat=net.grid.lat, lon=net.grid.lon), metrics=("DC", "CC", "MGD"),
+                           ensemble_size=size, seed=5) for _ in range(2)]
+    for m in ("DC", "CC", "MGD"):
+        assert runs[0][m].mean.tobytes() == runs[1][m].mean.tobytes()
 
 
 def test_ensemble_dc_mean_analytic(rng):
@@ -260,8 +327,6 @@ def test_ensemble_zero_mean_nodes():
     # positive-probability bin at that range, so its surrogate degree is 0
     grid_lat = np.array([0.0, 0.1, 0.2, 45.0])
     grid_lon = np.array([0.0, 0.1, 0.2, 90.0])
-    from gridsync.grid_io import GridSpec
-
     grid = GridSpec(lat=grid_lat, lon=grid_lon)
     net = Network.from_edges(grid, np.array([[0, 1], [0, 2], [1, 2]]))
     prof = estimate_profile(net, bin_width_km=50.0)
