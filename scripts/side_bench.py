@@ -24,11 +24,14 @@ edges or the bins show whether the labels give the same bytes. KERNEL is:
   network_30y size) and 3,249, with OPENBLAS_NUM_THREADS 1 and 2: the RSS
   the call adds to its loaded input, and then sync._es_matrix alone.
 - pair_pass: netmetrics.pair_bins at 50 km on that lattice (5,276,376
-  pairs), pinned to one CPU with OPENBLAS_NUM_THREADS=1, next to a network
-  on 1% of the pairs: the first call (cold_s, and the RSS it adds), the
-  median of five on fresh grids (warm_s; bins are memoized per GridSpec)
-  and of five estimate_profile calls on memoized bins (profile_s), then
-  warm_s at each netmetrics._PAIR_BLOCK in PAIR_SWEEP.
+  pairs) and on the lattice with every node moved by up to PAIR_JITTER_DEG
+  in latitude and longitude (every coordinate distinct), pinned to one CPU
+  with OPENBLAS_NUM_THREADS=1, next to a network on 1% of the pairs: the
+  first call (cold_s, and the RSS it adds), the median of five on fresh
+  grids (warm_s; bins are memoized per GridSpec), of five pair_groups on
+  the memoized bins (groups_s) and of five estimate_profile calls after
+  them (profile_s), then warm_s at each netmetrics._PAIR_BLOCK in
+  PAIR_SWEEP.
 - surrogate_members: the surrogate ensemble's one-off set-up and its members
   on the two bc_conus networks, pinned to one CPU with
   OPENBLAS_NUM_THREADS=1: the distance pass (pair_bins at 50 km, pass_s),
@@ -213,9 +216,25 @@ def es_kernel(h: Harness) -> dict:
 # pair_pass
 PAIR_BIN_KM, PAIR_DENSITY = 50.0, 0.01
 PAIR_SWEEP = (12, 13, 14, 15, 16, 17, 20)  # log2 of netmetrics._PAIR_BLOCK
+# the lattice has 57 distinct latitudes and longitudes; jittered by up to 0.1 degrees
+# (a quarter of the lattice spacing), every coordinate is distinct
+PAIR_GRIDS, PAIR_JITTER_DEG = ("lattice", "jittered"), 0.1
 
 
-def pair_measure(seed: int) -> dict:
+def pair_grid(seed: int, name: str):
+    import numpy as np
+
+    from gridsync.grid_io import GridSpec
+    from gridsync.synth import RectLattice, lattice_grid
+
+    grid = lattice_grid(RectLattice(rows=ROWS, cols=ROWS, spacing_km=SPACING_KM))
+    if name == "lattice":
+        return grid
+    jitter = np.random.default_rng(seed).uniform(-PAIR_JITTER_DEG, PAIR_JITTER_DEG, (2, grid.n))
+    return GridSpec(lat=grid.lat + jitter[0], lon=grid.lon + jitter[1])
+
+
+def pair_measure(seed: int, name: str) -> dict:
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     import hashlib
@@ -225,36 +244,39 @@ def pair_measure(seed: int) -> dict:
     from gridsync import netmetrics
     from gridsync.grid_io import GridSpec
     from gridsync.surrogate import estimate_profile
-    from gridsync.synth import RectLattice, lattice_grid
 
-    grid = lattice_grid(RectLattice(rows=ROWS, cols=ROWS, spacing_km=SPACING_KM))
+    grid = pair_grid(seed, name)
     pairs = grid.n * (grid.n - 1) // 2
     # no per-pair draw, so the peak RSS before the pass is the grid and the network
     rank = np.unique(np.random.default_rng(seed).integers(0, pairs, int(pairs * PAIR_DENSITY)))
     net = netmetrics.Network.from_pair_ranks(grid, rank)
 
-    def warm() -> float:
+    def median_s(call, reps: int = 5) -> float:
         times = []
-        for _ in range(5):
-            fresh = GridSpec(lat=grid.lat, lon=grid.lon)
+        for _ in range(reps):
             t = time.perf_counter()
-            netmetrics.pair_bins(fresh, PAIR_BIN_KM)
+            call()
             times.append(time.perf_counter() - t)
         return round(statistics.median(times), 4)
+
+    def warm() -> float:  # bins are memoized per GridSpec, so each call gets a fresh one
+        fresh = [GridSpec(lat=grid.lat, lon=grid.lon) for _ in range(5)]
+        return median_s(lambda: netmetrics.pair_bins(fresh.pop(), PAIR_BIN_KM))
+
+    def group() -> tuple:  # the grouping, memoized next to the bins, computed again
+        grid.derived.pop(("pair_groups", PAIR_BIN_KM), None)
+        return netmetrics.pair_groups(grid, PAIR_BIN_KM)
 
     before = rss_mb()
     t = time.perf_counter()
     bins = netmetrics.pair_bins(grid, PAIR_BIN_KM)
     cold = time.perf_counter() - t
     peak = rss_mb()
-    profile = []
-    for _ in range(5):
-        t = time.perf_counter()
-        estimate_profile(net, PAIR_BIN_KM)
-        profile.append(time.perf_counter() - t)
     out = {"cold_s": round(cold, 4), "warm_s": warm(), "above_input_mb": round(peak - before, 1),
-           "profile_s": round(statistics.median(profile), 4),
-           "bins_sha256": hashlib.sha256(bins.tobytes()).hexdigest()[:16], "sweep_warm_s": {}}
+           "groups_s": median_s(group), "profile_s": median_s(lambda: estimate_profile(net, PAIR_BIN_KM)),
+           "bins_sha256": hashlib.sha256(bins.tobytes()).hexdigest()[:16],
+           "groups_sha256": hashlib.sha256(b"".join(a.tobytes() for a in group())).hexdigest()[:16],
+           "sweep_warm_s": {}}
     for e in PAIR_SWEEP:
         netmetrics._PAIR_BLOCK = 1 << e
         out["sweep_warm_s"][f"2^{e}"] = warm()
@@ -262,21 +284,23 @@ def pair_measure(seed: int) -> dict:
 
 
 def pair_pass(h: Harness) -> dict:
-    runs = h.alternate("pair_measure", env={"OPENBLAS_NUM_THREADS": "1"})
-    sweeps = {label: {b: [x["sweep_warm_s"][b] for x in rs] for b in rs[0]["sweep_warm_s"]}
-              for label, rs in runs.items()}
-    return {
-        "input": {"nodes": ROWS * ROWS, "pairs": ROWS * ROWS * (ROWS * ROWS - 1) // 2,
-                  "bin_width_km": PAIR_BIN_KM, "links_drawn": PAIR_DENSITY},
-        "seed": h.seed, "repeats": h.repeats, "pinned_cpus": 1,
-        "medians": {label: {k: round(statistics.median(x[k] for x in rs), 4)
-                            for k in ("cold_s", "warm_s", "above_input_mb", "profile_s")}
-                    for label, rs in runs.items()},
-        "bins_sha256": {label: sorted({x["bins_sha256"] for x in rs}) for label, rs in runs.items()},
-        "sweep_warm_s": {label: {b: {"median": round(statistics.median(v), 4), "min": min(v), "max": max(v)}
-                                 for b, v in sweep.items()} for label, sweep in sweeps.items()},
-        "runs": runs,
-    }
+    keys = ("cold_s", "warm_s", "above_input_mb", "groups_s", "profile_s")
+    result = {"input": {"nodes": ROWS * ROWS, "pairs": ROWS * ROWS * (ROWS * ROWS - 1) // 2,
+                        "bin_width_km": PAIR_BIN_KM, "links_drawn": PAIR_DENSITY, "jitter_deg": PAIR_JITTER_DEG},
+              "seed": h.seed, "repeats": h.repeats, "pinned_cpus": 1, "grids": {}}
+    for name in PAIR_GRIDS:
+        runs = h.alternate("pair_measure", name, env={"OPENBLAS_NUM_THREADS": "1"})
+        sweeps = {label: {b: [x["sweep_warm_s"][b] for x in rs] for b in rs[0]["sweep_warm_s"]}
+                  for label, rs in runs.items()}
+        result["grids"][name] = {
+            "medians": {label: {k: round(statistics.median(x[k] for x in rs), 4) for k in keys}
+                        for label, rs in runs.items()},
+            **{f"{d}_sha256": {label: sorted({x[f"{d}_sha256"] for x in rs}) for label, rs in runs.items()}
+               for d in ("bins", "groups")},
+            "sweep_warm_s": {label: {b: {"median": round(statistics.median(v), 4), "min": min(v), "max": max(v)}
+                                     for b, v in sweep.items()} for label, sweep in sweeps.items()},
+            "runs": runs}
+    return result
 
 
 # surrogate_members

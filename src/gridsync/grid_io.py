@@ -25,7 +25,7 @@ import json
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,8 @@ class GridSpec:
 
     lat: np.ndarray
     lon: np.ndarray
-    # values computed once per grid (netmetrics.pair_bins, _node_cells); the coordinates are read-only copies
+    # values computed once per grid (netmetrics.pair_bins and pair_groups per bin width, _node_cells);
+    # they stay valid because the coordinates are read-only copies
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -213,32 +214,54 @@ def _write_rows(f, *columns) -> None:
     f.writelines(",".join(row) + "\n" for row in zip(*cols))
 
 
+# lines per batch of _read_rows: more read no faster, and their strings leave more memory behind
+_ROW_BATCH = 1 << 10
+
+
 def _read_rows(path, header: str, *casts) -> list[list]:
     """The columns of a CSV artifact, one list per cast; the inverse of _write_rows.
 
     The first line must equal header, blank lines are skipped, every other
     line must hold one field per cast, and a cell its cast rejects (with
-    ValueError) is reported with the file and line.
+    ValueError) is reported with the file and line. A batch of _ROW_BATCH
+    lines is split into cells in one go and cast a column at a time; a batch
+    that fails is checked again line by line to name its first bad line.
     """
+    k = len(casts)
     columns = [[] for _ in casts]
-    cells = list(zip(columns, casts))
     with open(path, "r", newline="") as f:
         first = f.readline().strip()
         if first != header:
             raise GridIOError(f"malformed header {first!r}, expected {header!r}", path, line=1)
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(casts):
-                raise GridIOError(f"expected {len(casts)} fields, got {len(parts)}", path, line=lineno)
+        lineno = 2
+        while lines := list(map(str.strip, islice(f, _ROW_BATCH))):
+            rows = list(filter(None, lines))
             try:
-                for (col, cast), part in zip(cells, parts):
-                    col.append(cast(part))
-            except ValueError as e:
-                raise GridIOError(str(e), path, line=lineno) from e
+                if any(map((k - 1).__ne__, map(str.count, rows, repeat(",")))):
+                    raise ValueError("field count")
+                cells = ",".join(rows).split(",") if rows else []
+                for c, (col, cast) in enumerate(zip(columns, casts)):
+                    col.extend(map(cast, cells[c::k]))
+            except ValueError:
+                _check_lines(path, lines, lineno, casts)
+                raise
+            lineno += len(lines)
     return columns
+
+
+def _check_lines(path, lines: list[str], lineno: int, casts) -> None:
+    """Raise the GridIOError of the first of the stripped lines, numbered from lineno, that _read_rows rejects."""
+    for n, line in enumerate(lines, start=lineno):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(casts):
+            raise GridIOError(f"expected {len(casts)} fields, got {len(parts)}", path, line=n)
+        try:
+            for cast, part in zip(casts, parts):
+                cast(part)
+        except ValueError as e:
+            raise GridIOError(str(e), path, line=n) from e
 
 
 def _node_cells(grid: GridSpec) -> tuple[str, ...]:

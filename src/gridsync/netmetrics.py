@@ -64,16 +64,28 @@ class Network:
 
     @staticmethod
     def from_pair_ranks(grid: GridSpec, rank: np.ndarray) -> "Network":
-        """Build from the strictly ascending int64 pair_rank of every linked pair i < j."""
-        n = grid.n
+        """Build from the strictly ascending int64 pair_rank of every linked pair i < j.
+
+        Node v lists the i of its links (i, v), in a stable order by v, then
+        the j of its links (v, j), in rank order; counts place both halves.
+        """
+        n, m = grid.n, rank.size
         rows = np.arange(n, dtype=np.int64)
         row_start = pair_rank(rows, rows + 1, n)
-        i = np.searchsorted(row_start, rank, side="right") - 1
-        j = rank - row_start[i] + i + 1
-        key = np.sort(np.concatenate([i * n + j, j * n + i]))
+        hi = np.diff(np.searchsorted(rank, row_start), append=m)  # links (v, j) of each node v
+        i = np.repeat(rows, hi)
+        j = rank - np.repeat(row_start - rows - 1, hi)
+        lo = np.bincount(j, minlength=n)  # links (i, v) of each node v
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
-        return Network(grid=grid, indptr=indptr, indices=key % n)
+        np.cumsum(lo + hi, out=indptr[1:])
+        below = np.cumsum(lo)
+        indices = np.empty(2 * m, dtype=np.int64)
+        link = np.arange(m)
+        indices[link + np.repeat(below, hi)] = j
+        # a stable order by j in the smallest dtype that holds a node id (numpy's radix sort below 65,536 nodes)
+        order = np.argsort(j.astype(np.min_scalar_type(n)), kind="stable")
+        indices[link + np.repeat(indptr[:-1] - below + lo, lo)] = i[order]
+        return Network(grid=grid, indptr=indptr, indices=indices)
 
     def edge_array(self) -> np.ndarray:
         """All edges as (m, 2) with i < j, lexicographically sorted."""
@@ -97,28 +109,25 @@ class MetricField:
         return int(self.values.size)
 
 
-def _great_circle(lat1, lon1, lat2, lon2, cos1, cos2, out=None) -> np.ndarray:
-    """Haversine distance in km between points in radians (broadcasting).
+def _sin_half_diff(a, b, out=None) -> np.ndarray:
+    """sin((a - b) * 0.5) (broadcasting), computed in place in out (allocated when None)."""
+    out = np.subtract(a, b, out=out)
+    out *= 0.5
+    return np.sin(out, out=out)
 
-    cos1 and cos2 are the cosines of lat1 and lat2. The result is computed in
-    place in out (allocated when None) with one scratch array of its shape;
-    each element is the double of s1*s1 + cos1*cos2*s2*s2 evaluated in that
-    order, whatever the operands' shapes.
+
+def _haversine(cos1, cos2, s_lon, s_lat2, out=None) -> np.ndarray:
+    """Haversine distance in km (broadcasting) from its factors, computed in place in out.
+
+    cos1 and cos2 are the latitude cosines, s_lon is sin(dlon / 2) and s_lat2
+    is sin(dlat / 2) squared, each as _sin_half_diff gives it. Each element is
+    the double of cos1*cos2*s_lon*s_lon + s_lat2 evaluated in that order, then
+    sqrt, min 1, arcsin and times 2R, whatever the operands' shapes.
     """
-    if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(lat1), np.shape(lat2)))
-    s = np.empty_like(out)
-    np.multiply(cos1, cos2, out=out)
-    np.subtract(lon1, lon2, out=s)
-    s *= 0.5
-    np.sin(s, out=s)
-    out *= s
-    out *= s
-    np.subtract(lat1, lat2, out=s)
-    s *= 0.5
-    np.sin(s, out=s)
-    s *= s
-    out += s
+    out = np.multiply(cos1, cos2, out=out)
+    out *= s_lon
+    out *= s_lon
+    out += s_lat2
     np.sqrt(out, out=out)
     np.minimum(out, 1.0, out=out)
     np.arcsin(out, out=out)
@@ -130,26 +139,56 @@ def _great_circle(lat1, lon1, lat2, lon2, cos1, cos2, out=None) -> np.ndarray:
 _PAIR_BLOCK = 1 << 15
 
 
+def _by_last_use(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x's distinct values ordered by the last position each takes in x, those positions, and each
+    element's index into the values: positions c and later hold values[searchsorted(last, c):]."""
+    values, first, code = np.unique(x[::-1], return_index=True, return_inverse=True)
+    order = np.argsort(first)[::-1]
+    index = np.empty_like(order)
+    index[order] = np.arange(order.size)
+    return values[order], x.size - 1 - first[order], index[code[::-1]]
+
+
 def _pair_blocks(grid: GridSpec):
     """Yield (position of pair (i, i + 1), km from i to each j > i) for every row i in turn.
 
-    Each row is a view into one buffer that _great_circle fills in place, a
-    block of max(1, _PAIR_BLOCK // n) rows at a time against the columns right
-    of the block's first row: no n x n matrix and no copy of a block is built.
+    Each row is a view into one buffer that _haversine fills in place, a block
+    of max(1, _PAIR_BLOCK // n) rows at a time against the columns right of
+    the block's first row: no n x n matrix and no copy of a block is built.
+    The sines come from per-block tables of sin(dlat / 2)^2 and sin(dlon / 2)
+    of each row against each distinct latitude and longitude among the
+    block's columns (at most 57 each on a 57 x 57 lattice), gathered per pair;
+    a table with one column per column is used as it stands. A table entry is
+    the same double as the per-pair sine, so every distance keeps its bits.
     """
     n = grid.n
     lat = np.radians(grid.lat)
     lon = np.radians(grid.lon)
     cos = np.cos(lat)
     rows = max(1, min(_PAIR_BLOCK // max(n, 1), n - 1))
-    buf = np.empty(rows * max(n - 1, 0))
+    r0s = range(0, n - 1, rows)
+    buf, s_lat2, s_lon = np.empty((3, rows * max(n - 1, 0)))
+    tables = []
+    for x in (lat, lon):
+        values, last, index = _by_last_use(x)
+        # the columns of the block at r0, nodes r0 + 1 on, hold values[searchsorted(last, r0 + 1):]
+        tables.append((x, values, index, np.searchsorted(last, np.add(r0s, 1)).tolist()))
     pos = 0
-    for r0 in range(0, n - 1, rows):
+    for b, r0 in enumerate(r0s):
         r1 = min(r0 + rows, n - 1)
         m = n - r0 - 1
-        block = buf[: (r1 - r0) * m].reshape(r1 - r0, m)
-        _great_circle(lat[r0:r1, None], lon[r0:r1, None], lat[None, r0 + 1 :], lon[None, r0 + 1 :],
-                      cos[r0:r1, None], cos[None, r0 + 1 :], out=block)
+        block, *factors = (a[: (r1 - r0) * m].reshape(r1 - r0, m) for a in (buf, s_lat2, s_lon))
+        for (x, values, index, firsts), factor in zip(tables, factors):
+            first = firsts[b]
+            width = values.size - first
+            # buf is free until _haversine; a table of one column per column is the factor itself
+            table = factor if width == m else buf[: (r1 - r0) * width].reshape(r1 - r0, width)
+            _sin_half_diff(x[r0:r1, None], values[first:], out=table)
+            if x is lat:
+                table *= table
+            if width < m:  # the indices are in range; mode "clip" writes to out without a buffer
+                np.take(table, index[r0 + 1 :] - first, axis=1, out=factor, mode="clip")
+        _haversine(cos[r0:r1, None], cos[None, r0 + 1 :], factors[1], factors[0], out=block)
         for k in range(r1 - r0):  # column k of the block is node r0 + k + 1, row r0 + k's first partner
             yield pos, block[k, k:]
             pos += m - k
@@ -167,7 +206,9 @@ def pair_bins(grid: GridSpec, bin_width_km: float) -> np.ndarray:
     """Distance bin floor(d / bin_width_km) of every pair i < j, in np.triu_indices(n, 1) order.
 
     Computed once per grid and width, read-only, in the smallest unsigned
-    dtype that holds the bin of half the Earth's circumference.
+    dtype that holds the bin of half the Earth's circumference. The distances
+    come from _pair_blocks' per-block sine tables and are bitwise those of a
+    haversine with each pair's own sines, so the bins are too.
     """
     key = ("pair_bins", float(bin_width_km))
     if key not in grid.derived:
@@ -190,7 +231,10 @@ def pair_groups(grid: GridSpec, bin_width_km: float) -> tuple[np.ndarray, np.nda
 
     ranks[starts[b]:starts[b + 1]] are the np.triu_indices(n, 1) positions of
     pair_bins' bin b, ascending: a stable counting sort in which each chunk of
-    _GROUP_CHUNK pairs, sorted by bin, adds one slice to each bin's ranks.
+    _GROUP_CHUNK pairs, sorted by bin, adds one slice to each bin's ranks. A
+    chunk is sorted as one array of keys bin << s | offset in the chunk (uint32
+    where the bits fit): the keys are unique, so their order is the stable
+    order by bin.
     """
     key = ("pair_groups", float(bin_width_km))
     if key not in grid.derived:
@@ -203,8 +247,18 @@ def pair_groups(grid: GridSpec, bin_width_km: float) -> tuple[np.ndarray, np.nda
         src = (np.cumsum(count, axis=1) - count).tolist()
         dst = (starts[:-1] + np.cumsum(count, axis=0) - count).tolist()
         ranks = np.empty(bins.size, dtype=np.int32 if bins.size < 2**31 else np.int64)
+        size = min(_GROUP_CHUNK, bins.size)
+        shift = max(size - 1, 0).bit_length()  # bits of an offset in a chunk
+        packed_type = np.uint32 if (nb - 1).bit_length() + shift <= 32 else np.uint64
+        offset = np.arange(size, dtype=packed_type)
         for c, chunk in enumerate(chunks):
-            order = np.argsort(chunk, kind="stable") + c * _GROUP_CHUNK
+            packed = chunk.astype(packed_type)
+            packed <<= shift
+            packed |= offset[: chunk.size]
+            packed.sort()
+            packed &= (1 << shift) - 1
+            order = packed.astype(ranks.dtype)
+            order += c * _GROUP_CHUNK
             for k, s, d in zip(count[c].tolist(), src[c], dst[c]):
                 ranks[d : d + k] = order[s : s + k]
         grid.derived[key] = ranks, starts
@@ -261,7 +315,9 @@ def mean_geo_distance(net: Network) -> MetricField:
     lon = np.radians(net.grid.lon)
     cos = np.cos(lat)
     i, j = edges[:, 0], edges[:, 1]
-    d = _great_circle(lat[i], lon[i], lat[j], lon[j], cos[i], cos[j])
+    s_lat2 = _sin_half_diff(lat[i], lat[j])
+    s_lat2 *= s_lat2
+    d = _haversine(cos[i], cos[j], _sin_half_diff(lon[i], lon[j]), s_lat2)
     total = np.bincount(edges.ravel(), np.repeat(d, 2), minlength=net.n)
     vals = np.zeros(net.n)
     linked = deg > 0

@@ -2,9 +2,9 @@
 
 Per-node event extraction, set-intersection ES, explicit shuffles and exact
 hypergeometric arithmetic for the null model, one-pair link decisions, the
-scalar haversine and the dense distance matrix, one-source-at-a-time Brandes
-betweenness, the per-bin surrogate draw by pair enumeration, and pair-level
-helpers on networks and surrogates. Where a helper runs a production kernel
+scalar haversine and the dense distance matrix, the CSR by one sort of keys,
+one-source-at-a-time Brandes betweenness, the per-bin surrogate draw by pair
+enumeration, and pair-level helpers on networks and surrogates. Where a helper runs a production kernel
 (event_sync, null_threshold, sample_surrogate), its docstring says so;
 compare it only with an independent oracle, never with itself.
 """
@@ -164,6 +164,17 @@ def haversine_matrix(grid) -> np.ndarray:
     s2 = np.sin(0.5 * (lon1 - lon2))
     h = s1 * s1 + np.cos(lat1) * np.cos(lat2) * s2 * s2
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+
+
+def csr_by_sort(n: int, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the graph on pair ranks, i < j, by one sort of both directions' keys i * n + j."""
+    ends = np.cumsum(np.arange(n - 1, 0, -1))  # row i of np.triu_indices(n, 1) ends at ends[i]
+    i = np.searchsorted(ends, rank, side="right")
+    j = rank - (ends[i] - (n - 1 - i)) + i + 1
+    key = np.sort(np.concatenate([i * n + j, j * n + i]).astype(np.int64))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // max(n, 1), minlength=n), out=indptr[1:])
+    return indptr, key % max(n, 1)
 
 
 def neighbors(net, i: int) -> np.ndarray:

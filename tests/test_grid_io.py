@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridsync import grid_io
 from gridsync.grid_io import (
     GriddedSeries,
     GridIOError,
@@ -469,3 +470,24 @@ def test_reader_skips_blank_lines(tmp_path):
     path = tmp_path / "e.csv"
     path.write_text("i,j\n\n0,1\n  \n1,2\n")
     assert read_edge_list(path).tolist() == [[0, 1], [1, 2]]
+    path.write_text("i,j\n\n  \n")
+    assert read_edge_list(path).shape == (0, 2)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 1 << 16])
+def test_reader_names_the_first_bad_line_across_batches(monkeypatch, tmp_path, batch):
+    # a bad cell on line 5 comes before a short row on line 8; with blank lines
+    # between them, batches of 1, 2 or 3 lines split the file at every place
+    monkeypatch.setattr(grid_io, "_ROW_BATCH", batch)
+    path = tmp_path / "e.csv"
+    lines = ["i,j", "0,1", "", "1,2", "x,3", "  ", "2,4", "5", "3,5"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GridIOError, match=r"invalid literal for int\(\) with base 10: 'x' \(line 5\)$"):
+        read_edge_list(path)
+    lines[4] = "1,3"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GridIOError, match=r"expected 2 fields, got 1 \(line 8\)$"):
+        read_edge_list(path)
+    lines[7] = "2,5"
+    path.write_text("\n".join(lines) + "\n")
+    assert read_edge_list(path).tolist() == [[0, 1], [1, 2], [1, 3], [2, 4], [2, 5], [3, 5]]

@@ -27,7 +27,7 @@ from gridsync.netmetrics import (
 from gridsync.synth import Exponential, RectLattice, SynthNetSpec, gen_embedded_network, lattice_grid
 
 from conftest import dense_adjacency, random_grid, random_network
-from oracles import brandes_oracle, haversine, haversine_matrix, neighbors
+from oracles import brandes_oracle, csr_by_sort, haversine, haversine_matrix, neighbors
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +441,37 @@ def test_pair_bins_equal_floor_of_matrix_distances(width, dtype):
     assert np.array_equal(pair_bins(grid, 3 * width), np.floor(d / (3 * width)))
 
 
+def shared_coordinate_grid(name: str) -> GridSpec:
+    """Grids whose nodes share latitudes or longitudes, in the pair pass's table cases."""
+    rng = np.random.default_rng(17)
+    lattice = lattice_grid(RectLattice(rows=33, cols=33, spacing_km=50.0))
+    if name == "lattice":  # 33 latitudes and 33 longitudes, row by row
+        return lattice
+    if name == "shuffled-lattice":  # the same values, each spread over the whole node order
+        order = rng.permutation(lattice.n)
+        return GridSpec(lat=lattice.lat[order], lon=lattice.lon[order])
+    if name == "jittered-lattice":  # every coordinate distinct
+        return GridSpec(lat=lattice.lat + rng.uniform(-0.1, 0.1, lattice.n),
+                        lon=lattice.lon + rng.uniform(-0.1, 0.1, lattice.n))
+    if name == "shared-latitudes":  # 3 latitudes, every longitude distinct
+        return GridSpec(lat=rng.choice([30.0, 35.5, 41.25], 900), lon=rng.uniform(-120.0, -70.0, 900))
+    if name == "n-2":
+        return GridSpec(lat=[40.0, 40.0], lon=[-100.0, -99.0])
+    assert name == "n-3"
+    return GridSpec(lat=[40.0, 41.0, 40.0], lon=[-100.0, -100.0, -99.0])
+
+
+SHARED_COORDINATE_GRIDS = ("lattice", "shuffled-lattice", "jittered-lattice", "shared-latitudes", "n-2", "n-3")
+
+
+@pytest.mark.parametrize("name", SHARED_COORDINATE_GRIDS)
+def test_pair_pass_bitwise_equal_to_per_pair_oracle_on_shared_coordinates(name):
+    # the oracle computes each pair's own sines; the pass gathers them from per-block tables
+    grid = shared_coordinate_grid(name)
+    got = pair_distances(grid)
+    assert got.tobytes() == haversine_matrix(grid)[np.triu_indices(grid.n, 1)].tobytes()
+
+
 @pytest.mark.parametrize("block", [100, 7 * 1500, 1 << 30])
 def test_pair_pass_at_other_block_sizes(monkeypatch, block):
     # 100 is below n, so every block is one row; 7 x 1,500 gives 7 rows per block
@@ -451,6 +482,8 @@ def test_pair_pass_at_other_block_sizes(monkeypatch, block):
         test_pair_distances_bitwise_equal_to_matrix_triangle(n)
     test_pair_bins_equal_floor_of_matrix_distances(50.0, np.uint16)
     test_pair_bins_equal_floor_of_matrix_distances(100.0, np.uint8)
+    for name in SHARED_COORDINATE_GRIDS:
+        test_pair_pass_bitwise_equal_to_per_pair_oracle_on_shared_coordinates(name)
 
 
 def test_network_structure_invariants(rng):
@@ -466,6 +499,22 @@ def test_network_structure_invariants(rng):
     a = dense_adjacency(net)
     assert np.array_equal(a, a.T)
     assert not a.diagonal().any()
+
+
+@pytest.mark.parametrize("n, links", [(0, "none"), (1, "none"), (40, "none"), (40, "random"), (40, "complete"),
+                                      (300, "random"), (300, "complete"), (70_000, "random")])
+def test_from_pair_ranks_equals_sort_based_csr(n, links):
+    # 40 nodes order their columns as uint8, 300 as uint16 and 70,000 as uint32
+    pairs = n * (n - 1) // 2
+    if links == "random":
+        rank = np.unique(np.random.default_rng(n).integers(0, pairs, 5000))
+    else:
+        rank = np.arange(pairs if links == "complete" else 0)
+    grid = random_grid(n, 23)
+    net = Network.from_pair_ranks(grid, rank)
+    indptr, indices = csr_by_sort(n, rank)
+    assert net.indptr.dtype == net.indices.dtype == np.int64
+    assert net.indptr.tobytes() == indptr.tobytes() and net.indices.tobytes() == indices.tobytes()
 
 
 def test_network_rejects_bad_edges():

@@ -101,3 +101,31 @@ def test_surrogate_members_summary_per_graph_and_label():
     assert g["medians"]["parent"]["CC_s"] == 0.6 and g["member_0_sha256"] == {"change": ["change"], "parent": ["parent"]}
     measured = [c for c in calls if c[0] == "members_measure"]
     assert all(c[3] == {"OPENBLAS_NUM_THREADS": "1"} for c in measured) and len(measured) == 8
+
+
+def test_pair_pass_summary_per_grid_and_label():
+    h = side_bench.Harness({"change": "C", "parent": "P"}, seed=1, repeats=2)
+    calls = []
+
+    def spawn(step, label, *args, env=None):
+        calls.append((step, label, args, env))
+        return {"cold_s": 0.2, "warm_s": 0.1 if label == "change" else 0.15, "above_input_mb": 9.7,
+                "groups_s": 0.05, "profile_s": 0.01, "bins_sha256": args[0], "groups_sha256": "g",
+                "sweep_warm_s": {"2^15": 0.1, "2^16": 0.12}}
+
+    h.spawn = spawn
+    out = side_bench.pair_pass(h)
+    assert set(out["grids"]) == set(side_bench.PAIR_GRIDS) == {"lattice", "jittered"}
+    g = out["grids"]["jittered"]
+    assert g["medians"]["parent"]["warm_s"] == 0.15 and g["medians"]["change"]["groups_s"] == 0.05
+    assert g["bins_sha256"] == {"change": ["jittered"], "parent": ["jittered"]}
+    assert g["sweep_warm_s"]["change"]["2^16"] == {"median": 0.12, "min": 0.12, "max": 0.12}
+    assert [c[2] for c in calls] == [("lattice",)] * 4 + [("jittered",)] * 4
+    assert all(c[3] == {"OPENBLAS_NUM_THREADS": "1"} for c in calls)
+
+
+def test_jittered_pair_grid_has_distinct_coordinates():
+    lattice, jittered = (side_bench.pair_grid(3, name) for name in ("lattice", "jittered"))
+    assert len(set(lattice.lat.tolist())) == len(set(lattice.lon.tolist())) == side_bench.ROWS
+    assert len(set(jittered.lat.tolist())) == len(set(jittered.lon.tolist())) == jittered.n == lattice.n
+    assert abs(jittered.lat - lattice.lat).max() <= side_bench.PAIR_JITTER_DEG

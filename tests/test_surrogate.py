@@ -50,6 +50,18 @@ def test_profile_pair_count_equals_whole_bincount(monkeypatch, chunk):
     assert pair_groups(net.grid, 50.0)[0] is ranks
 
 
+@pytest.mark.parametrize("chunk", [netmetrics._GROUP_CHUNK, 1 << 30])
+def test_pair_groups_with_64_bit_keys(monkeypatch, chunk):
+    # bins of 70 m take 17 bits, so a chunk's keys bin << 16 (or << 17) | offset need 64
+    monkeypatch.setattr(netmetrics, "_GROUP_CHUNK", chunk)
+    grid = random_grid(400, 9)
+    bins = pair_bins(grid, 0.07)
+    assert int(bins.max()).bit_length() + 16 > 32
+    ranks, starts = pair_groups(grid, 0.07)
+    assert np.array_equal(ranks, np.argsort(bins, kind="stable"))
+    assert starts.tolist() == [0] + np.cumsum(np.bincount(bins)).tolist()
+
+
 def test_profile_complete_graph():
     prof = estimate_profile(complete_net(8), bin_width_km=100.0)
     nonempty = prof.bin_pair_count > 0
