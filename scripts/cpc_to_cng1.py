@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from gridsync.grid_io import GriddedSeries, GridSpec, write_gridded_binary
+from gridsync.grid_io import GriddedSeries, GridSpec, write_gridded
 
 
 def main() -> int:
@@ -62,7 +62,7 @@ def main() -> int:
     keep = ~np.isnan(flat).all(axis=1)  # drop ocean / all-missing cells
     grid = GridSpec(lat=latg.ravel()[keep], lon=long_.ravel()[keep])
     gs = GriddedSeries(grid=grid, days=days, values=flat[keep])
-    write_gridded_binary(gs, args.out)
+    write_gridded(gs, args.out)
     print(f"wrote {args.out}: {gs.n_nodes} nodes x {gs.n_days} days", file=sys.stderr)
     return 0
 

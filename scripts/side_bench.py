@@ -40,6 +40,10 @@ edges or the bins show whether the labels give the same bytes. KERNEL is:
   pair_link_probabilities), estimate_profile on them (profile_s), then
   MEMBERS members of stream(seed, SURROGATE_TAG, k): the median time of the
   draw and of each metric in MEMBER_METRICS, and the process's peak RSS.
+- events_stage: ``gridsync events`` (gridsync.cli.main) for JJA and for DJF
+  on one CNG1 file of every calendar day of EVENT_YEARS (10,957 days) on
+  the 57 x 57 lattice, made once with grid_io.write_gridded: the stage's
+  wall time, the process's peak RSS and the digests of EVENT_FILES.
 """
 
 from __future__ import annotations
@@ -375,8 +379,69 @@ def surrogate_members(h: Harness) -> dict:
     return result
 
 
+# events_stage
+EVENT_YEARS, EVENT_SEASONS = (1981, 2010), ("JJA", "DJF")
+EVENT_WET = 0.55  # share of days with precipitation in the input file
+EVENT_FILES = ("events.csv", "events.csv.json", "grid.csv")
+
+
+def events_make(seed: int, path: str) -> int:
+    import numpy as np
+
+    from gridsync.grid_io import GriddedSeries, write_gridded
+    from gridsync.synth import RectLattice, lattice_grid
+
+    grid = lattice_grid(RectLattice(rows=ROWS, cols=ROWS, spacing_km=SPACING_KM))
+    first, last = (np.datetime64(f"{y}-01-01") for y in (EVENT_YEARS[0], EVENT_YEARS[1] + 1))
+    days = np.arange(first, last).astype(np.int64)
+    rng = np.random.default_rng(seed)
+    values = np.empty((grid.n, days.size))
+    for i in range(0, grid.n, 256):  # in blocks, so the draws add little to the 285 MB of values
+        block = rng.exponential(size=values[i : i + 256].shape)
+        block[rng.random(block.shape) >= EVENT_WET] = 0.0
+        values[i : i + 256] = block
+    write_gridded(GriddedSeries(grid, days, values), path)
+    return int(days.size)
+
+
+def events_measure(seed: int, path: str, season: str) -> dict:
+    import hashlib
+
+    from gridsync import cli
+
+    with tempfile.TemporaryDirectory(dir=Path(path).parent) as out:
+        config = Path(out) / "run.json"
+        config.write_text(json.dumps({"input": path, "format": "binary", "variable": "precip", "season": season,
+                                      "seed": seed, "out": out}))
+        t = time.perf_counter()
+        code = cli.main(["events", "--config", str(config)])
+        wall = time.perf_counter() - t
+        if code:
+            raise SystemExit(f"gridsync events exited {code}")
+        digests = {name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()[:16] for name in EVENT_FILES}
+    return {"events_s": round(wall, 4), "peak_rss_mb": round(rss_mb(), 1), "sha256": digests}
+
+
+def events_stage(h: Harness) -> dict:
+    path = h.tmp / "full.cng1"
+    days = h.spawn("events_make", h.first, str(path))
+    result = {"input": {"nodes": ROWS * ROWS, "days": days, "years": list(EVENT_YEARS), "wet_share": EVENT_WET,
+                        "file_mb": round(path.stat().st_size / 2**20, 1)},
+              "seed": h.seed, "repeats": h.repeats, "seasons": {}}
+    for season in EVENT_SEASONS:
+        runs = h.alternate("events_measure", str(path), season)
+        result["seasons"][season] = {
+            "events_s_median": medians(runs, "events_s"),
+            "peak_rss_mb_median": medians(runs, "peak_rss_mb", 1),
+            "peak_rss_mb_max": {label: max(r["peak_rss_mb"] for r in rs) for label, rs in runs.items()},
+            "sha256": {label: {name: sorted({r["sha256"][name] for r in rs}) for name in EVENT_FILES}
+                       for label, rs in runs.items()},
+            "runs": runs}
+    return result
+
+
 KERNELS = {"bc_conus": bc_conus, "es_kernel": es_kernel, "pair_pass": pair_pass,
-           "surrogate_members": surrogate_members}
+           "surrogate_members": surrogate_members, "events_stage": events_stage}
 
 
 def parse(argv: list[str] | None = None) -> argparse.Namespace:

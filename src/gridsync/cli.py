@@ -104,7 +104,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     input: str | None
-    format: str
     variable: str
     season: str
     threshold: ThresholdSpec
@@ -250,7 +249,8 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     if not 0.0 < alpha < 1.0:
         problems.append(f"alpha must lie in (0, 1), got {alpha}")
 
-    fmt = _choice(doc, "format", ("binary", "csv"), problems)
+    # the key stays so configs that name the one gridded format still run
+    _choice(doc, "format", ("binary",), problems)
 
     ydoc = _block(doc, "synth", problems)
     y = {key: _number(ydoc, key, default, problems, "synth.") for key, default in _SYNTH_DEFAULTS.items()}
@@ -274,7 +274,6 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(problems)
     return RunConfig(
         input=doc.get("input"),
-        format=fmt,
         variable=variable,
         season=season,
         threshold=threshold,
@@ -304,10 +303,6 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 # the artifacts of each stage, manifests and progress
 
 
-def _synth_name(cfg: RunConfig) -> str:
-    return "synthetic.cng1" if cfg.format == "binary" else "synthetic.csv"
-
-
 def _files(stage: str, cfg: RunConfig, out_dir: Path) -> tuple[dict[str, Path], dict[str, Path]]:
     """What a stage reads, as {manifest input name: path}, and writes, as {file name: path}.
 
@@ -319,7 +314,7 @@ def _files(stage: str, cfg: RunConfig, out_dir: Path) -> tuple[dict[str, Path], 
     metrics = (*cfg.metrics, "logBC") if "BC" in cfg.metrics else cfg.metrics
     corrected = [f"corrected_{m}_{method}" for m in cfg.metrics for method in CORRECTIONS]
     reads, writes = {
-        "synth": ((), (_synth_name(cfg),)),
+        "synth": ((), ("synthetic.cng1",)),
         "events": ((), ("events.csv", "events.csv.json", "grid.csv")),
         "network": (("events", "grid"), ("edges.csv",)),
         "metrics": (("edges", "grid"), [f"metric_{m}.csv" for m in metrics]),
@@ -329,7 +324,7 @@ def _files(stage: str, cfg: RunConfig, out_dir: Path) -> tuple[dict[str, Path], 
     }[stage]
     reads = {key: out_dir / f"{key}.csv" for key in reads}
     if stage == "events":
-        reads["gridded"] = Path(cfg.input) if cfg.input is not None else out_dir / _synth_name(cfg)
+        reads["gridded"] = Path(cfg.input) if cfg.input is not None else out_dir / "synthetic.cng1"
     return reads, {name: out_dir / name for name in writes}
 
 
@@ -405,12 +400,12 @@ def stage_synth(cfg: RunConfig, reads: dict, writes: dict) -> None:
     layout = RectLattice(**{key: kw.pop(key) for key in ("rows", "cols", "spacing_km", "lat0", "lon0")})
     gs = gen_gridded_values(layout, seed=cfg.seed, season=cfg.season, **kw)
     (path,) = writes.values()
-    write_gridded(gs, path, format=cfg.format)
+    write_gridded(gs, path)
 
 
 def stage_events(cfg: RunConfig, reads: dict, writes: dict) -> None:
-    # the whole-year series is dropped once the season is cut, before the event matrix is built
-    seasonal = extract_season(load_gridded(reads["gridded"], cfg.format), cfg.season)
+    # the reader keeps only the season's days, so extract_season returns its series as is
+    seasonal = extract_season(load_gridded(reads["gridded"], cfg.season), cfg.season)
     events, unusable = extract_events(seasonal, cfg.threshold)
     if unusable:
         print(

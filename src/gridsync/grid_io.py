@@ -2,11 +2,10 @@
 
 Formats (all little-endian, '.' decimal separator):
 
-* Binary gridded "CNG1": magic ``CNG1``; u32 n_nodes; u32 n_days; then
-  n_nodes x (f64 lat, f64 lon); then n_days x i32 day-index; then values as
-  f32, node-major (node 0's n_days values, then node 1's, ...). NaN = missing.
-* CSV gridded: header ``node_id,lat,lon,day_index,value``, one row per
-  (node, day), node-major.
+* Gridded "CNG1", the one gridded input format: magic ``CNG1``; u32
+  n_nodes; u32 n_days; then n_nodes x (f64 lat, f64 lon); then n_days x i32
+  day-index; then values as f32, node-major (node 0's n_days values, then
+  node 1's, ...). NaN = missing.
 * Grid CSV: header ``node_id,lat,lon``, one row per node.
 * Metric CSV: header ``node_id,lat,lon,value``, one row per node, NaN
   written as ``nan``.
@@ -22,6 +21,7 @@ Day indices are integer days since 1970-01-01 (proleptic Gregorian).
 from __future__ import annotations
 
 import json
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -33,7 +33,6 @@ import numpy as np
 _MAGIC = b"CNG1"
 
 # CSV headers, shared by each format's writer and reader
-GRIDDED_HEADER = "node_id,lat,lon,day_index,value"
 GRID_HEADER = "node_id,lat,lon"
 METRIC_HEADER = "node_id,lat,lon,value"
 EDGE_HEADER = "i,j"
@@ -99,14 +98,10 @@ class GriddedSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        days = np.asarray(self.days, dtype=np.int64)
+        days = _day_indices(self.days)
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "days", days)
         object.__setattr__(self, "values", values)
-        if days.ndim != 1:
-            raise ValueError("days must be a 1-d array")
-        if days.size > 1 and not (np.diff(days) > 0).all():
-            raise ValueError("day indices must be strictly increasing")
         if values.shape != (self.grid.n, days.size):
             raise ValueError(
                 f"values shape {values.shape} does not match "
@@ -122,6 +117,16 @@ class GriddedSeries:
         return int(self.days.size)
 
 
+def _day_indices(days) -> np.ndarray:
+    """days as a 1-d, strictly increasing int64 array."""
+    days = np.asarray(days, dtype=np.int64)
+    if days.ndim != 1:
+        raise ValueError("days must be a 1-d array")
+    if days.size > 1 and not (np.diff(days) > 0).all():
+        raise ValueError("day indices must be strictly increasing")
+    return days
+
+
 # season name -> calendar months
 SEASON_MONTHS = {"JJA": (6, 7, 8), "DJF": (12, 1, 2)}
 
@@ -132,29 +137,41 @@ def day_index_months(days: np.ndarray) -> np.ndarray:
     return (d.astype("datetime64[M]") - d.astype("datetime64[Y]")).astype(int) + 1
 
 
+def _season_mask(days: np.ndarray, season: str) -> np.ndarray:
+    """The bool mask of the days whose month lies in the season; some day must."""
+    if season not in SEASON_MONTHS:
+        raise ValueError(f"unknown season {season!r}; expected one of {sorted(SEASON_MONTHS)}")
+    if days.size == 0:
+        raise ValueError("empty series")
+    keep = np.isin(day_index_months(days), SEASON_MONTHS[season])
+    if not keep.any():
+        raise ValueError(f"no days fall in season {season}")
+    return keep
+
+
 def extract_season(gs: GriddedSeries, season: str) -> GriddedSeries:
     """Sub-series containing exactly the days whose month lies in the season.
 
     Day indices are preserved verbatim, so December of year y stays adjacent
     to January of year y+1 in a DJF block (with the true calendar gap to the
-    next block).
+    next block). A series that holds only the season's days is returned as
+    is, not copied.
     """
-    if season not in SEASON_MONTHS:
-        raise ValueError(f"unknown season {season!r}; expected one of {sorted(SEASON_MONTHS)}")
-    if gs.n_days == 0:
-        raise ValueError("empty series")
-    months = day_index_months(gs.days)
-    keep = np.isin(months, SEASON_MONTHS[season])
-    if not keep.any():
-        raise ValueError(f"no days fall in season {season}")
+    keep = _season_mask(gs.days, season)
+    if keep.all():
+        return gs
     return GriddedSeries(grid=gs.grid, days=gs.days[keep], values=gs.values[:, keep])
 
 
 # ---------------------------------------------------------------------------
-# binary gridded format
+# CNG1 gridded format
+
+# nodes per block of load_gridded's value read; a block's float32 values
+# (block x n_days) are the only whole-file values it holds at a time
+_NODE_BLOCK = 256
 
 
-def write_gridded_binary(gs: GriddedSeries, path) -> None:
+def write_gridded(gs: GriddedSeries, path) -> None:
     path = Path(path)
     with open(path, "wb") as f:
         f.write(_MAGIC)
@@ -167,35 +184,47 @@ def write_gridded_binary(gs: GriddedSeries, path) -> None:
         f.write(gs.values.astype("<f4").tobytes())
 
 
-def read_gridded_binary(path) -> GriddedSeries:
+def load_gridded(path, season: str | None = None) -> GriddedSeries:
+    """Read a CNG1 file, keeping only the days of season (every day when None).
+
+    The file's size is checked against its header before any value is read.
+    Values are read _NODE_BLOCK nodes at a time, and only the kept days'
+    columns are copied into the float64 result.
+    """
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 12:
-        raise GridIOError("truncated header", path, offset=len(raw))
-    if raw[:4] != _MAGIC:
-        raise GridIOError(f"bad magic {raw[:4]!r}, expected {_MAGIC!r}", path, offset=0)
-    n_nodes, n_days = struct.unpack_from("<II", raw, 4)
-    off = 12
-    coord_bytes = 16 * n_nodes
-    if len(raw) < off + coord_bytes:
-        raise GridIOError("node-count mismatch: coordinate block truncated", path, offset=len(raw))
-    coords = np.frombuffer(raw, dtype="<f8", count=2 * n_nodes, offset=off).reshape(n_nodes, 2)
-    off += coord_bytes
-    day_bytes = 4 * n_days
-    if len(raw) < off + day_bytes:
-        raise GridIOError("day-count mismatch: day block truncated", path, offset=len(raw))
-    days = np.frombuffer(raw, dtype="<i4", count=n_days, offset=off).astype(np.int64)
-    off += day_bytes
-    val_bytes = 4 * n_nodes * n_days
-    if len(raw) < off + val_bytes:
-        raise GridIOError("value-count mismatch: value block truncated", path, offset=len(raw))
-    if len(raw) > off + val_bytes:
-        raise GridIOError("trailing bytes after value block", path, offset=off + val_bytes)
-    values = np.frombuffer(raw, dtype="<f4", count=n_nodes * n_days, offset=off)
-    values = values.astype(np.float64).reshape(n_nodes, n_days)
-    with _artifact(path):
-        grid = GridSpec(lat=coords[:, 0].copy(), lon=coords[:, 1].copy())
-        return GriddedSeries(grid=grid, days=days, values=values)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(12)
+        if len(head) < 12:
+            raise GridIOError("truncated header", path, offset=size)
+        if head[:4] != _MAGIC:
+            raise GridIOError(f"bad magic {head[:4]!r}, expected {_MAGIC!r}", path, offset=0)
+        n_nodes, n_days = struct.unpack_from("<II", head, 4)
+        days_at = 12 + 16 * n_nodes
+        values_at = days_at + 4 * n_days
+        end = values_at + 4 * n_nodes * n_days
+        if size < days_at:
+            raise GridIOError("node-count mismatch: coordinate block truncated", path, offset=size)
+        if size < values_at:
+            raise GridIOError("day-count mismatch: day block truncated", path, offset=size)
+        if size < end:
+            raise GridIOError("value-count mismatch: value block truncated", path, offset=size)
+        if size > end:
+            raise GridIOError("trailing bytes after value block", path, offset=end)
+        coords = np.frombuffer(f.read(days_at - 12), dtype="<f8").reshape(n_nodes, 2)
+        with _artifact(path):
+            grid = GridSpec(lat=coords[:, 0], lon=coords[:, 1])
+            # every day of the file is checked, not only the season's
+            days = _day_indices(np.frombuffer(f.read(values_at - days_at), dtype="<i4"))
+        keep = np.ones(n_days, dtype=bool) if season is None else _season_mask(days, season)
+        values = np.empty((n_nodes, int(keep.sum())))
+        block = np.empty((min(_NODE_BLOCK, n_nodes), n_days), dtype="<f4")
+        for i in range(0, n_nodes, _NODE_BLOCK):
+            rows = block[: n_nodes - i]
+            if f.readinto(rows) != rows.nbytes:
+                raise GridIOError("value-count mismatch: value block truncated", path, offset=f.tell())
+            values[i : i + len(rows)] = rows[:, keep]
+    return GriddedSeries(grid=grid, days=days[keep], values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -312,62 +341,6 @@ def _read_nodes(path, header: str, *casts) -> tuple[GridSpec, list[np.ndarray]]:
     with _artifact(path):
         grid = GridSpec(lat=np.asarray(lat)[order], lon=np.asarray(lon)[order])
     return grid, [np.asarray(c)[order] for c in columns]
-
-
-# ---------------------------------------------------------------------------
-# CSV gridded format
-
-
-def write_gridded_csv(gs: GriddedSeries, path) -> None:
-    days = gs.days.tolist()
-    with open(path, "w", newline="") as f:
-        f.write(GRIDDED_HEADER + "\n")
-        for i, cell in enumerate(_node_cells(gs.grid)):
-            _write_rows(f, repeat(cell, gs.n_days), days, gs.values[i])
-
-
-def read_gridded_csv(path) -> GriddedSeries:
-    path = Path(path)
-    ids, lats, lons, days, vals = _read_rows(path, GRIDDED_HEADER, int, float, float, int, float)
-    if not ids:
-        raise GridIOError("no data rows", path, line=2)
-    ids = np.asarray(ids, dtype=np.int64)
-    n = _node_order(path, np.unique(ids)).size
-    uniq_days, day_pos = np.unique(np.asarray(days, dtype=np.int64), return_inverse=True)
-    if n * uniq_days.size != ids.size:
-        raise GridIOError(
-            f"row-count mismatch: {ids.size} rows for {n} nodes x {uniq_days.size} days", path
-        )
-    counts = np.bincount(ids * uniq_days.size + day_pos, minlength=n * uniq_days.size)
-    if (counts > 1).any():
-        i, k = divmod(int(np.argmax(counts > 1)), uniq_days.size)
-        raise GridIOError(f"duplicate (node {i}, day {uniq_days[k]}) row", path)
-    lat, lon = np.empty(n), np.empty(n)
-    lat[ids], lon[ids] = lats, lons
-    if not (np.array_equal(lat[ids], lats, equal_nan=True) and np.array_equal(lon[ids], lons, equal_nan=True)):
-        raise GridIOError("rows of one node disagree on its coordinates", path)
-    values = np.empty((n, uniq_days.size))
-    values[ids, day_pos] = vals
-    with _artifact(path):
-        return GriddedSeries(grid=GridSpec(lat=lat, lon=lon), days=uniq_days, values=values)
-
-
-def load_gridded(path, format: str = "binary") -> GriddedSeries:
-    """Load a gridded series; format is ``binary`` (CNG1) or ``csv``."""
-    if format == "binary":
-        return read_gridded_binary(path)
-    if format == "csv":
-        return read_gridded_csv(path)
-    raise ValueError(f"unknown gridded format {format!r}")
-
-
-def write_gridded(gs: GriddedSeries, path, format: str = "binary") -> None:
-    if format == "binary":
-        write_gridded_binary(gs, path)
-    elif format == "csv":
-        write_gridded_csv(gs, path)
-    else:
-        raise ValueError(f"unknown gridded format {format!r}")
 
 
 # ---------------------------------------------------------------------------

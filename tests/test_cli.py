@@ -147,10 +147,11 @@ def test_config_rejects_unknown_sync_key(tmp_path):
     ({"synth": {"storm_rate": -0.1}}, "synth.storm_rate must lie in"),
     ({"synth": {"lat0": 95}}, "synth: latitude out of range"),
     ({"synth": {"output": "x.cng1"}}, "unknown key synth.output"),
+    ({"format": "csv"}, "format must be one of ('binary',)"),
 ])
 def test_config_rejects_bad_document(tmp_path, capsys, doc, message):
     # each mistake is a config error (exit 1), never a silent default or a crash (exit 2)
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         validate_config({"seed": 1, **doc})
     assert main(["synth", "--config", str(base_config(tmp_path))]) == 0
     assert main(["synth", "--config", str(base_config(tmp_path, **doc))]) == 1

@@ -1,4 +1,5 @@
 import datetime
+import json
 import struct
 
 import numpy as np
@@ -44,25 +45,14 @@ def test_binary_roundtrip_bitwise(tmp_path):
     gs = small_series()
     p1 = tmp_path / "a.cng1"
     p2 = tmp_path / "b.cng1"
-    write_gridded(gs, p1, "binary")
-    back = load_gridded(p1, "binary")
-    write_gridded(back, p2, "binary")
+    write_gridded(gs, p1)
+    back = load_gridded(p1)
+    write_gridded(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(back.days, gs.days)
     assert np.array_equal(back.grid.lat, gs.grid.lat)
     # values pass through f32; the fixture values are all f32-exact
     assert np.array_equal(back.values, gs.values, equal_nan=True)
-
-
-def test_csv_roundtrip_identity(tmp_path):
-    gs = small_series()
-    p = tmp_path / "a.csv"
-    write_gridded(gs, p, "csv")
-    back = load_gridded(p, "csv")
-    assert np.array_equal(back.days, gs.days)
-    assert np.array_equal(back.values, gs.values, equal_nan=True)
-    assert np.array_equal(back.grid.lat, gs.grid.lat)
-    assert np.array_equal(back.grid.lon, gs.grid.lon)
 
 
 @settings(max_examples=30, deadline=None)
@@ -76,13 +66,11 @@ def test_roundtrip_property(tmp_path_factory, data):
     values = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
     values[rng.random((n, d)) < 0.2] = np.nan
     gs = GriddedSeries(grid=grid, days=days, values=values)
-    tmp = tmp_path_factory.mktemp("rt")
-    for fmt in ("binary", "csv"):
-        p = tmp / f"x.{fmt}"
-        write_gridded(gs, p, fmt)
-        back = load_gridded(p, fmt)
-        assert np.array_equal(back.values, gs.values, equal_nan=True)
-        assert np.array_equal(back.days, gs.days)
+    p = tmp_path_factory.mktemp("rt") / "x.cng1"
+    write_gridded(gs, p)
+    back = load_gridded(p)
+    assert np.array_equal(back.values, gs.values, equal_nan=True)
+    assert np.array_equal(back.days, gs.days)
 
 
 def test_cpc_shaped_file(tmp_path):
@@ -95,8 +83,8 @@ def test_cpc_shaped_file(tmp_path):
     rng = np.random.default_rng(0)
     gs = GriddedSeries(grid=grid, days=np.array([0, 1]), values=rng.random((3276, 2)))
     p = tmp_path / "cpc.cng1"
-    write_gridded(gs, p, "binary")
-    back = load_gridded(p, "binary")
+    write_gridded(gs, p)
+    back = load_gridded(p)
     assert back.n_nodes == 3276
 
 
@@ -113,62 +101,48 @@ def test_binary_day_count_mismatch(tmp_path):
         f.write(struct.pack("<dd", 10.0, 20.0))
         f.write(np.arange(4, dtype="<i4").tobytes())
     with pytest.raises(GridIOError, match="day-count mismatch"):
-        load_gridded(p, "binary")
+        load_gridded(p)
 
 
 def test_binary_bad_magic(tmp_path):
     p = tmp_path / "bad.cng1"
     p.write_bytes(b"NOPE" + b"\x00" * 20)
     with pytest.raises(GridIOError, match="magic"):
-        load_gridded(p, "binary")
+        load_gridded(p)
 
 
 def test_binary_value_truncation(tmp_path):
     gs = small_series()
     p = tmp_path / "trunc.cng1"
-    write_gridded(gs, p, "binary")
+    write_gridded(gs, p)
     raw = p.read_bytes()
     p.write_bytes(raw[:-4])
     with pytest.raises(GridIOError, match="value-count mismatch"):
-        load_gridded(p, "binary")
+        load_gridded(p)
 
 
 def test_binary_non_monotone_days(tmp_path):
     gs = small_series()
     p = tmp_path / "days.cng1"
-    write_gridded(gs, p, "binary")
+    write_gridded(gs, p)
     raw = bytearray(p.read_bytes())
     off = 12 + 16 * 2  # header + coords
     raw[off : off + 12] = np.array([105, 101, 100], dtype="<i4").tobytes()
     p.write_bytes(bytes(raw))
     with pytest.raises(GridIOError, match="strictly increasing"):
-        load_gridded(p, "binary")
-
-
-def test_csv_malformed_header(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("node,lat,lon\n")
-    with pytest.raises(GridIOError, match="line 1"):
-        load_gridded(p, "csv")
-
-
-def test_csv_row_count_mismatch(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text(
-        "node_id,lat,lon,day_index,value\n"
-        "0,10.0,20.0,5,1.0\n"
-        "0,10.0,20.0,6,2.0\n"
-        "1,11.0,21.0,5,3.0\n"
-    )
-    with pytest.raises(GridIOError, match="row-count mismatch"):
-        load_gridded(p, "csv")
+        load_gridded(p)
 
 
 def test_out_of_range_coordinates(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("node_id,lat,lon,day_index,value\n0,95.0,20.0,5,1.0\n")
-    with pytest.raises(GridIOError, match="latitude"):
-        load_gridded(p, "csv")
+    p = tmp_path / "bad.cng1"
+    with open(p, "wb") as f:
+        f.write(b"CNG1")
+        f.write(struct.pack("<II", 1, 1))
+        f.write(struct.pack("<dd", 95.0, 20.0))
+        f.write(struct.pack("<if", 5, 1.0))
+    with pytest.raises(GridIOError) as err:
+        load_gridded(p)
+    assert str(err.value) == f"{p}: latitude out of range [-90, 90]"
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +197,80 @@ def test_extract_empty_result_errors():
     gs = make_daily(datetime.date(1995, 6, 1), datetime.date(1995, 6, 30))
     with pytest.raises(ValueError, match="no days"):
         extract_season(gs, "DJF")
+
+
+# ---------------------------------------------------------------------------
+# reading one season of a CNG1 file
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("season", ["JJA", "DJF"])
+def test_season_read_equals_extract_season(monkeypatch, tmp_path, season, block):
+    # 7 nodes over three full calendar years: blocks of 2 and 3 nodes leave a short last block
+    gs = make_daily(datetime.date(1999, 1, 1), datetime.date(2001, 12, 31), n_nodes=7, seed=3)
+    values = gs.values.astype(np.float32).astype(np.float64)
+    values[np.random.default_rng(4).random(values.shape) < 0.1] = np.nan
+    p = tmp_path / "full.cng1"
+    write_gridded(GriddedSeries(gs.grid, gs.days, values), p)
+    monkeypatch.setattr(grid_io, "_NODE_BLOCK", block)
+    whole = load_gridded(p)
+    cut = load_gridded(p, season)
+    ref = extract_season(whole, season)
+    assert np.array_equal(whole.values, values, equal_nan=True) and ref.n_days < whole.n_days
+    assert np.array_equal(cut.days, ref.days)
+    assert np.array_equal(cut.values, ref.values, equal_nan=True)
+    assert cut.values.tobytes() == ref.values.tobytes() and cut.values.flags.c_contiguous
+    assert np.array_equal(cut.grid.lat, ref.grid.lat) and np.array_equal(cut.grid.lon, ref.grid.lon)
+    # a series that holds only the season's days is not copied again
+    assert extract_season(cut, season) is cut
+
+
+def _june_file(path) -> bytes:
+    """A valid 2-node CNG1 file over 31 May to 2 June 1970 (80 bytes)."""
+    grid = GridSpec(lat=np.array([10.0, 11.0]), lon=np.array([20.0, 20.5]))
+    write_gridded(GriddedSeries(grid, np.array([150, 151, 152]), np.arange(6.0).reshape(2, 3)), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("season", [None, "JJA", "DJF"])
+@pytest.mark.parametrize("edit, message, offset", [
+    pytest.param(lambda raw: raw[:10], "truncated header", 10, id="short-header"),
+    pytest.param(lambda raw: b"NOPE" + raw[4:], "bad magic b'NOPE', expected b'CNG1'", 0, id="bad-magic"),
+    pytest.param(lambda raw: raw[:32], "node-count mismatch: coordinate block truncated", 32,
+                 id="truncated-coordinates"),
+    pytest.param(lambda raw: raw[:52], "day-count mismatch: day block truncated", 52, id="truncated-days"),
+    pytest.param(lambda raw: raw[:-4], "value-count mismatch: value block truncated", 76, id="truncated-values"),
+    pytest.param(lambda raw: raw + b"\0", "trailing bytes after value block", 80, id="trailing-bytes"),
+])
+def test_cng1_fault_keeps_its_message_and_offset(tmp_path, season, edit, message, offset):
+    # a malformed file is reported before any season is cut, even one with no day in the season
+    p = tmp_path / "bad.cng1"
+    p.write_bytes(edit(_june_file(p)))
+    with pytest.raises(GridIOError) as err:
+        load_gridded(p, season)
+    assert str(err.value) == f"{p}: {message} (byte offset {offset})" and err.value.offset == offset
+
+
+def test_season_read_rejects_non_monotone_days_outside_the_season(tmp_path):
+    p = tmp_path / "days.cng1"
+    raw = bytearray(_june_file(p))
+    # the first day, 31 May, becomes 1 September: out of order, and outside JJA
+    raw[44:48] = np.array([day_index(1970, 9, 1)], dtype="<i4").tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(GridIOError, match="strictly increasing"):
+        load_gridded(p, "JJA")
+
+
+def test_events_stage_exits_2_when_no_day_falls_in_the_season(tmp_path, capsys):
+    from gridsync.cli import main
+
+    write_gridded(make_daily(datetime.date(1999, 12, 1), datetime.date(2000, 2, 29), n_nodes=3), tmp_path / "djf.cng1")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"input": str(tmp_path / "djf.cng1"), "format": "binary", "season": "JJA",
+                               "seed": 1, "out": str(tmp_path / "out")}))
+    assert main(["events", "--config", str(cfg)]) == 2
+    assert "error: ValueError: no days fall in season JJA" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "events.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +353,6 @@ def test_csv_writers_match_per_cell_repr(tmp_path):
     expected["metric.csv"] = _reference("node_id,lat,lon,value",
                                         [loc[i] + [_cell(SPECIAL[i])] for i in range(n)])
 
-    gs = GriddedSeries(grid=grid, days=np.array([100, 101, 105]),
-                       values=np.stack([np.roll(SPECIAL, k)[:3] for k in range(n)]))
-    write_gridded(gs, tmp_path / "gridded.csv", format="csv")
-    expected["gridded.csv"] = _reference(
-        "node_id,lat,lon,day_index,value",
-        [loc[i] + [str(gs.days[k]), _cell(gs.values[i, k])] for i in range(n) for k in range(3)],
-    )
 
     undefined = np.isnan(SPECIAL)
     cf = CorrectedField(raw=SPECIAL, surrogate_mean=np.roll(SPECIAL, 1), corrected=np.roll(SPECIAL, 2),
@@ -348,9 +389,10 @@ def test_csv_writers_match_per_cell_repr(tmp_path):
     expected["no_edges.csv"] = "i,j\n"
 
     events = np.arange(3) < np.arange(n)[:, None] % 3
-    write_event_series(events, gs.days, tmp_path / "events.csv", {})
+    days = np.array([100, 101, 105])
+    write_event_series(events, days, tmp_path / "events.csv", {})
     expected["events.csv"] = _reference(
-        "node_id,day_index", [[str(i), str(gs.days[k])] for i in range(n) for k in range(i % 3)])
+        "node_id,day_index", [[str(i), str(days[k])] for i in range(n) for k in range(i % 3)])
 
     for name, text in expected.items():
         assert (tmp_path / name).read_text() == text, name
@@ -377,8 +419,6 @@ def _write_artifacts(tmp_path) -> dict:
     profile = DistanceProfile(np.array([0.0, 50.0, 100.0]), np.array([0.25, 0.5]),
                               np.array([4, 2]), np.array([1, 1]))
     files = {
-        "gridded": (lambda p: write_gridded(GriddedSeries(grid, days, np.ones((3, 3))), p, format="csv"),
-                    lambda p: load_gridded(p, "csv")),
         "grid": (lambda p: write_grid_csv(grid, p), read_grid_csv),
         "metric": (lambda p: write_metric_csv(np.array([1.0, 2.0, 3.0]), grid, p), read_metric_csv),
         "edges": (lambda p: write_edge_list(np.array([[0, 1], [1, 2]]), p), read_edge_list),
@@ -411,8 +451,8 @@ def _bad_coordinate(lines):
     lines[1:] = [line.replace(",10.5,", ",95.0,") for line in lines[1:]]
 
 
-COORDINATE_FILES = ("gridded", "grid", "metric", "corrected")
-FAULTS = [(name, fault) for name in ("gridded", "grid", "metric", "edges", "events", "profile",
+COORDINATE_FILES = ("grid", "metric", "corrected")
+FAULTS = [(name, fault) for name in ("grid", "metric", "edges", "events", "profile",
                                      "surrogate_stats", "corrected") for fault in (_short_row, _bad_cell)]
 FAULTS += [(name, _bad_coordinate) for name in COORDINATE_FILES]
 
@@ -452,8 +492,6 @@ def test_reader_rejects_malformed_artifact(tmp_path, name, fault):
                  "zero_flag 0 of node 0 (DC) disagrees with its mean 0.0", id="zero-mean-flag-0"),
     pytest.param("corrected", lambda lines: lines[:-1] + [lines[-1][:-1] + "7"],
                  "flag must be 0 or 1, got '7' (line 4)", id="defined-flag-7"),
-    pytest.param("gridded", lambda lines: lines[:2] + [lines[2].replace(",10.5,", ",10.0,")] + lines[3:],
-                 "rows of one node disagree on its coordinates", id="gridded-node-moves"),
 ])
 def test_reader_rejects_inconsistent_rows(tmp_path, name, edit, message):
     # name "events.json" edits the events artifact's JSON sidecar

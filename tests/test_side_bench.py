@@ -129,3 +129,53 @@ def test_jittered_pair_grid_has_distinct_coordinates():
     assert len(set(lattice.lat.tolist())) == len(set(lattice.lon.tolist())) == side_bench.ROWS
     assert len(set(jittered.lat.tolist())) == len(set(jittered.lon.tolist())) == jittered.n == lattice.n
     assert abs(jittered.lat - lattice.lat).max() <= side_bench.PAIR_JITTER_DEG
+
+
+def test_events_stage_step_runs_the_events_stage(tmp_path):
+    # a fresh child on this source runs `gridsync events` on a full-calendar file, reports the
+    # digests of the stage's artifacts as run in this process, and leaves no output behind
+    import hashlib
+    import json
+
+    import numpy as np
+
+    from gridsync.cli import main
+    from gridsync.grid_io import GriddedSeries, write_gridded
+    from gridsync.synth import RectLattice, lattice_grid
+
+    grid = lattice_grid(RectLattice(3, 3, 50.0))
+    days = np.arange(np.datetime64("1998-01-01"), np.datetime64("2001-01-01")).astype(np.int64)
+    path = tmp_path / "full.cng1"
+    write_gridded(GriddedSeries(grid, days, np.random.default_rng(0).exponential(size=(grid.n, days.size))), path)
+    src = str(Path(gridsync.__file__).resolve().parents[1])
+    run = side_bench.Harness({"a": src}, seed=4, repeats=1).spawn("events_measure", "a", str(path), "DJF")
+    assert set(run) == {"events_s", "peak_rss_mb", "sha256"}
+    assert [p.name for p in tmp_path.iterdir()] == ["full.cng1"]
+    out, config = tmp_path / "out", tmp_path / "run.json"
+    config.write_text(json.dumps({"input": str(path), "format": "binary", "variable": "precip", "season": "DJF",
+                                  "seed": 4, "out": str(out)}))
+    assert main(["events", "--config", str(config)]) == 0
+    assert run["sha256"] == {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+                             for name in ("events.csv", "events.csv.json", "grid.csv")}
+
+
+def test_events_stage_summary_per_season_and_label(tmp_path):
+    h = side_bench.Harness({"change": "C", "parent": "P"}, seed=1, repeats=2, tmp=str(tmp_path))
+    calls = []
+
+    def spawn(step, label, *args, env=None):
+        calls.append((step, label, args))
+        if step == "events_make":
+            Path(args[0]).write_bytes(b"\0" * 2**20)
+            return 10957
+        return {"events_s": 0.5, "peak_rss_mb": 110.0 if label == "change" else 438.0,
+                "sha256": {name: args[1] for name in side_bench.EVENT_FILES}}
+
+    h.spawn = spawn
+    out = side_bench.events_stage(h)
+    assert out["input"]["days"] == 10957 and out["input"]["file_mb"] == 1.0
+    assert calls[0] == ("events_make", "change", (str(tmp_path / "full.cng1"),))
+    djf = out["seasons"]["DJF"]
+    assert djf["peak_rss_mb_max"] == {"change": 110.0, "parent": 438.0}
+    assert djf["sha256"]["parent"]["grid.csv"] == ["DJF"] and len(djf["runs"]["change"]) == 2
+    assert [c[2][1] for c in calls[1:]] == ["JJA"] * 4 + ["DJF"] * 4
