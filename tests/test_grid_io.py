@@ -1,4 +1,5 @@
 import datetime
+import functools
 import json
 import struct
 
@@ -403,7 +404,7 @@ def test_csv_writers_match_per_cell_repr(tmp_path):
 
 
 def _write_artifacts(tmp_path) -> dict:
-    """One small valid file per CSV format: name -> (path, reader)."""
+    """One small valid file per artifact format: name -> (path, reader)."""
     from gridsync.correction import correct_divide, read_corrected_csv, write_corrected_csv
     from gridsync.grid_io import read_event_series, write_event_series
     from gridsync.netmetrics import MetricField
@@ -419,6 +420,8 @@ def _write_artifacts(tmp_path) -> dict:
     profile = DistanceProfile(np.array([0.0, 50.0, 100.0]), np.array([0.25, 0.5]),
                               np.array([4, 2]), np.array([1, 1]))
     files = {
+        "gridded": (lambda p: write_gridded(GriddedSeries(grid, days, np.arange(9.0).reshape(3, 3)), p),
+                    load_gridded),
         "grid": (lambda p: write_grid_csv(grid, p), read_grid_csv),
         "metric": (lambda p: write_metric_csv(np.array([1.0, 2.0, 3.0]), grid, p), read_metric_csv),
         "edges": (lambda p: write_edge_list(np.array([[0, 1], [1, 2]]), p), read_edge_list),
@@ -430,28 +433,49 @@ def _write_artifacts(tmp_path) -> dict:
     }
     out = {}
     for name, (write, read) in files.items():
-        path = tmp_path / f"{name}.csv"
+        path = tmp_path / (f"{name}.cng1" if name == "gridded" else f"{name}.csv")
         write(path)
         read(path)  # the untouched file reads back
         out[name] = (path, read)
     return out
 
 
+def _on_lines(edit):
+    """A fault that edits a CSV file's lines in place and returns the number of the line it broke."""
+    @functools.wraps(edit)
+    def fault(path):
+        lines = path.read_text().splitlines()
+        line = edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        return line
+    return fault
+
+
+@_on_lines
 def _short_row(lines):
     lines[1] = lines[1].rsplit(",", 1)[0]
     return 2
 
 
+@_on_lines
 def _bad_cell(lines):
     lines[2] = "abc" + lines[2][lines[2].index(","):]
     return 3
 
 
-def _bad_coordinate(lines):
-    lines[1:] = [line.replace(",10.5,", ",95.0,") for line in lines[1:]]
+def _bad_coordinate(path):
+    # node 0's latitude, 10.5, becomes 95.0: no one line is to blame
+    if path.suffix == ".cng1":
+        raw = path.read_bytes()
+        lat = struct.pack("<d", 10.5)
+        assert raw.count(lat) == 1
+        path.write_bytes(raw.replace(lat, struct.pack("<d", 95.0)))
+    else:
+        path.write_text(path.read_text().replace(",10.5,", ",95.0,"))
+    return None
 
 
-COORDINATE_FILES = ("grid", "metric", "corrected")
+COORDINATE_FILES = ("gridded", "grid", "metric", "corrected")
 FAULTS = [(name, fault) for name in ("grid", "metric", "edges", "events", "profile",
                                      "surrogate_stats", "corrected") for fault in (_short_row, _bad_cell)]
 FAULTS += [(name, _bad_coordinate) for name in COORDINATE_FILES]
@@ -462,9 +486,7 @@ def test_reader_rejects_malformed_artifact(tmp_path, name, fault):
     # a malformed artifact is a GridIOError naming the file (and the line of a bad row),
     # never a bare ValueError or a silently misread row
     path, read = _write_artifacts(tmp_path)[name]
-    lines = path.read_text().splitlines()
-    line = fault(lines)
-    path.write_text("\n".join(lines) + "\n")
+    line = fault(path)
     with pytest.raises(GridIOError) as err:
         read(path)
     msg = str(err.value)
