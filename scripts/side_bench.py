@@ -44,6 +44,15 @@ edges or the bins show whether the labels give the same bytes. KERNEL is:
   on one CNG1 file of every calendar day of EVENT_YEARS (10,957 days) on
   the 57 x 57 lattice, made once with grid_io.write_gridded: the stage's
   wall time, the process's peak RSS and the digests of EVENT_FILES.
+- csv_io: the CSV artifacts a stage process writes and the next one reads
+  back, at CONUS size on the 57 x 57 lattice: events.csv of one season of
+  independent events (probability CSV_EVENT_RATE a day over CSV_DAYS days,
+  about 260k rows), edges.csv of the denser bc_conus network (about 133k
+  rows) and the eight corrected_<M>_<method>.csv of CSV_METRICS, from
+  random raw fields and surrogate means (a tenth of the means zero). The
+  inputs are made once and saved with numpy; each run writes every file
+  (write_s), reads it back with the stage readers (read_s), and reports the
+  digests of the files and the process's peak RSS.
 """
 
 from __future__ import annotations
@@ -440,8 +449,85 @@ def events_stage(h: Harness) -> dict:
     return result
 
 
+# csv_io
+CSV_EVENT_RATE, CSV_DAYS = 0.029, 2760  # a 95th-percentile JJA record of 30 years
+CSV_METRICS = ("DC", "CC", "MGD", "BC")
+CSV_GROUPS = ("events", "edges", "corrected")
+
+
+def csv_make(seed: int, path: str) -> dict:
+    import numpy as np
+
+    from gridsync.synth import Exponential, RectLattice, SynthNetSpec, gen_embedded_network
+
+    net = gen_embedded_network(SynthNetSpec(RectLattice(ROWS, ROWS, SPACING_KM), Exponential(*BC_GRAPHS["edges_133k"]),
+                                            seed=seed))
+    rng = np.random.default_rng(seed)
+    n = net.grid.n
+    raw = rng.gamma(2.0, 1.0, size=(len(CSV_METRICS), n)) * rng.choice([1.0, 50.0, 1e-3], size=(len(CSV_METRICS), 1))
+    mean = raw * rng.uniform(0.5, 1.5, size=raw.shape) * (rng.random(raw.shape) >= 0.1)
+    events = rng.random((n, CSV_DAYS)) < CSV_EVENT_RATE
+    np.savez(path, lat=net.grid.lat, lon=net.grid.lon, edges=net.edge_array(), events=events,
+             days=np.arange(CSV_DAYS) * 3, raw=raw, mean=mean)
+    return {"nodes": n, "edges": int(net.edge_array().shape[0]), "events": int(events.sum())}
+
+
+def csv_measure(seed: int, path: str) -> dict:
+    import hashlib
+
+    import numpy as np
+
+    from gridsync.correction import correct_divide, correct_subtract, read_corrected_csv, write_corrected_csv
+    from gridsync.grid_io import GridSpec, read_edge_list, read_event_series, write_edge_list, write_event_series
+    from gridsync.netmetrics import MetricField
+    from gridsync.surrogate import SurrogateStats
+
+    d = np.load(path)
+    grid, days = GridSpec(lat=d["lat"], lon=d["lon"]), d["days"]
+    sidecar = {"n_nodes": grid.n, "season_days": days.tolist()}
+    fields = {}
+    for m, raw, mean in zip(CSV_METRICS, d["raw"], d["mean"]):
+        stats = SurrogateStats(m, mean)
+        fields[f"corrected_{m}_subtract.csv"] = correct_subtract(MetricField(m, raw), stats)
+        fields[f"corrected_{m}_divide.csv"] = correct_divide(MetricField(m, raw), stats)
+    write = {"events": lambda out: write_event_series(d["events"], days, out / "events.csv", sidecar),
+             "edges": lambda out: write_edge_list(d["edges"], out / "edges.csv"),
+             "corrected": lambda out: [write_corrected_csv(cf, grid, out / name) for name, cf in fields.items()]}
+    read = {"events": lambda out: read_event_series(out / "events.csv", grid.n),
+            "edges": lambda out: read_edge_list(out / "edges.csv"),
+            "corrected": lambda out: [read_corrected_csv(out / name) for name in fields]}
+    result = {"write_s": {}, "read_s": {}}
+    with tempfile.TemporaryDirectory(dir=Path(path).parent) as tmp:
+        out = Path(tmp)
+        for key, steps in (("write_s", write), ("read_s", read)):
+            for group in CSV_GROUPS:
+                t = time.perf_counter()
+                steps[group](out)
+                result[key][group] = round(time.perf_counter() - t, 4)
+        result["sha256"] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in sorted(out.iterdir())}
+    result["peak_rss_mb"] = round(rss_mb(), 1)
+    return result
+
+
+def csv_io(h: Harness) -> dict:
+    path = h.tmp / "csv_io.npz"
+    result = {"input": h.spawn("csv_make", h.first, str(path)), "seed": h.seed, "repeats": h.repeats}
+    runs = h.alternate("csv_measure", str(path))
+    digests = {label: {name: sorted({r["sha256"][name] for r in rs}) for name in rs[0]["sha256"]}
+               for label, rs in runs.items()}
+    result.update({
+        key: {group: {label: round(statistics.median(r[key][group] for r in rs), 4) for label, rs in runs.items()}
+              for group in CSV_GROUPS}
+        for key in ("write_s", "read_s")})
+    result["peak_rss_mb_median"] = medians(runs, "peak_rss_mb", 1)
+    result["same_bytes"] = len({json.dumps(v, sort_keys=True) for v in digests.values()}) == 1
+    result["sha256"] = digests
+    result["runs"] = runs
+    return result
+
+
 KERNELS = {"bc_conus": bc_conus, "es_kernel": es_kernel, "pair_pass": pair_pass,
-           "surrogate_members": surrogate_members, "events_stage": events_stage}
+           "surrogate_members": surrogate_members, "events_stage": events_stage, "csv_io": csv_io}
 
 
 def parse(argv: list[str] | None = None) -> argparse.Namespace:

@@ -110,4 +110,4 @@ def read_corrected_csv(path) -> tuple[CorrectedField, GridSpec]:
         path, CORRECTED_HEADER, float, float, float, float, _flag
     )
     return CorrectedField(raw=raw, surrogate_mean=mean, corrected=corrected, normalized=normalized,
-                          undefined=~defined.astype(bool)), grid
+                          undefined=~defined), grid

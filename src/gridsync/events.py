@@ -15,7 +15,7 @@ import numpy as np
 
 from .grid_io import GriddedSeries
 
-# rows per nanquantile call: one call on the whole matrix would copy it once more
+# rows per threshold block: one block of the whole matrix would copy it once more
 _QUANTILE_ROWS = 256
 
 
@@ -59,13 +59,32 @@ def extract_events(gs: GriddedSeries, spec: ThresholdSpec) -> tuple[np.ndarray, 
     support = np.isfinite(v)
     if spec.support == "positive_only":
         support &= v > spec.positive_floor
-    usable = support.sum(axis=1) >= spec.min_support
+    count = support.sum(axis=1)
+    usable = count >= spec.min_support
     thr = np.full(gs.n_nodes, np.nan)
     rows = np.flatnonzero(usable)
     for start in range(0, rows.size, _QUANTILE_ROWS):
         r = rows[start : start + _QUANTILE_ROWS]
-        thr[r] = np.nanquantile(np.where(support[r], v[r], np.nan), spec.percentile / 100.0, axis=1)
+        thr[r] = _quantiles(np.where(support[r], v[r], np.nan), count[r], spec.percentile / 100.0)
     # a NaN threshold (unusable node) compares false everywhere
     events = v > thr[:, None] if spec.direction == "above" else v < thr[:, None]
     events[:, 1:] &= ~(events[:, :-1] & (np.diff(gs.days) == 1))
     return events, np.flatnonzero(~usable).tolist()
+
+
+def _quantiles(x: np.ndarray, k: np.ndarray, q: float) -> np.ndarray:
+    """The linear-interpolation q-quantile of each row of x over its k[i] >= 1 non-NaN values.
+
+    np.nanquantile's arithmetic, and so its values, without its per-row
+    Python loop: x is sorted in place, NaN last; the quantile sits at (k - 1)
+    * q, between positions prev (its floor) and min(prev + 1, k - 1), and is
+    interpolated from the nearer end, as numpy's _lerp does.
+    """
+    x.sort(axis=1)
+    virtual = (k - 1) * q
+    prev = np.floor(virtual)
+    gamma = virtual - prev
+    rows, lo = np.arange(x.shape[0]), prev.astype(np.intp)
+    a, b = x[rows, lo], x[rows, np.minimum(lo + 1, k - 1)]
+    d = b - a
+    return np.where(gamma >= 0.5, b - d * (1 - gamma), a + d * gamma)

@@ -80,8 +80,10 @@ class GridSpec:
             raise ValueError("longitude out of range [-180, 180]")
         if not (np.isfinite(lat).all() and np.isfinite(lon).all()):
             raise ValueError("non-finite coordinates")
-        coords = np.stack([lat, lon], axis=1)
-        if np.unique(coords, axis=0).shape[0] != lat.size:
+        # neighbours in (lat, lon) order; np.unique(axis=0) would import numpy.ma
+        order = np.lexsort((lon, lat))
+        lat_o, lon_o = lat[order], lon[order]
+        if ((lat_o[1:] == lat_o[:-1]) & (lon_o[1:] == lon_o[:-1])).any():
             raise ValueError("duplicate (lat, lon) pairs in grid")
 
     @property
@@ -166,8 +168,8 @@ def extract_season(gs: GriddedSeries, season: str) -> GriddedSeries:
 # ---------------------------------------------------------------------------
 # CNG1 gridded format
 
-# nodes per block of load_gridded's value read; a block's float32 values
-# (block x n_days) are the only whole-file values it holds at a time
+# nodes per block of the value read and write; a block's float32 values
+# (block x n_days) are the only whole-file values either holds at a time
 _NODE_BLOCK = 256
 
 
@@ -181,7 +183,8 @@ def write_gridded(gs: GriddedSeries, path) -> None:
         coords[:, 1] = gs.grid.lon
         f.write(coords.tobytes())
         f.write(gs.days.astype("<i4").tobytes())
-        f.write(gs.values.astype("<f4").tobytes())
+        for i in range(0, gs.n_nodes, _NODE_BLOCK):
+            f.write(gs.values[i : i + _NODE_BLOCK].astype("<f4"))
 
 
 def load_gridded(path, season: str | None = None) -> GriddedSeries:
@@ -231,30 +234,67 @@ def load_gridded(path, season: str | None = None) -> GriddedSeries:
 # CSV row writer and reader, shared by every CSV artifact
 
 
+# float64 columns whose cells _write_rows keeps, most recently used last: a column
+# written to several artifacts (a raw metric, a surrogate mean) is formatted once
+_FLOAT_MEMO = 32
+_float_cells: dict[tuple, tuple[str, ...]] = {}
+
+
+def _cells(column):
+    """A column's cells as _write_rows prints them."""
+    if not isinstance(column, np.ndarray):
+        return map(str, column)
+    if column.dtype != np.float64:
+        return map(str, column.tolist())
+    key = (column.dtype.str, column.shape, column.tobytes())
+    cells = _float_cells.pop(key, None)
+    if cells is None:
+        cells = tuple(map(str, column.tolist()))
+    _float_cells[key] = cells
+    if len(_float_cells) > _FLOAT_MEMO:
+        del _float_cells[next(iter(_float_cells))]
+    return cells
+
+
 def _write_rows(f, *columns) -> None:
     """Write one comma-joined line per row of the columns.
 
     Array columns go through tolist(), so a float prints as its shortest
     round-trip repr ('nan', 'inf' and '-0.0' included) and an integer as an
     integer; items of any other iterable print with str. Pass bool arrays as
-    integers.
+    integers. A float64 column's cells come from the last _FLOAT_MEMO such
+    columns when one has the same bytes.
     """
-    cols = (map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns)
-    f.writelines(",".join(row) + "\n" for row in zip(*cols))
+    f.writelines(",".join(row) + "\n" for row in zip(*map(_cells, columns)))
 
+
+def _flag(cell: str) -> bool:
+    """A 0/1 flag cell."""
+    if cell not in ("0", "1"):
+        raise ValueError(f"flag must be 0 or 1, got {cell!r}")
+    return cell == "1"
+
+
+# the dtype of each cast's column; numpy's parser reads int and float cells
+_DTYPES = {int: np.int64, float: np.float64, str: str, _flag: bool}
 
 # lines per batch of _read_rows: more read no faster, and their strings leave more memory behind
 _ROW_BATCH = 1 << 10
 
 
-def _read_rows(path, header: str, *casts) -> list[list]:
-    """The columns of a CSV artifact, one list per cast; the inverse of _write_rows.
+def _read_rows(path, header: str, *casts) -> list[np.ndarray]:
+    """The columns of a CSV artifact, one array per cast; the inverse of _write_rows.
 
     The first line must equal header, blank lines are skipped, every other
     line must hold one field per cast, and a cell its cast rejects (with
-    ValueError) is reported with the file and line. A batch of _ROW_BATCH
-    lines is split into cells in one go and cast a column at a time; a batch
-    that fails is checked again line by line to name its first bad line.
+    ValueError) is reported with the file and line. When every cast is int
+    or float, numpy's parser reads the rows in one call. Where it accepts a
+    cell it gives the cast's value, but it also reads non-ASCII digits and
+    strips the separators \\x1c-\\x1f, which int() and float() reject. A file
+    holding either, a file it rejects and a file with another cast are read
+    by a batch loop: a batch of _ROW_BATCH lines is split into cells in one
+    go and cast a column at a time, and a batch that fails is checked again
+    line by line to name its first bad line.
     """
     k = len(casts)
     columns = [[] for _ in casts]
@@ -262,6 +302,17 @@ def _read_rows(path, header: str, *casts) -> list[list]:
         first = f.readline().strip()
         if first != header:
             raise GridIOError(f"malformed header {first!r}, expected {header!r}", path, line=1)
+        if set(casts) <= {int, float}:
+            start, rest = f.tell(), f.read()
+            if rest.isascii() and not any(c in rest for c in "\x1c\x1d\x1e\x1f"):
+                dtype = [(f"f{c}", _DTYPES[cast]) for c, cast in enumerate(casts)]
+                try:
+                    rows = (np.loadtxt(path, dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
+                            if rest.strip() else np.empty(0, dtype))
+                    return [rows[name] for name in rows.dtype.names]
+                except (ValueError, OverflowError):
+                    pass
+            f.seek(start)
         lineno = 2
         while lines := list(map(str.strip, islice(f, _ROW_BATCH))):
             rows = list(filter(None, lines))
@@ -275,7 +326,8 @@ def _read_rows(path, header: str, *casts) -> list[list]:
                 _check_lines(path, lines, lineno, casts)
                 raise
             lineno += len(lines)
-    return columns
+    with _artifact(path):  # an int beyond int64
+        return [np.array(col, dtype=_DTYPES[cast]) for col, cast in zip(columns, casts)]
 
 
 def _check_lines(path, lines: list[str], lineno: int, casts) -> None:
@@ -299,13 +351,6 @@ def _node_cells(grid: GridSpec) -> tuple[str, ...]:
         cols = map(str, range(grid.n)), map(str, grid.lat.tolist()), map(str, grid.lon.tolist())
         grid.derived["node_cells"] = tuple(map(",".join, zip(*cols)))
     return grid.derived["node_cells"]
-
-
-def _flag(cell: str) -> bool:
-    """A 0/1 flag cell."""
-    if cell not in ("0", "1"):
-        raise ValueError(f"flag must be 0 or 1, got {cell!r}")
-    return cell == "1"
 
 
 def _node_order(path, ids) -> np.ndarray:
@@ -339,8 +384,8 @@ def _read_nodes(path, header: str, *casts) -> tuple[GridSpec, list[np.ndarray]]:
     ids, lat, lon, *columns = _read_rows(path, header, int, float, float, *casts)
     order = _node_order(path, ids)
     with _artifact(path):
-        grid = GridSpec(lat=np.asarray(lat)[order], lon=np.asarray(lon)[order])
-    return grid, [np.asarray(c)[order] for c in columns]
+        grid = GridSpec(lat=lat[order], lon=lon[order])
+    return grid, [c[order] for c in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +429,7 @@ def write_edge_list(edges: np.ndarray, path) -> None:
 
 def read_edge_list(path) -> np.ndarray:
     path = Path(path)
-    edges = np.column_stack(_read_rows(path, EDGE_HEADER, int, int)).astype(np.int64)
+    edges = np.column_stack(_read_rows(path, EDGE_HEADER, int, int))
     bad = np.flatnonzero(edges[:, 0] >= edges[:, 1])
     if bad.size:
         i, j = edges[bad[0]]
@@ -437,7 +482,7 @@ def read_event_series(path, grid_n: int | None = None) -> tuple[np.ndarray, dict
             raise ValueError("season_days must be strictly increasing")
         events = np.zeros((n_nodes, season_days.size), dtype=bool)
     n_nodes, T = events.shape
-    ids, days = np.array(_read_rows(path, EVENT_HEADER, int, int), dtype=np.int64)
+    ids, days = _read_rows(path, EVENT_HEADER, int, int)
     bad = np.flatnonzero((ids < 0) | (ids >= n_nodes))
     if bad.size:
         raise GridIOError(f"node id {ids[bad[0]]} out of range 0..{n_nodes - 1}", path)

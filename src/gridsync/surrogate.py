@@ -137,13 +137,10 @@ def write_profile_csv(profile: DistanceProfile, path) -> None:
 
 def read_profile_csv(path) -> DistanceProfile:
     lo, hi, pairs, links, prob = _read_rows(path, PROFILE_HEADER, float, float, int, int, float)
-    if not lo:
+    if not lo.size:
         raise GridIOError("no profile rows", path)
     return DistanceProfile(
-        bin_edges=np.asarray(lo + hi[-1:]),
-        bin_prob=np.asarray(prob),
-        bin_pair_count=np.asarray(pairs),
-        bin_link_count=np.asarray(links),
+        bin_edges=np.concatenate((lo, hi[-1:])), bin_prob=prob, bin_pair_count=pairs, bin_link_count=links
     )
 
 
@@ -158,8 +155,7 @@ def write_surrogate_stats_csv(stats: dict[str, SurrogateStats], path) -> None:
 def read_surrogate_stats_csv(path) -> dict[str, SurrogateStats]:
     """The per-metric means; each row's zero_flag must say whether its mean is zero."""
     ids, metrics, mean, zero = _read_rows(path, SURROGATE_STATS_HEADER, int, str, float, _flag)
-    ids, metrics, mean = np.asarray(ids), np.asarray(metrics), np.asarray(mean)
-    bad = np.flatnonzero(np.asarray(zero, dtype=bool) != (mean == 0.0))
+    bad = np.flatnonzero(zero != (mean == 0.0))
     if bad.size:
         k = bad[0]
         raise GridIOError(f"zero_flag {int(zero[k])} of node {ids[k]} ({metrics[k]}) disagrees with its "

@@ -231,3 +231,24 @@ def test_extract_events_row_blocks_equal_per_node_oracle(rng):
         want, want_unusable = events_oracle(values, days, spec)
         assert np.array_equal(events, want) and unusable == want_unusable
         assert 300 in unusable and events.sum() > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_quantiles_equal_nanquantile(data):
+    # the block thresholds are np.nanquantile's, bit for bit, from one support
+    # value per row (k = 1) and k = min_support up to rows without NaN
+    from gridsync.events import _quantiles
+
+    min_support = data.draw(st.integers(1, 30))
+    T = data.draw(st.integers(min_support, 400))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    q = data.draw(st.sampled_from([0.01, 0.05, 0.5, 0.9, 0.95, 0.999]) | st.floats(0.01, 0.999))
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.gamma(0.8, 3.0, size=(40, T)), int(rng.integers(0, 4)))  # ties at every rounding
+    k = np.concatenate(([1, min_support, T], rng.integers(min_support, T + 1, size=37)))
+    for row, keep in zip(x, k):
+        row[rng.permutation(T)[keep:]] = np.nan
+    want = np.nanquantile(x, q, axis=1)
+    got = _quantiles(x.copy(), k, q)
+    assert got.tobytes() == want.tobytes()

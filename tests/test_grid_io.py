@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridsync import grid_io
@@ -551,3 +551,147 @@ def test_reader_names_the_first_bad_line_across_batches(monkeypatch, tmp_path, b
     lines[7] = "2,5"
     path.write_text("\n".join(lines) + "\n")
     assert read_edge_list(path).tolist() == [[0, 1], [1, 2], [1, 3], [2, 4], [2, 5], [3, 5]]
+
+
+# ---------------------------------------------------------------------------
+# the row reader's two paths, and the writer's float-column memo
+
+
+def _batch_loop(path, header, *casts):
+    """_read_rows with numpy's parser refusing every file, so every row goes through the batch loop."""
+    from unittest import mock
+
+    with mock.patch.object(grid_io.np, "loadtxt", side_effect=ValueError("refused")):
+        return _outcome(path, header, *casts)
+
+
+def _outcome(path, header, *casts):
+    """The columns' dtypes and bytes, or the GridIOError's message and line."""
+    try:
+        return [(c.dtype.str, c.tobytes()) for c in grid_io._read_rows(path, header, *casts)]
+    except GridIOError as e:
+        return (str(e), e.line)
+
+
+FORMATS = [(int, int), (int, float, float, float), (float, float, int, int, float)]
+ODD_INTS = ["+7", " 7 ", "\t-3", "007", "1_000", "٣", "२", "\x1c7", "7\x1f", "9223372036854775807",
+            "9223372036854775808", "-9223372036854775809", "99999999999999999999999", "", " ", "7.0", "1e3", "0x1f"]
+ODD_FLOATS = ["+1.5", " 2.5 ", ".5", "5.", "1e400", "-1e-400", "nan", "-nan", "NaN", "inf", "-Infinity", "1_0.5",
+              "٣.5", "\x1e2", "", "  ", "1e", "0x1p3", "1,5", "0.1000000000000000055511151231257827"]
+
+
+def _cells(cast):
+    """A cell of cast: a valid one, or one from the odd list, which int() or float() or numpy may read differently."""
+    if cast is int:
+        return st.one_of(st.integers(-(2**63), 2**63 - 1).map(str), st.integers(0, 99).map(str),
+                         st.sampled_from(ODD_INTS))
+    return st.one_of(st.floats().map(repr), st.floats(-1e6, 1e6).map(repr), st.sampled_from(ODD_FLOATS))
+
+
+@st.composite
+def _csv_file(draw):
+    casts = draw(st.sampled_from(FORMATS))
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        cells = [draw(_cells(cast)) for cast in casts]
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "spaces", "short", "long"]))
+        lines.append({"row": ",".join(cells), "blank": "", "spaces": draw(st.sampled_from([" ", "\t ", "\x0b"])),
+                      "short": ",".join(cells[:-1]), "long": ",".join(cells + ["1"])}[kind])
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return casts, end.join(["h", *lines]) + draw(st.sampled_from([end, ""]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_csv_file())
+@example(((int, int), "h\n1,2\n3,२\n"))  # numpy's int parser reads non-ASCII digits, to other values
+@example(((int, float, float, float), "h\n1,2.5,\x1c7,3\n"))  # and strips \x1c-\x1f
+@example(((int, int), "h\n1,1_000\n\n  \n"))
+@example(((float, float, int, int, float), "h"))
+def test_row_reader_equals_the_batch_loop(tmp_path_factory, case):
+    # numpy's parser, where _read_rows uses it, gives the columns the batch loop
+    # gives, and a file either refuses is the batch loop's GridIOError
+    casts, text = case
+    path = tmp_path_factory.mktemp("rows") / "a.csv"
+    path.write_bytes(text.encode())
+    assert _outcome(path, "h", *casts) == _batch_loop(path, "h", *casts)
+
+
+def test_row_reader_returns_typed_columns(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("h\n1,2.5,0\n-3,nan,1\n")
+    ids, values = grid_io._read_rows(path, "h", int, float, float)[:2]
+    assert ids.dtype == np.int64 and ids.tolist() == [1, -3]
+    assert values.dtype == np.float64 and values[0] == 2.5 and np.isnan(values[1])
+    ids, names, flags = grid_io._read_rows(path, "h", int, str, grid_io._flag)
+    assert names.tolist() == ["2.5", "nan"] and flags.dtype == bool and flags.tolist() == [False, True]
+    path.write_text("h\n")
+    cols = grid_io._read_rows(path, "h", int, float) + grid_io._read_rows(path, "h", int, str, grid_io._flag)
+    assert [(c.dtype.kind, c.size) for c in cols] == [("i", 0), ("f", 0), ("i", 0), ("U", 0), ("b", 0)]
+
+
+def test_row_reader_names_an_int_beyond_int64(tmp_path):
+    path = tmp_path / "e.csv"
+    path.write_text("i,j\n0,1\n1,9223372036854775808\n")
+    with pytest.raises(GridIOError, match=r"e\.csv: Python int too large"):
+        read_edge_list(path)
+
+
+def test_header_only_file_reads_without_warning(tmp_path, recwarn):
+    path = tmp_path / "e.csv"
+    for text in ("i,j\n", "i,j", "i,j\n\n\n"):
+        path.write_text(text)
+        assert read_edge_list(path).shape == (0, 2)
+    assert not recwarn.list
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(grid_io, "_float_cells", {})
+    return grid_io._float_cells
+
+
+def _printed(column) -> list[str]:
+    return list(map(str, column.tolist()))
+
+
+def test_writer_memo_keys_dtype_shape_and_bytes(empty_memo):
+    # same bytes, other dtype or shape: never the memoized cells
+    x = np.array([1.5, -2.0, 3.25, 0.1])
+    assert list(grid_io._cells(x)) == _printed(x)
+    for other in (x.view(np.int64), x.view(np.float32), x.reshape(2, 2), x.astype(">f8")):
+        assert list(grid_io._cells(other)) == _printed(other)
+    assert list(empty_memo) == [("<f8", (4,), x.tobytes()), ("<f8", (2, 2), x.tobytes())]
+    # a copy with the same bytes is the same key; -0.0 and each NaN payload are other keys with their own cells
+    assert grid_io._cells(x.copy()) is empty_memo[("<f8", (4,), x.tobytes())]
+    nan2 = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+    for column, cells in ((np.array([0.0]), ["0.0"]), (np.array([-0.0]), ["-0.0"]),
+                          (np.array([np.nan, np.nan]), ["nan", "nan"]), (nan2, ["nan", "nan"])):
+        assert list(grid_io._cells(column)) == cells
+    assert len(empty_memo) == 6
+
+
+def test_writer_memo_keeps_the_most_recently_used_columns(empty_memo):
+    columns = [np.full(3, float(k)) for k in range(grid_io._FLOAT_MEMO + 1)]
+    for column in columns[:-1]:
+        grid_io._cells(column)
+    grid_io._cells(columns[0])  # used again: now the most recent
+    grid_io._cells(columns[-1])  # one past the memo: the least recent, column 1, goes
+    keys = [key[2] for key in empty_memo]
+    assert len(keys) == grid_io._FLOAT_MEMO
+    assert keys == [c.tobytes() for c in columns[2:-1] + [columns[0], columns[-1]]]
+    assert list(grid_io._cells(columns[1])) == ["1.0"] * 3
+
+
+def test_artifacts_are_the_same_bytes_with_and_without_the_memo(tmp_path, monkeypatch):
+    # every artifact written through a filled memo has the bytes it has when
+    # each float column is formatted anew
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    cold.mkdir(), warm.mkdir()
+    monkeypatch.setattr(grid_io, "_FLOAT_MEMO", 0)
+    artifacts = _write_artifacts(cold)
+    monkeypatch.undo()
+    monkeypatch.setattr(grid_io, "_float_cells", {})
+    _write_artifacts(warm)
+    _write_artifacts(warm)  # every float column is in the memo now
+    for name, (path, _) in artifacts.items():
+        assert (warm / path.name).read_bytes() == path.read_bytes(), name

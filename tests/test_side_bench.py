@@ -179,3 +179,53 @@ def test_events_stage_summary_per_season_and_label(tmp_path):
     assert djf["peak_rss_mb_max"] == {"change": 110.0, "parent": 438.0}
     assert djf["sha256"]["parent"]["grid.csv"] == ["DJF"] and len(djf["runs"]["change"]) == 2
     assert [c[2][1] for c in calls[1:]] == ["JJA"] * 4 + ["DJF"] * 4
+
+
+def test_csv_io_step_writes_and_reads_the_artifacts(tmp_path):
+    # a fresh child on this source writes every file with the library writers
+    # and reads it back; its digests are those of the same files written here
+    import hashlib
+
+    import numpy as np
+
+    from gridsync.correction import correct_divide, write_corrected_csv
+    from gridsync.grid_io import GridSpec
+    from gridsync.netmetrics import MetricField
+    from gridsync.surrogate import SurrogateStats
+
+    rng = np.random.default_rng(0)
+    n, metrics = 9, len(side_bench.CSV_METRICS)
+    raw, mean = rng.random((metrics, n)), rng.random((metrics, n)) * (rng.random((metrics, n)) > 0.3)
+    path = tmp_path / "csv_io.npz"
+    np.savez(path, lat=np.repeat([40.0, 41.0, 42.0], 3), lon=np.tile([-100.0, -99.0, -98.0], 3),
+             edges=np.array([[0, 1], [1, 5], [3, 8]]), events=rng.random((n, 6)) < 0.3, days=np.arange(6) * 3,
+             raw=raw, mean=mean)
+    src = str(Path(gridsync.__file__).resolve().parents[1])
+    run = side_bench.Harness({"a": src}, seed=4, repeats=1).spawn("csv_measure", "a", str(path))
+    assert set(run) == {"write_s", "read_s", "sha256", "peak_rss_mb"}
+    assert set(run["write_s"]) == set(run["read_s"]) == set(side_bench.CSV_GROUPS)
+    assert len(run["sha256"]) == 3 + 2 * metrics  # events.csv, its sidecar, edges.csv and the corrected files
+    assert [p.name for p in tmp_path.iterdir()] == ["csv_io.npz"]
+    d = np.load(path)
+    cf = correct_divide(MetricField("CC", raw[1]), SurrogateStats("CC", mean[1]))
+    write_corrected_csv(cf, GridSpec(lat=d["lat"], lon=d["lon"]), tmp_path / "c.csv")
+    assert run["sha256"]["corrected_CC_divide.csv"] == hashlib.sha256((tmp_path / "c.csv").read_bytes()).hexdigest()[:16]
+
+
+def test_csv_io_summary_per_group_and_label(tmp_path):
+    h = side_bench.Harness({"change": "C", "parent": "P"}, seed=1, repeats=2, tmp=str(tmp_path))
+    calls = []
+
+    def spawn(step, label, *args, env=None):
+        calls.append((step, label, args))
+        if step == "csv_make":
+            return {"nodes": 3249, "edges": 133000, "events": 260000}
+        groups = dict.fromkeys(side_bench.CSV_GROUPS, 0.1 if label == "change" else 0.3)
+        return {"write_s": groups, "read_s": groups, "peak_rss_mb": 80.0, "sha256": {"edges.csv": "e"}}
+
+    h.spawn = spawn
+    out = side_bench.csv_io(h)
+    assert out["input"]["events"] == 260000 and calls[0] == ("csv_make", "change", (str(tmp_path / "csv_io.npz"),))
+    assert out["read_s"]["events"] == {"change": 0.1, "parent": 0.3}
+    assert out["same_bytes"] and out["sha256"]["parent"] == {"edges.csv": ["e"]}
+    assert [c[1] for c in calls[1:]] == ["change", "parent", "parent", "change"]
