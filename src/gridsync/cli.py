@@ -48,7 +48,7 @@ from .grid_io import (
     write_gridded,
     write_metric_csv,
 )
-from .netmetrics import METRIC_NAMES, MetricField, Network, compute_metric, log_bc
+from .netmetrics import EARTH_RADIUS_KM, METRIC_NAMES, MetricField, Network, compute_metric, log_bc
 from .render import PALETTES, render_map
 from .stats import compare_methods
 from .surrogate import (
@@ -64,28 +64,50 @@ from .synth import RectLattice, gen_gridded_values, lattice_grid
 
 VARIABLES = ("precip", "tmax", "tmin")
 
-# per-variable threshold defaults: (percentile, direction, support)
-_THRESHOLD_DEFAULTS = {
-    "precip": (95.0, "above", "positive_only"),
-    "tmax": (95.0, "above", "all"),
-    "tmin": (5.0, "below", "all"),
-}
+# rules: (test, what a value that fails it must be)
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_IN_UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+# pair_bins' bin of half the Earth's circumference then fits in uint16
+_MIN_BIN_WIDTH_KM = math.pi * EARTH_RADIUS_KM / 65535
+_BIN_WIDTH = (lambda v: v >= _MIN_BIN_WIDTH_KM, f"must be >= {_MIN_BIN_WIDTH_KM!r} (pi x Earth radius / 65535)")
 
-_TOP_KEYS = (
-    "input", "format", "variable", "season", "threshold", "seed", "sync", "surrogate",
-    "metrics", "alpha", "out", "synth",
+# Every config key, in the order that "expected from" lists them: (name, JSON kind, default,
+# rule, recorded). "block.key" is a key of the block object. A dict default is per variable.
+# The rule is a choice or list key's choices or a number's (test, what it must be); None
+# leaves the range to ThresholdSpec or SyncParams, or there is none. The recorded keys, with
+# the synth block as given, are every manifest's parameters.
+CONFIG_KEYS = (
+    ("input", "path", None, None, False),
+    # the one gridded format: the key stays so configs that name it still run
+    ("format", "choice", "binary", ("binary",), False),
+    ("variable", "choice", "precip", VARIABLES, True),
+    ("season", "choice", "JJA", tuple(SEASON_MONTHS), True),
+    ("threshold.percentile", "number", {"precip": 95.0, "tmax": 95.0, "tmin": 5.0}, None, True),
+    ("threshold.direction", "choice", {"precip": "above", "tmax": "above", "tmin": "below"}, None, True),
+    ("threshold.support", "choice", {"precip": "positive_only", "tmax": "all", "tmin": "all"}, None, True),
+    ("threshold.positive_floor", "number", 0.0, None, True),
+    ("threshold.min_support", "integer", 20, None, True),
+    ("seed", "integer", None, None, False),
+    # the key stays so configs that spell out the paper's setting still run
+    ("sync.tau_max", "integer", 0, (lambda v: v == 0, "must be 0 (the paper's zero-lag event synchronization)"), False),
+    ("sync.n_shuffles", "integer", 1000, None, True),
+    ("sync.link_quantile", "number", 0.995, None, True),
+    ("surrogate.ensemble_size", "integer", 1000, _AT_LEAST_1, True),
+    ("surrogate.bin_width_km", "number", 50.0, _BIN_WIDTH, True),
+    ("metrics", "list", METRIC_NAMES, METRIC_NAMES, True),
+    ("alpha", "number", 0.05, (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"), True),
+    ("out", "path", "out", None, False),
+    ("synth.rows", "integer", 8, _AT_LEAST_1, False),
+    ("synth.cols", "integer", 8, _AT_LEAST_1, False),
+    ("synth.spacing_km", "number", 50.0, (lambda v: v > 0, "must be positive"), False),
+    ("synth.lat0", "number", 0.0, None, False),
+    ("synth.lon0", "number", 0.0, None, False),
+    ("synth.n_years", "integer", 5, _AT_LEAST_1, False),
+    ("synth.storm_groups", "integer", 4, _AT_LEAST_1, False),
+    ("synth.storm_rate", "number", 0.08, _IN_UNIT, False),
+    ("synth.wet_prob", "number", 0.55, _IN_UNIT, False),
 )
-# synth key -> default; an int default marks an integer key
-_SYNTH_DEFAULTS = {
-    "rows": 8, "cols": 8, "spacing_km": 50.0, "lat0": 0.0, "lon0": 0.0,
-    "n_years": 5, "storm_groups": 4, "storm_rate": 0.08, "wet_prob": 0.55,
-}
-_BLOCK_KEYS = {
-    "threshold": ("percentile", "direction", "support", "positive_floor", "min_support"),
-    "sync": ("tau_max", "n_shuffles", "link_quantile"),
-    "surrogate": ("ensemble_size", "bin_width_km"),
-    "synth": tuple(_SYNTH_DEFAULTS),
-}
+_LATTICE_KEYS = ("rows", "cols", "spacing_km", "lat0", "lon0")
 
 # the stages a pipeline runs, in order; stage "x" is the module function stage_x
 STAGES = ("events", "network", "metrics", "surrogate", "correct", "compare")
@@ -114,178 +136,106 @@ class RunConfig:
     alpha: float
     out: str
     seed: int
-    synth: dict | None
+    synth: dict | None  # the synth block as given
+    synth_values: dict  # its keys' checked values, defaults filled in
 
     @property
     def network_label(self) -> str:
         return "EPE" if self.variable == "precip" else "ETE"
 
     def result_parameters(self) -> dict:
-        """Parameters that influence artifact bytes (paths excluded)."""
-        return {
-            "variable": self.variable,
-            "season": self.season,
-            "threshold": asdict(self.threshold),
-            "sync": {"n_shuffles": self.sync.n_shuffles, "link_quantile": self.sync.link_quantile},
-            "surrogate": {"ensemble_size": self.ensemble_size, "bin_width_km": self.bin_width_km},
-            "metrics": list(self.metrics),
-            "alpha": self.alpha,
-            "synth": self.synth,
-        }
+        """Parameters that influence artifact bytes: the recorded keys, and the synth block as given."""
+        params = {}
+        for name, *_, recorded in CONFIG_KEYS:
+            if recorded:
+                block, _, key = name.rpartition(".")
+                owner = {"threshold": self.threshold, "sync": self.sync}.get(block, self)
+                (params.setdefault(block, {}) if block else params)[key] = getattr(owner, key)
+        return {**params, "synth": self.synth}
 
 
-def _get(d: dict, key: str, default):
-    v = d.get(key, default)
-    return default if v is None else v
+def _keys(block: str) -> tuple[str, ...]:
+    """The keys of a block, or of the top level for "", in table order."""
+    if not block:
+        return tuple(dict.fromkeys(name.partition(".")[0] for name, *_ in CONFIG_KEYS))
+    return tuple(name.partition(".")[2] for name, *_ in CONFIG_KEYS if name.startswith(block + "."))
 
 
-def _block(doc: dict, name: str, problems: list[str]) -> dict:
-    """The object doc[name] ({} when absent); a non-object or unknown keys are problems."""
-    block = _get(doc, name, {})
-    if not isinstance(block, dict):
-        problems.append(f"{name} must be an object")
-        return {}
-    for key in sorted(set(block) - set(_BLOCK_KEYS[name])):
-        problems.append(f"unknown key {name}.{key}; expected from {_BLOCK_KEYS[name]}")
-    return block
+def _value(name: str, kind: str, default, rule, v, problems: list[str]):
+    """The checked value of a key given as v: default when v is null, and in place of a bad v.
 
-
-def _number(d: dict, key: str, default, problems: list[str], prefix: str = ""):
-    """d[key], or default when absent; an int default admits JSON integers only.
-
-    A float default admits any finite JSON number, returned as a float.
-    Anything else, booleans, Infinity and NaN included, is a problem, and the
-    default stands in for it.
+    An integer takes JSON integers only; a number takes any finite JSON
+    number and comes back as a float. Booleans are neither.
     """
-    v = _get(d, key, default)
-    integer = isinstance(default, int)
-    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
-        problems.append(f"{prefix}{key} must be {'an integer' if integer else 'a number'}, got {v!r}")
+    if v is None:
         return default
-    if not math.isfinite(v):
-        problems.append(f"{prefix}{key} must be a finite number, got {v!r}")
+    if kind == "path":
+        must = None if isinstance(v, str) else "must be a path"
+    elif kind == "choice":
+        must = None if rule is None or (isinstance(v, str) and v in rule) else f"must be one of {rule}"
+    elif kind == "list":
+        must = None if isinstance(v, list) and v else "must be a non-empty list"
+    elif isinstance(v, bool) or not isinstance(v, int if kind == "integer" else (int, float)):
+        must = f"must be {'an integer' if kind == 'integer' else 'a number'}"
+    elif kind == "number" and not math.isfinite(v):
+        must = "must be a finite number"
+    else:
+        v = v if kind == "integer" else float(v)
+        must = None if rule is None or rule[0](v) else rule[1]
+    if must:
+        problems.append(f"{name} {must}, got {v!r}")
         return default
-    return v if integer else float(v)
-
-
-def _choice(d: dict, key: str, choices: tuple, problems: list[str]) -> str:
-    """d[key], or choices[0] when absent; any other value is a problem, and choices[0] stands in."""
-    v = _get(d, key, choices[0])
-    if not isinstance(v, str) or v not in choices:
-        problems.append(f"{key} must be one of {choices}, got {v!r}")
-        return choices[0]
+    if kind == "list":
+        for i, item in enumerate(v):
+            if item not in rule:
+                problems.append(f"unknown metric {item!r}; expected from {rule}")
+            elif item in v[:i]:
+                problems.append(f"metric {item!r} is listed twice")
+        return tuple(v)
     return v
 
 
+def _checked(problems: list[str], label: str, make, *args, **kw):
+    """make(*args, **kw), or None with its ValueError added to problems under label."""
+    try:
+        return make(*args, **kw)
+    except ValueError as e:
+        problems.append(f"{label}: {e}")
+
+
 def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from a JSON document, collecting every problem."""
+    """Build a RunConfig from a JSON document by walking CONFIG_KEYS, collecting every problem."""
     if not isinstance(doc, dict):
         raise ConfigError(["config must be a JSON object"])
-    problems: list[str] = []
-    overrides = overrides or {}
-    doc = dict(doc)
-    for key in sorted(set(doc) - set(_TOP_KEYS)):
-        problems.append(f"unknown key {key}; expected from {_TOP_KEYS}")
-    for k in ("seed", "out"):
-        if overrides.get(k) is not None:
-            doc[k] = overrides[k]
-    for k in ("input", "out"):
-        if not isinstance(_get(doc, k, ""), str):
-            problems.append(f"{k} must be a path, got {doc[k]!r}")
-
-    variable = _choice(doc, "variable", VARIABLES, problems)
-    season = _choice(doc, "season", tuple(SEASON_MONTHS), problems)
-
-    p_def, dir_def, sup_def = _THRESHOLD_DEFAULTS[variable]
-    tdoc = _block(doc, "threshold", problems)
-    try:
-        threshold = ThresholdSpec(
-            percentile=_number(tdoc, "percentile", p_def, problems, "threshold."),
-            direction=_get(tdoc, "direction", dir_def),
-            support=_get(tdoc, "support", sup_def),
-            positive_floor=_number(tdoc, "positive_floor", 0.0, problems, "threshold."),
-            min_support=_number(tdoc, "min_support", 20, problems, "threshold."),
-        )
-    except ValueError as e:
-        problems.append(f"threshold: {e}")
-
+    doc = {**doc, **{k: v for k, v in (overrides or {}).items() if v is not None}}
+    problems = [f"unknown key {key}; expected from {_keys('')}" for key in sorted(set(doc) - set(_keys("")))]
     if doc.get("seed") is None:
         problems.append("seed is mandatory (wall-clock seeding is not allowed)")
-    seed = _number(doc, "seed", 0, problems)
+    given, values = {"": doc}, {"": {}}
+    for name, kind, default, rule, _ in CONFIG_KEYS:
+        block, _, key = name.rpartition(".")
+        if block not in given:
+            obj = doc.get(block)
+            if obj is not None and not isinstance(obj, dict):
+                problems.append(f"{block} must be an object")
+            given[block], values[block] = obj if isinstance(obj, dict) else {}, {}
+            problems += [f"unknown key {block}.{k}; expected from {_keys(block)}"
+                         for k in sorted(set(given[block]) - set(_keys(block)))]
+        if isinstance(default, dict):
+            default = default[values[""]["variable"]]
+        values[block][key] = _value(name, kind, default, rule, given[block].get(key), problems)
 
-    sdoc = _block(doc, "sync", problems)
-    # the key stays so configs that spell out the paper's setting still run
-    tau_max = _number(sdoc, "tau_max", 0, problems, "sync.")
-    if tau_max != 0:
-        problems.append(f"sync.tau_max must be 0 (the paper's zero-lag event synchronization), got {tau_max}")
-    try:
-        sync = SyncParams(
-            n_shuffles=_number(sdoc, "n_shuffles", 1000, problems, "sync."),
-            link_quantile=_number(sdoc, "link_quantile", 0.995, problems, "sync."),
-            seed=seed,
-        )
-    except ValueError as e:
-        problems.append(f"sync: {e}")
-
-    gdoc = _block(doc, "surrogate", problems)
-    ensemble_size = _number(gdoc, "ensemble_size", 1000, problems, "surrogate.")
-    if ensemble_size < 1:
-        problems.append(f"surrogate.ensemble_size must be >= 1, got {ensemble_size}")
-    bin_width_km = _number(gdoc, "bin_width_km", 50.0, problems, "surrogate.")
-    if bin_width_km <= 0:
-        problems.append(f"surrogate.bin_width_km must be positive, got {bin_width_km}")
-
-    metrics = _get(doc, "metrics", list(METRIC_NAMES))
-    if not isinstance(metrics, list) or not metrics:
-        problems.append(f"metrics must be a non-empty list, got {metrics!r}")
-        metrics = list(METRIC_NAMES)
-    for i, m in enumerate(metrics):
-        if m not in METRIC_NAMES:
-            problems.append(f"unknown metric {m!r}; expected from {METRIC_NAMES}")
-        elif m in metrics[:i]:
-            problems.append(f"metric {m!r} is listed twice")
-
-    alpha = _number(doc, "alpha", 0.05, problems)
-    if not 0.0 < alpha < 1.0:
-        problems.append(f"alpha must lie in (0, 1), got {alpha}")
-
-    # the key stays so configs that name the one gridded format still run
-    _choice(doc, "format", ("binary",), problems)
-
-    ydoc = _block(doc, "synth", problems)
-    y = {key: _number(ydoc, key, default, problems, "synth.") for key, default in _SYNTH_DEFAULTS.items()}
-    n_problems = len(problems)
-    for key in ("rows", "cols", "n_years", "storm_groups"):
-        if y[key] < 1:
-            problems.append(f"synth.{key} must be >= 1, got {y[key]}")
+    top, s, y = values[""], values["sync"], values["synth"]
+    threshold = _checked(problems, "threshold", ThresholdSpec, **values["threshold"])
+    sync = _checked(problems, "sync", SyncParams, s["n_shuffles"], s["link_quantile"], top["seed"])
     if y["rows"] * y["cols"] < 3:
         problems.append(f"synth.rows x synth.cols must be >= 3 nodes, got {y['rows']} x {y['cols']}")
-    if y["spacing_km"] <= 0:
-        problems.append(f"synth.spacing_km must be positive, got {y['spacing_km']}")
-    for key in ("storm_rate", "wet_prob"):
-        if not 0.0 <= y[key] <= 1.0:
-            problems.append(f"synth.{key} must lie in [0, 1], got {y[key]}")
-    if len(problems) == n_problems:
-        try:
-            lattice_grid(RectLattice(**{k: y[k] for k in ("rows", "cols", "spacing_km", "lat0", "lon0")}))
-        except ValueError as e:
-            problems.append(f"synth: {e}")
+    _checked(problems, "synth", lattice_grid, RectLattice(**{k: y[k] for k in _LATTICE_KEYS}))
     if problems:
         raise ConfigError(problems)
-    return RunConfig(
-        input=doc.get("input"),
-        variable=variable,
-        season=season,
-        threshold=threshold,
-        sync=sync,
-        ensemble_size=ensemble_size,
-        bin_width_km=bin_width_km,
-        metrics=tuple(metrics),
-        alpha=alpha,
-        out=_get(doc, "out", "out"),
-        seed=seed,
-        synth=doc.get("synth"),
-    )
+    del top["format"]
+    return RunConfig(**top, threshold=threshold, sync=sync, **values["surrogate"], synth=doc.get("synth"),
+                     synth_values=y)
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
@@ -396,8 +346,8 @@ def _run_stage(name: str, cfg: RunConfig, out_dir: Path) -> None:
 
 def stage_synth(cfg: RunConfig, reads: dict, writes: dict) -> None:
     """Generate a synthetic gridded input file from cfg.synth."""
-    kw = {key: type(default)(_get(cfg.synth or {}, key, default)) for key, default in _SYNTH_DEFAULTS.items()}
-    layout = RectLattice(**{key: kw.pop(key) for key in ("rows", "cols", "spacing_km", "lat0", "lon0")})
+    kw = dict(cfg.synth_values)
+    layout = RectLattice(**{key: kw.pop(key) for key in _LATTICE_KEYS})
     gs = gen_gridded_values(layout, seed=cfg.seed, season=cfg.season, **kw)
     (path,) = writes.values()
     write_gridded(gs, path)

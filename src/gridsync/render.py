@@ -34,11 +34,19 @@ def _ramp(t: np.ndarray, palette: str) -> np.ndarray:
 
 
 def _axis_step(coords: np.ndarray) -> float:
-    uniq = np.unique(coords)
-    if uniq.size < 2:
+    """The median gap between distinct coordinates, as np.median(np.diff(np.unique(coords))).
+
+    A sort and a partition stand in for np.unique and np.median, which import numpy.ma.
+    """
+    gaps = np.diff(np.sort(coords))
+    gaps = gaps[gaps != 0]
+    if gaps.size == 0:
         return 1.0
-    diffs = np.diff(uniq)
-    return float(np.median(diffs))
+    k = gaps.size // 2
+    if gaps.size % 2:
+        return float(np.partition(gaps, k)[k])
+    part = np.partition(gaps, [k - 1, k])
+    return float((part[k - 1] + part[k]) / 2)
 
 
 def render_map(

@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 import gridsync
-from gridsync.cli import STAGES, ConfigError, load_config, main, validate_config
+from gridsync.cli import CONFIG_KEYS, STAGES, ConfigError, _keys, load_config, main, validate_config
+from gridsync.netmetrics import pair_bins
+from gridsync.synth import RectLattice, lattice_grid
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def base_config(tmp_path, **over):
@@ -148,6 +152,11 @@ def test_config_rejects_unknown_sync_key(tmp_path):
     ({"synth": {"lat0": 95}}, "synth: latitude out of range"),
     ({"synth": {"output": "x.cng1"}}, "unknown key synth.output"),
     ({"format": "csv"}, "format must be one of ('binary',)"),
+    # pair_bins' bin of half the Earth's circumference must fit in uint16
+    ({"surrogate": {"bin_width_km": 1e-300}}, "surrogate.bin_width_km must be >= 0.3054"),
+    ({"surrogate": {"bin_width_km": 1e-12}}, "surrogate.bin_width_km must be >= 0.3054"),
+    ({"surrogate": {"bin_width_km": 0.3}}, "surrogate.bin_width_km must be >= 0.3054"),
+    ({"surrogate": {"bin_width_km": 0}}, "surrogate.bin_width_km must be >= 0.3054"),
 ])
 def test_config_rejects_bad_document(tmp_path, capsys, doc, message):
     # each mistake is a config error (exit 1), never a silent default or a crash (exit 2)
@@ -187,9 +196,54 @@ def test_config_missing_file():
         load_config("/nonexistent/run.json")
 
 
+# values that no key of each JSON kind accepts
+BAD_VALUES = {
+    "integer": [10.7, 10.0, True, "1"],
+    "number": [True, "x", float("nan"), float("inf")],
+    "choice": ["bogus"],
+    "path": [5],
+    "list": [5, []],
+}
+
+
+@pytest.mark.parametrize("name, value", [(name, v) for name, kind, *_ in CONFIG_KEYS for v in BAD_VALUES[kind]])
+def test_config_rejects_bad_value_of_every_key(tmp_path, capsys, name, value):
+    # every key of the table checks its JSON kind, and the message names the key
+    block, _, key = name.rpartition(".")
+    cfg = base_config(tmp_path, **({block: {key: value}} if block else {key: value}))
+    assert main(["synth", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    # direction and support are ThresholdSpec's to check: "threshold: unknown direction 'bogus'"
+    assert name in err or (f"{block}: " in err and key in err), err
+
+
+def test_config_bin_width_floor_keeps_pair_bins_small():
+    cfg = validate_config({"seed": 1, "surrogate": {"bin_width_km": 0.3055}})
+    assert pair_bins(lattice_grid(RectLattice(3, 3, 50.0)), cfg.bin_width_km).dtype == np.uint16
+
+
+def test_result_parameters_pinned():
+    # recorded from the hand-written result_parameters of 0.8.0; manifest bytes must not move
+    for case in json.loads((ROOT / "tests" / "fixtures" / "result_parameters.json").read_text()):
+        got = validate_config(case["config"]).result_parameters()
+        assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(case["parameters"], indent=2, sort_keys=True)
+
+
+def test_readme_names_the_config_keys():
+    # the README's key paragraph lists exactly the table's keys, block by block, and its integer keys
+    text = (ROOT / "README.md").read_text()
+    para = text[text.index("`variable` picks the threshold defaults"):text.index("## Artifacts")]
+    lists = re.findall(r"(?:The top level|[Tt]he `(\w+)` block)\s+accepts\s+((?:`\w+`(?:,\s+|\s+and\s+)?)+)", para)
+    assert {block: set(re.findall(r"`(\w+)`", keys)) for block, keys in lists} == {
+        block: set(_keys(block)) for block in {name.rpartition(".")[0] for name, *_ in CONFIG_KEYS}
+    }
+    integers = re.search(r"Integer keys \(([^)]*)\)", para).group(1)
+    assert set(re.findall(r"`([\w.]+)`", integers)) == {name for name, kind, *_ in CONFIG_KEYS if kind == "integer"}
+
+
 def test_readme_config_example_validates():
     # the config the README documents must pass the schema it documents
-    readme = Path(__file__).resolve().parent.parent / "README.md"
+    readme = ROOT / "README.md"
     blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), flags=re.S)
     assert len(blocks) == 1
     doc = json.loads(re.sub(r"\s*//[^\n]*", "", blocks[0]))

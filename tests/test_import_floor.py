@@ -1,12 +1,18 @@
 """What a stage process imports, it pays for in every run: neither the
-library chain of perfbench/conus.py nor the CLI pipeline may import numpy.ma
-(np.unique without indices, and so np.unique(axis=0) and np.nanquantile, do)."""
+library chain of perfbench/conus.py, the CLI pipeline nor `gridsync render` may
+import numpy.ma (np.unique without indices, and so np.unique(axis=0) and
+np.nanquantile, do; so does np.median)."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from gridsync.grid_io import write_metric_csv
+from gridsync.synth import RectLattice, lattice_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,6 +37,12 @@ assert main(["pipeline", "--config", "run.json"]) == 0
 print("numpy.ma" in sys.modules)
 """
 
+_RENDER = """
+import sys
+from gridsync.cli import main
+assert main(["render", "--config", "run.json", "--field", "metric_DC.csv"]) == 0
+print("numpy.ma" in sys.modules)
+"""
 
 def _numpy_ma_imported(code: str, cwd: Path, *args: str) -> bool:
     """Whether numpy.ma is in sys.modules after code runs in a fresh interpreter that imports gridsync from src."""
@@ -53,3 +65,11 @@ def test_pipeline_never_imports_numpy_ma(tmp_path):
     }))
     assert not _numpy_ma_imported(_PIPELINE, tmp_path)
     assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_render_never_imports_numpy_ma(tmp_path):
+    grid = lattice_grid(RectLattice(6, 5, 50.0))
+    write_metric_csv(np.arange(grid.n, dtype=float), grid, tmp_path / "metric_DC.csv")
+    (tmp_path / "run.json").write_text(json.dumps({"seed": 1, "out": str(tmp_path)}))
+    assert not _numpy_ma_imported(_RENDER, tmp_path)
+    assert (tmp_path / "metric_DC.csv.ppm").read_bytes().startswith(b"P6\n5 6\n255\n")
