@@ -40,6 +40,13 @@ edges or the bins show whether the labels give the same bytes. KERNEL is:
   pair_link_probabilities), estimate_profile on them (profile_s), then
   MEMBERS members of stream(seed, SURROGATE_TAG, k): the median time of the
   draw and of each metric in MEMBER_METRICS, and the process's peak RSS.
+- member_block: one surrogate.member_block of BLOCK_MEMBERS members (DC,
+  CC and MGD) on the boundary_conus network of bc_conus, pinned to one CPU
+  with OPENBLAS_NUM_THREADS=1, after estimate_profile has made the pair
+  memo: the block's wall time, the RSS it adds and the process's peak RSS,
+  and a digest of the summed fields. A source without member_block runs
+  ensemble_stats on one block instead, whose means times BLOCK_MEMBERS are
+  the same sums.
 - events_stage: ``gridsync events`` (gridsync.cli.main) for JJA and for DJF
   on one CNG1 file of every calendar day of EVENT_YEARS (10,957 days) on
   the 57 x 57 lattice, made once with grid_io.write_gridded: the stage's
@@ -388,6 +395,49 @@ def surrogate_members(h: Harness) -> dict:
     return result
 
 
+# member_block
+BLOCK_MEMBERS, BLOCK_GRAPH = 64, "edges_28k"  # one ensemble block on the boundary_conus network
+
+
+def block_measure(seed: int, path: str) -> dict:
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    import hashlib
+
+    import numpy as np
+
+    from gridsync import netmetrics, surrogate
+    from gridsync.grid_io import GridSpec
+
+    a = np.load(path)
+    grid = GridSpec(lat=a["lat"], lon=a["lon"])
+    profile = surrogate.estimate_profile(netmetrics.Network(grid, a["indptr"], a["indices"]), PAIR_BIN_KM)
+    before = rss_mb()
+    t = time.perf_counter()
+    if hasattr(surrogate, "member_block"):
+        sums = surrogate.member_block(profile, grid, MEMBER_METRICS, seed, 0, BLOCK_MEMBERS)
+    else:  # dividing by a power of two and multiplying back is exact
+        stats = surrogate.ensemble_stats(profile, grid, MEMBER_METRICS, BLOCK_MEMBERS, seed)
+        sums = np.stack([stats[m].mean * BLOCK_MEMBERS for m in MEMBER_METRICS])
+    wall = time.perf_counter() - t
+    return {"block_s": round(wall, 4), "peak_rss_mb": round(rss_mb(), 1),
+            "above_input_mb": round(rss_mb() - before, 1),
+            "sums_sha256": hashlib.sha256(sums.tobytes()).hexdigest()[:16]}
+
+
+def member_block(h: Harness) -> dict:
+    path = str(h.tmp / f"{BLOCK_GRAPH}.npz")
+    edges = h.spawn("bc_make", h.first, BLOCK_GRAPH, path)
+    runs = h.alternate("block_measure", path, env={"OPENBLAS_NUM_THREADS": "1"})
+    return {"nodes": ROWS * ROWS, "link_model": f"Exponential{BC_GRAPHS[BLOCK_GRAPH]}", "edges": edges,
+            "bin_width_km": PAIR_BIN_KM, "members": BLOCK_MEMBERS, "metrics": list(MEMBER_METRICS),
+            "seed": h.seed, "repeats": h.repeats, "pinned_cpus": 1,
+            "block_s_median": medians(runs, "block_s"), "above_input_mb_median": medians(runs, "above_input_mb", 1),
+            "peak_rss_mb_max": {label: max(r["peak_rss_mb"] for r in rs) for label, rs in runs.items()},
+            "sums_sha256": {label: sorted({r["sums_sha256"] for r in rs}) for label, rs in runs.items()},
+            "runs": runs}
+
+
 # events_stage
 EVENT_YEARS, EVENT_SEASONS = (1981, 2010), ("JJA", "DJF")
 EVENT_WET = 0.55  # share of days with precipitation in the input file
@@ -527,7 +577,8 @@ def csv_io(h: Harness) -> dict:
 
 
 KERNELS = {"bc_conus": bc_conus, "es_kernel": es_kernel, "pair_pass": pair_pass,
-           "surrogate_members": surrogate_members, "events_stage": events_stage, "csv_io": csv_io}
+           "surrogate_members": surrogate_members, "member_block": member_block, "events_stage": events_stage,
+           "csv_io": csv_io}
 
 
 def parse(argv: list[str] | None = None) -> argparse.Namespace:

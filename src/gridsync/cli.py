@@ -87,7 +87,8 @@ CONFIG_KEYS = (
     ("threshold.support", "choice", {"precip": "positive_only", "tmax": "all", "tmin": "all"}, None, True),
     ("threshold.positive_floor", "number", 0.0, None, True),
     ("threshold.min_support", "integer", 20, None, True),
-    ("seed", "integer", None, None, False),
+    # seeding.mix64 keeps a seed's low 64 bits, so any other integer would alias one of these
+    ("seed", "integer", None, (lambda v: 0 <= v < 2**64, "must lie in [0, 2**64)"), False),
     # the key stays so configs that spell out the paper's setting still run
     ("sync.tau_max", "integer", 0, (lambda v: v == 0, "must be 0 (the paper's zero-lag event synchronization)"), False),
     ("sync.n_shuffles", "integer", 1000, None, True),
@@ -164,8 +165,8 @@ def _keys(block: str) -> tuple[str, ...]:
 def _value(name: str, kind: str, default, rule, v, problems: list[str]):
     """The checked value of a key given as v: default when v is null, and in place of a bad v.
 
-    An integer takes JSON integers only; a number takes any finite JSON
-    number and comes back as a float. Booleans are neither.
+    An integer takes JSON integers only; a number takes any JSON number in
+    float range (no NaN or infinity) and comes back as a float. Booleans are neither.
     """
     if v is None:
         return default
@@ -177,7 +178,7 @@ def _value(name: str, kind: str, default, rule, v, problems: list[str]):
         must = None if isinstance(v, list) and v else "must be a non-empty list"
     elif isinstance(v, bool) or not isinstance(v, int if kind == "integer" else (int, float)):
         must = f"must be {'an integer' if kind == 'integer' else 'a number'}"
-    elif kind == "number" and not math.isfinite(v):
+    elif kind == "number" and not abs(v) <= sys.float_info.max:  # also ints past float range, where isfinite overflows
         must = "must be a finite number"
     else:
         v = v if kind == "integer" else float(v)

@@ -90,6 +90,9 @@ class GridSpec:
     def n(self) -> int:
         return int(self.lat.size)
 
+    def __reduce__(self):  # a pickle carries the coordinates, not the memo (31 MB of pair tables at CONUS size)
+        return GridSpec, (self.lat, self.lon)
+
 
 @dataclass(frozen=True)
 class GriddedSeries:

@@ -19,6 +19,7 @@ from .seeding import SURROGATE_TAG, stream
 
 PROFILE_HEADER = "bin_lo_km,bin_hi_km,pairs,links,prob"
 SURROGATE_STATS_HEADER = "node_id,metric,mean,zero_flag"
+BLOCK = 64  # members per member_block sum; ensemble_stats' block edges are its multiples
 
 
 @dataclass(frozen=True)
@@ -94,34 +95,30 @@ def surrogate_member(profile: DistanceProfile, grid: GridSpec, rng: np.random.Ge
     return Network.from_pair_ranks(grid, np.sort(np.concatenate(linked)))
 
 
-def ensemble_stats(
-    profile: DistanceProfile,
-    grid: GridSpec,
-    metrics: tuple[str, ...] = ("DC", "CC", "MGD", "BC"),
-    ensemble_size: int = 1000,
-    seed: int = 0,
-) -> dict[str, SurrogateStats]:
-    """Per-node ensemble means of the requested metrics.
+def member_block(profile: DistanceProfile, grid: GridSpec, metrics: tuple[str, ...], seed: int, k0: int,
+                 k1: int) -> np.ndarray:
+    """The float64 sum of members k0..k1-1's fields, one row per metric, added in member order.
 
-    Member k is surrogate_member drawn from the PCG64 stream
-    seeding.stream(seed, SURROGATE_TAG, k).
-    Undefined-flag nodes contribute their numeric convention value (0).
-    Member contributions are summed in member order, in blocks of 64.
+    Member k is surrogate_member drawn from seeding.stream(seed, SURROGATE_TAG, k); an undefined-flag
+    node adds its convention value (0). The arguments pickle, so a spawned worker can compute a block.
     """
+    sums = np.zeros((len(metrics), grid.n))
+    for k in range(k0, k1):
+        net = surrogate_member(profile, grid, stream(seed, SURROGATE_TAG, k))
+        for row, m in zip(sums, metrics):
+            row += compute_metric(net, m).values
+    return sums
+
+
+def ensemble_stats(profile: DistanceProfile, grid: GridSpec, metrics: tuple[str, ...] = ("DC", "CC", "MGD", "BC"),
+                   ensemble_size: int = 1000, seed: int = 0) -> dict[str, SurrogateStats]:
+    """Per-node ensemble means of the requested metrics: member_block sums folded over k0 = 0, 64, 128, ..."""
     if ensemble_size < 1:
         raise ValueError("ensemble_size must be >= 1")
-
-    def member_fields(k: int) -> dict[str, np.ndarray]:
-        net = surrogate_member(profile, grid, stream(seed, SURROGATE_TAG, k))
-        return {m: compute_metric(net, m).values for m in metrics}
-
-    sums = {m: np.zeros(grid.n) for m in metrics}
-    for start in range(0, ensemble_size, 64):
-        fields = [member_fields(k) for k in range(start, min(start + 64, ensemble_size))]
-        for m in metrics:
-            sums[m] += np.sum(np.stack([f[m] for f in fields]), axis=0)
-
-    return {m: SurrogateStats(m, sums[m] / ensemble_size) for m in metrics}
+    sums = np.zeros((len(metrics), grid.n))
+    for k0 in range(0, ensemble_size, BLOCK):
+        sums += member_block(profile, grid, metrics, seed, k0, min(k0 + BLOCK, ensemble_size))
+    return {m: SurrogateStats(m, s / ensemble_size) for m, s in zip(metrics, sums)}
 
 
 # ---------------------------------------------------------------------------

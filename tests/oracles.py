@@ -4,8 +4,9 @@ Per-node event extraction, set-intersection ES, explicit shuffles and exact
 hypergeometric arithmetic for the null model, one-pair link decisions, the
 scalar haversine and the dense distance matrix, the CSR by one sort of keys,
 one-source-at-a-time Brandes betweenness, the per-bin surrogate draw by pair
-enumeration, and pair-level helpers on networks and surrogates. Where a helper runs a production kernel
-(event_sync, null_threshold, sample_surrogate), its docstring says so;
+enumeration, the 0.8.0 ensemble fold, and pair-level helpers on networks and
+surrogates. Where a helper runs a production kernel (event_sync,
+null_threshold, sample_surrogate, ensemble_means_oracle), its docstring says so;
 compare it only with an independent oracle, never with itself.
 """
 
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gridsync.netmetrics import EARTH_RADIUS_KM, pair_bins
+from gridsync.netmetrics import EARTH_RADIUS_KM, compute_metric, pair_bins
+from gridsync.seeding import SURROGATE_TAG, stream
 from gridsync.surrogate import surrogate_member
 from gridsync.sync import _es_matrix, _key_threshold
 
@@ -224,6 +226,24 @@ def surrogate_member_oracle(profile, grid, rng) -> tuple[np.ndarray, np.ndarray]
             linked.extend(members[rng.choice(members.size, k, replace=False, shuffle=False)].tolist())
     linked = np.sort(np.asarray(linked, dtype=np.int64))
     return iu[linked], ju[linked]
+
+
+def ensemble_means_oracle(profile, grid, metrics, ensemble_size: int, seed: int) -> dict[str, np.ndarray]:
+    """ensemble_stats' means as 0.8.0 folded them, on the production members and metrics.
+
+    A dict of fields per member, and per block of 64 members one
+    np.sum(np.stack(...), axis=0) per metric, added to that metric's sum.
+    """
+    def member_fields(k: int) -> dict[str, np.ndarray]:
+        net = surrogate_member(profile, grid, stream(seed, SURROGATE_TAG, k))
+        return {m: compute_metric(net, m).values for m in metrics}
+
+    sums = {m: np.zeros(grid.n) for m in metrics}
+    for start in range(0, ensemble_size, 64):
+        fields = [member_fields(k) for k in range(start, min(start + 64, ensemble_size))]
+        for m in metrics:
+            sums[m] += np.sum(np.stack([f[m] for f in fields]), axis=0)
+    return {m: sums[m] / ensemble_size for m in metrics}
 
 
 def brandes_oracle(net) -> np.ndarray:

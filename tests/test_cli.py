@@ -157,6 +157,11 @@ def test_config_rejects_unknown_sync_key(tmp_path):
     ({"surrogate": {"bin_width_km": 1e-12}}, "surrogate.bin_width_km must be >= 0.3054"),
     ({"surrogate": {"bin_width_km": 0.3}}, "surrogate.bin_width_km must be >= 0.3054"),
     ({"surrogate": {"bin_width_km": 0}}, "surrogate.bin_width_km must be >= 0.3054"),
+    # seeding.mix64 keeps 64 bits: 2**64 and -1 would alias seeds 0 and 2**64 - 1
+    ({"seed": 2**64}, "seed must lie in [0, 2**64)"),
+    ({"seed": -1}, "seed must lie in [0, 2**64)"),
+    # an integer past float range, where math.isfinite would overflow
+    ({"alpha": 10**400}, "alpha must be a finite number"),
 ])
 def test_config_rejects_bad_document(tmp_path, capsys, doc, message):
     # each mistake is a config error (exit 1), never a silent default or a crash (exit 2)
@@ -181,6 +186,17 @@ def test_cli_usage_error_exits_1(tmp_path, capsys, args, message):
     assert err.value.code == 1
     text = capsys.readouterr().err
     assert text.startswith("usage: gridsync") and message in text
+
+
+def test_out_of_range_seed_override_and_huge_number_exit_1(tmp_path, capsys):
+    # a --seed override meets the config's range rule, and an integer past float range
+    # for a number key is a config error (exit 1), not an OverflowError (exit 2)
+    cfg = base_config(tmp_path)
+    assert main(["synth", "--config", str(cfg), "--seed", str(2**64)]) == 1
+    assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+    cfg.write_text(cfg.read_text()[:-1] + ', "alpha": 1' + "0" * 400 + "}")
+    assert main(["synth", "--config", str(cfg)]) == 1
+    assert "alpha must be a finite number" in capsys.readouterr().err
 
 
 def test_config_rejects_non_object_document(tmp_path):

@@ -1,6 +1,7 @@
 import datetime
 import functools
 import json
+import pickle
 import struct
 
 import numpy as np
@@ -23,6 +24,7 @@ from gridsync.grid_io import (
     write_gridded,
     write_metric_csv,
 )
+from gridsync.netmetrics import pair_bins, pair_groups
 
 from conftest import random_grid
 
@@ -144,6 +146,19 @@ def test_out_of_range_coordinates(tmp_path):
     with pytest.raises(GridIOError) as err:
         load_gridded(p)
     assert str(err.value) == f"{p}: latitude out of range [-90, 90]"
+
+
+def test_grid_pickles_without_its_memo():
+    # a grid sent to a worker process carries its coordinates, not pair_bins or pair_groups
+    grid = random_grid(300, 5)
+    ranks, starts = pair_groups(grid, 50.0)
+    assert ranks.nbytes + starts.nbytes + pair_bins(grid, 50.0).nbytes > 200_000 and len(grid.derived) == 2
+    blob = pickle.dumps(grid)
+    back = pickle.loads(blob)
+    assert back.lat.tobytes() == grid.lat.tobytes() and back.lon.tobytes() == grid.lon.tobytes()
+    assert back.derived == {}
+    assert not back.lat.flags.writeable and not back.lon.flags.writeable
+    assert grid.lat.nbytes + grid.lon.nbytes < len(blob) < grid.lat.nbytes + grid.lon.nbytes + 1024
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,49 @@ def test_surrogate_members_summary_per_graph_and_label():
     assert all(c[3] == {"OPENBLAS_NUM_THREADS": "1"} for c in measured) and len(measured) == 8
 
 
+def test_member_block_step_sums_the_production_block(tmp_path):
+    # a fresh child on this source reports every key the summary reads, and its digest is member_block's
+    import hashlib
+
+    import numpy as np
+
+    from gridsync.surrogate import estimate_profile, member_block
+    from gridsync.synth import Exponential, RectLattice, SynthNetSpec, gen_embedded_network
+
+    net = gen_embedded_network(SynthNetSpec(RectLattice(10, 10, 50.0), Exponential(0.8, 100.0), seed=2))
+    path = tmp_path / "net.npz"
+    np.savez(path, lat=net.grid.lat, lon=net.grid.lon, indptr=net.indptr, indices=net.indices)
+    src = str(Path(gridsync.__file__).resolve().parents[1])
+    run = side_bench.Harness({"a": src}, seed=4, repeats=1).spawn("block_measure", "a", str(path))
+    assert set(run) == {"block_s", "peak_rss_mb", "above_input_mb", "sums_sha256"}
+    sums = member_block(estimate_profile(net, side_bench.PAIR_BIN_KM), net.grid, side_bench.MEMBER_METRICS, 4, 0,
+                        side_bench.BLOCK_MEMBERS)
+    assert run["sums_sha256"] == hashlib.sha256(sums.tobytes()).hexdigest()[:16]
+
+
+def test_member_block_summary_per_label():
+    h = side_bench.Harness({"change": "C", "parent": "P"}, seed=1, repeats=3, tmp="work")
+    calls = []
+
+    def spawn(step, label, *args, env=None):
+        calls.append((step, label, args, env))
+        if step == "bc_make":
+            return 7
+        return {"block_s": 1.0 if label == "change" else 1.2, "above_input_mb": 2.0 if label == "change" else 8.0,
+                "peak_rss_mb": 90.0 if label == "change" else 96.0, "sums_sha256": "s"}
+
+    h.spawn = spawn
+    out = side_bench.member_block(h)
+    assert calls[0][:3] == ("bc_make", "change", (side_bench.BLOCK_GRAPH, "work/edges_28k.npz"))
+    assert out["edges"] == 7 and out["members"] == 64 and len(out["runs"]["parent"]) == 3
+    assert out["block_s_median"] == {"change": 1.0, "parent": 1.2}
+    assert out["above_input_mb_median"] == {"change": 2.0, "parent": 8.0}
+    assert out["peak_rss_mb_max"] == {"change": 90.0, "parent": 96.0}
+    assert out["sums_sha256"] == {"change": ["s"], "parent": ["s"]}
+    measured = [c for c in calls if c[0] == "block_measure"]
+    assert all(c[3] == {"OPENBLAS_NUM_THREADS": "1"} for c in measured) and len(measured) == 6
+
+
 def test_pair_pass_summary_per_grid_and_label():
     h = side_bench.Harness({"change": "C", "parent": "P"}, seed=1, repeats=2)
     calls = []

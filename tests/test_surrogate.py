@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -8,9 +11,11 @@ from gridsync.grid_io import GridSpec
 from gridsync.netmetrics import Network, degree, pair_bins, pair_groups, pair_rank
 from gridsync.seeding import SURROGATE_TAG, mix64, stream
 from gridsync.surrogate import (
+    BLOCK,
     DistanceProfile,
     ensemble_stats,
     estimate_profile,
+    member_block,
     read_profile_csv,
     read_surrogate_stats_csv,
     surrogate_member,
@@ -20,7 +25,14 @@ from gridsync.surrogate import (
 from gridsync.synth import Exponential, HardCutoff, RectLattice, SynthNetSpec, gen_embedded_network, lattice_grid
 
 from conftest import random_grid, random_network
-from oracles import has_edge, haversine_matrix, pair_link_probabilities, sample_surrogate, surrogate_member_oracle
+from oracles import (
+    ensemble_means_oracle,
+    has_edge,
+    haversine_matrix,
+    pair_link_probabilities,
+    sample_surrogate,
+    surrogate_member_oracle,
+)
 
 
 def complete_net(n, seed=0):
@@ -305,15 +317,36 @@ def test_ensemble_size_one_equals_member():
     assert np.array_equal(stats["DC"].mean, degree(member).values)
 
 
-@pytest.mark.parametrize("size", [1, 63, 64, 65])
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 130])
 def test_ensemble_same_bytes_on_rerun(size):
-    # 64 members sum per block, so 63, 64 and 65 end inside, on and past a block edge
+    # 64 members sum per block, so 63, 64, 65 and 130 end inside, on and past a block edge;
+    # a rerun on a fresh grid and 0.8.0's stacked sum per block give the same bytes
     net = random_network(30, 0.2, 47)
     prof = estimate_profile(net, bin_width_km=150.0)
-    runs = [ensemble_stats(prof, GridSpec(lat=net.grid.lat, lon=net.grid.lon), metrics=("DC", "CC", "MGD"),
+    metrics = ("DC", "CC", "MGD", "BC")
+    runs = [ensemble_stats(prof, GridSpec(lat=net.grid.lat, lon=net.grid.lon), metrics=metrics,
                            ensemble_size=size, seed=5) for _ in range(2)]
-    for m in ("DC", "CC", "MGD"):
-        assert runs[0][m].mean.tobytes() == runs[1][m].mean.tobytes()
+    oracle = ensemble_means_oracle(prof, net.grid, metrics, size, 5)
+    for m in metrics:
+        assert runs[0][m].mean.tobytes() == runs[1][m].mean.tobytes() == oracle[m].tobytes()
+
+
+def test_blocks_from_a_spawned_process_fold_to_the_in_process_means():
+    # the grid goes to the worker with its pair memo, which a pickle leaves behind
+    net = random_network(30, 0.2, 47)
+    prof = estimate_profile(net, bin_width_km=150.0)
+    metrics, size = ("DC", "CC", "MGD", "BC"), 130
+    k0s = list(range(0, size, BLOCK))
+    k1s = [min(k0 + BLOCK, size) for k0 in k0s]
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        blocks = list(pool.map(member_block, repeat(prof), repeat(net.grid), repeat(metrics), repeat(5), k0s, k1s))
+    assert len(blocks) == 3 and net.grid.derived
+    sums = np.zeros((len(metrics), net.n))
+    for block in blocks:
+        sums += block
+    stats = ensemble_stats(prof, net.grid, metrics=metrics, ensemble_size=size, seed=5)
+    for m, s in zip(metrics, sums):
+        assert (s / size).tobytes() == stats[m].mean.tobytes()
 
 
 def test_ensemble_dc_mean_analytic(rng):
