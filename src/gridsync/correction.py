@@ -24,7 +24,7 @@ class DegenerateFieldError(ValueError):
     """Corrected field is constant, so min-max normalization is undefined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrectedField:
     raw: np.ndarray
     surrogate_mean: np.ndarray

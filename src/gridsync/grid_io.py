@@ -25,7 +25,6 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +54,9 @@ class GridIOError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+# eq=False here and on every frozen type that holds arrays: equality and hash by identity,
+# since a generated __eq__ would ask an array comparison for its truth value
+@dataclass(frozen=True, eq=False)
 class GridSpec:
     """Node locations; node ids are implicit array positions 0..n-1."""
 
@@ -63,7 +64,7 @@ class GridSpec:
     lon: np.ndarray
     # values computed once per grid (netmetrics.pair_bins and pair_groups per bin width, _node_cells);
     # they stay valid because the coordinates are read-only copies
-    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         lat = np.array(self.lat, dtype=float)
@@ -94,7 +95,7 @@ class GridSpec:
         return GridSpec, (self.lat, self.lon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GriddedSeries:
     """Daily values for every grid node over a shared day-index timeline."""
 
@@ -278,11 +279,8 @@ def _flag(cell: str) -> bool:
     return cell == "1"
 
 
-# the dtype of each cast's column; numpy's parser reads int and float cells
+# the dtype of each cast's column
 _DTYPES = {int: np.int64, float: np.float64, str: str, _flag: bool}
-
-# lines per batch of _read_rows: more read no faster, and their strings leave more memory behind
-_ROW_BATCH = 1 << 10
 
 
 def _read_rows(path, header: str, *casts) -> list[np.ndarray]:
@@ -290,62 +288,47 @@ def _read_rows(path, header: str, *casts) -> list[np.ndarray]:
 
     The first line must equal header, blank lines are skipped, every other
     line must hold one field per cast, and a cell its cast rejects (with
-    ValueError) is reported with the file and line. When every cast is int
-    or float, numpy's parser reads the rows in one call. Where it accepts a
-    cell it gives the cast's value, but it also reads non-ASCII digits and
-    strips the separators \\x1c-\\x1f, which int() and float() reject. A file
-    holding either, a file it rejects and a file with another cast are read
-    by a batch loop: a batch of _ROW_BATCH lines is split into cells in one
-    go and cast a column at a time, and a batch that fails is checked again
-    line by line to name its first bad line.
+    ValueError) is reported with the file and line. numpy's parser reads the
+    rows in one call: int and float cells natively, any other cell through
+    its cast applied to the raw field. Unlike the line loop below, the parser
+    reads non-ASCII digits, strips the separators \\x1c-\\x1f (which int()
+    and float() reject) and keeps the outer whitespace of a line's first and
+    last cells, so a file holding any of those characters and a format with a
+    text column at either end skip it. The loop reads those and every file
+    the parser rejects: it strips and splits each line and casts its cells,
+    so a bad file gets the loop's message and line.
     """
     k = len(casts)
-    columns = [[] for _ in casts]
     with open(path, "r", newline="") as f:
         first = f.readline().strip()
         if first != header:
             raise GridIOError(f"malformed header {first!r}, expected {header!r}", path, line=1)
-        if set(casts) <= {int, float}:
-            start, rest = f.tell(), f.read()
-            if rest.isascii() and not any(c in rest for c in "\x1c\x1d\x1e\x1f"):
-                dtype = [(f"f{c}", _DTYPES[cast]) for c, cast in enumerate(casts)]
-                try:
-                    rows = (np.loadtxt(path, dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
-                            if rest.strip() else np.empty(0, dtype))
-                    return [rows[name] for name in rows.dtype.names]
-                except (ValueError, OverflowError):
-                    pass
-            f.seek(start)
-        lineno = 2
-        while lines := list(map(str.strip, islice(f, _ROW_BATCH))):
-            rows = list(filter(None, lines))
+        start, rest = f.tell(), f.read()
+        if (rest.isascii() and not any(c in rest for c in "\x1c\x1d\x1e\x1f")
+                and str not in (casts[0], casts[-1])):
+            dtype = [(f"f{c}", _DTYPES[cast] if cast in (int, float) else object) for c, cast in enumerate(casts)]
+            converters = {c: cast for c, cast in enumerate(casts) if cast not in (int, float)}
             try:
-                if any(map((k - 1).__ne__, map(str.count, rows, repeat(",")))):
-                    raise ValueError("field count")
-                cells = ",".join(rows).split(",") if rows else []
-                for c, (col, cast) in enumerate(zip(columns, casts)):
-                    col.extend(map(cast, cells[c::k]))
-            except ValueError:
-                _check_lines(path, lines, lineno, casts)
-                raise
-            lineno += len(lines)
+                rows = (np.loadtxt(path, dtype, delimiter=",", comments=None, skiprows=1, ndmin=1,
+                                   converters=converters) if rest.strip() else np.empty(0, dtype))
+                return [rows[f"f{c}"].astype(_DTYPES[cast], copy=False) for c, cast in enumerate(casts)]
+            except (ValueError, OverflowError):
+                pass
+        f.seek(start)
+        columns = [[] for _ in casts]
+        for n, line in enumerate(f, start=2):
+            if not (line := line.strip()):
+                continue
+            cells = line.split(",")
+            if len(cells) != k:
+                raise GridIOError(f"expected {k} fields, got {len(cells)}", path, line=n)
+            try:
+                for col, cast, cell in zip(columns, casts, cells):
+                    col.append(cast(cell))
+            except ValueError as e:
+                raise GridIOError(str(e), path, line=n) from e
     with _artifact(path):  # an int beyond int64
         return [np.array(col, dtype=_DTYPES[cast]) for col, cast in zip(columns, casts)]
-
-
-def _check_lines(path, lines: list[str], lineno: int, casts) -> None:
-    """Raise the GridIOError of the first of the stripped lines, numbered from lineno, that _read_rows rejects."""
-    for n, line in enumerate(lines, start=lineno):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(casts):
-            raise GridIOError(f"expected {len(casts)} fields, got {len(parts)}", path, line=n)
-        try:
-            for cast, part in zip(casts, parts):
-                cast(part)
-        except ValueError as e:
-            raise GridIOError(str(e), path, line=n) from e
 
 
 def _node_cells(grid: GridSpec) -> tuple[str, ...]:

@@ -23,7 +23,7 @@ def pair_rank(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
     """Undirected unweighted graph over grid nodes in CSR form.
 
@@ -94,7 +94,7 @@ class Network:
         return np.stack([src[keep], self.indices[keep]], axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricField:
     """One scalar per node for one metric."""
 

@@ -182,6 +182,10 @@ class ComparisonCell:
     ks: TestResult
 
 
+# each ComparisonCell field with its report.txt row label, in report order
+_TESTS = (("paired_t", "Paired t-test"), ("ks", "KS test"))
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     """Per (network, season, metric) test results for subtract vs divide."""
@@ -193,18 +197,10 @@ class ComparisonReport:
         out: dict = {}
         for (network, season, metric), cell in self.cells.items():
             block = out.setdefault(network, {}).setdefault(season, {})
-            block[metric] = {
-                "paired_t": {
-                    "stat": cell.paired_t.statistic,
-                    "p": cell.paired_t.p_value,
-                    "reject": cell.paired_t.reject,
-                },
-                "ks": {
-                    "stat": cell.ks.statistic,
-                    "p": cell.ks.p_value,
-                    "reject": cell.ks.reject,
-                },
-            }
+            tests = block[metric] = {}
+            for test, _ in _TESTS:
+                r = getattr(cell, test)
+                tests[test] = {"stat": r.statistic, "p": r.p_value, "reject": r.reject}
         if self.missing:
             out["missing"] = {
                 "/".join(key): reason for key, reason in sorted(self.missing.items())
@@ -227,16 +223,10 @@ class ComparisonReport:
                 if not any(k in self.cells for k in keys):
                     continue
                 lines.append(f"{nw} network-{_SEASON_LABEL.get(season, season)}")
-                t_cells = [
-                    format_p(self.cells[k].paired_t.p_value) if k in self.cells else "-"
-                    for k in keys
-                ]
-                k_cells = [
-                    format_p(self.cells[k].ks.p_value) if k in self.cells else "-"
-                    for k in keys
-                ]
-                lines.append(_row(["Paired t-test"] + t_cells, widths))
-                lines.append(_row(["KS test"] + k_cells, widths))
+                for test, label in _TESTS:
+                    cells = [format_p(getattr(self.cells[k], test).p_value) if k in self.cells else "-"
+                             for k in keys]
+                    lines.append(_row([label] + cells, widths))
         for key, reason in sorted(self.missing.items()):
             lines.append(f"missing {'/'.join(key)}: {reason}")
         return "\n".join(lines) + "\n"

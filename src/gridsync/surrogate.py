@@ -22,7 +22,7 @@ SURROGATE_STATS_HEADER = "node_id,metric,mean,zero_flag"
 BLOCK = 64  # members per member_block sum; ensemble_stats' block edges are its multiples
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceProfile:
     """Per-distance-bin link probability p = links / pairs."""
 
@@ -40,7 +40,7 @@ class DistanceProfile:
         return float(self.bin_edges[1] - self.bin_edges[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurrogateStats:
     """Arithmetic ensemble mean of one metric, per node."""
 

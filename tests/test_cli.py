@@ -370,6 +370,13 @@ def test_pipeline_rerun_byte_identical(pipeline_run, tmp_path):
     assert hash_artifacts(out2) == first
 
 
+def test_pipeline_bytes_pinned(pipeline_run):
+    # the SHA-256 of every file the run writes, manifests included; a change meant to
+    # move artifact bytes updates tests/fixtures/pipeline_digests.json and says so
+    pinned = json.loads((ROOT / "tests" / "fixtures" / "pipeline_digests.json").read_text())
+    assert hash_artifacts(pipeline_run[0] / "out") == pinned
+
+
 def test_manifest_chain_consistent(pipeline_run):
     # every file is the output of exactly one manifest, and every manifest input
     # carries the hash that its producer's manifest lists for that file

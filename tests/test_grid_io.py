@@ -161,6 +161,21 @@ def test_grid_pickles_without_its_memo():
     assert grid.lat.nbytes + grid.lon.nbytes < len(blob) < grid.lat.nbytes + grid.lon.nbytes + 1024
 
 
+def test_array_holding_types_compare_by_identity():
+    # an unpickled copy has equal arrays of its own; == is False rather than an array's ambiguous truth value
+    from gridsync.correction import CorrectedField
+    from gridsync.netmetrics import MetricField, Network
+    from gridsync.surrogate import DistanceProfile, SurrogateStats
+
+    gs = small_series()
+    x = np.array([0.0, 1.5])
+    objs = [gs.grid, gs, Network.from_edges(gs.grid, [[0, 1]]), MetricField("DC", x), DistanceProfile(x, x, x, x),
+            SurrogateStats("DC", x), CorrectedField(x, x, x, x, x > 0)]
+    for obj in objs:
+        back = pickle.loads(pickle.dumps(obj))
+        assert (obj == back) is False and obj == obj and len({obj, back}) == 2
+
+
 # ---------------------------------------------------------------------------
 # seasonal extraction
 
@@ -549,31 +564,32 @@ def test_reader_skips_blank_lines(tmp_path):
     assert read_edge_list(path).shape == (0, 2)
 
 
-@pytest.mark.parametrize("batch", [1, 2, 3, 1 << 16])
-def test_reader_names_the_first_bad_line_across_batches(monkeypatch, tmp_path, batch):
-    # a bad cell on line 5 comes before a short row on line 8; with blank lines
-    # between them, batches of 1, 2 or 3 lines split the file at every place
-    monkeypatch.setattr(grid_io, "_ROW_BATCH", batch)
+@pytest.mark.parametrize("lead", [1, 2, 3, 1 << 16])
+def test_reader_names_the_first_bad_line_across_batches(tmp_path, lead):
+    # after a batch of lead good rows, a bad cell on line 5 + lead comes before a short
+    # row on line 8 + lead, with blank lines between them; the line loop counts them all
     path = tmp_path / "e.csv"
-    lines = ["i,j", "0,1", "", "1,2", "x,3", "  ", "2,4", "5", "3,5"]
+    good = [f"{r},{r + 1}" for r in range(lead)]
+    lines = ["i,j", *good, "0,1", "", "1,2", "x,3", "  ", "2,4", "5", "3,5"]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(GridIOError, match=r"invalid literal for int\(\) with base 10: 'x' \(line 5\)$"):
+    with pytest.raises(GridIOError, match=rf"invalid literal for int\(\) with base 10: 'x' \(line {5 + lead}\)$"):
         read_edge_list(path)
-    lines[4] = "1,3"
+    lines[4 + lead] = "1,3"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(GridIOError, match=r"expected 2 fields, got 1 \(line 8\)$"):
+    with pytest.raises(GridIOError, match=rf"expected 2 fields, got 1 \(line {8 + lead}\)$"):
         read_edge_list(path)
-    lines[7] = "2,5"
+    lines[7 + lead] = "2,5"
     path.write_text("\n".join(lines) + "\n")
-    assert read_edge_list(path).tolist() == [[0, 1], [1, 2], [1, 3], [2, 4], [2, 5], [3, 5]]
+    expected = [[r, r + 1] for r in range(lead)] + [[0, 1], [1, 2], [1, 3], [2, 4], [2, 5], [3, 5]]
+    assert read_edge_list(path).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
 # the row reader's two paths, and the writer's float-column memo
 
 
-def _batch_loop(path, header, *casts):
-    """_read_rows with numpy's parser refusing every file, so every row goes through the batch loop."""
+def _line_loop(path, header, *casts):
+    """_read_rows with numpy's parser refusing every file, so every row goes through the line loop."""
     from unittest import mock
 
     with mock.patch.object(grid_io.np, "loadtxt", side_effect=ValueError("refused")):
@@ -588,15 +604,25 @@ def _outcome(path, header, *casts):
         return (str(e), e.line)
 
 
-FORMATS = [(int, int), (int, float, float, float), (float, float, int, int, float)]
+_flag = grid_io._flag
+# the last two are a surrogate-stats and a corrected file; a text column last goes to the loop
+FORMATS = [(int, int), (int, float, float, float), (float, float, int, int, float), (int, float, str),
+           (int, str, float, _flag), (int, float, float, float, float, float, float, _flag)]
 ODD_INTS = ["+7", " 7 ", "\t-3", "007", "1_000", "٣", "२", "\x1c7", "7\x1f", "9223372036854775807",
             "9223372036854775808", "-9223372036854775809", "99999999999999999999999", "", " ", "7.0", "1e3", "0x1f"]
 ODD_FLOATS = ["+1.5", " 2.5 ", ".5", "5.", "1e400", "-1e-400", "nan", "-nan", "NaN", "inf", "-Infinity", "1_0.5",
               "٣.5", "\x1e2", "", "  ", "1e", "0x1p3", "1,5", "0.1000000000000000055511151231257827"]
+ODD_FLAGS = ["+1", " 1", "1 ", "01", "2", "", "1\x00", "\x1f1", "-0", "true"]
+ODD_TEXTS = [" DC ", "", "a,b", "D\x00C", "#x", '"DC"', "\x1dBC", "MGDé", " "]
 
 
 def _cells(cast):
-    """A cell of cast: a valid one, or one from the odd list, which int() or float() or numpy may read differently."""
+    """A cell of cast: a valid one, or one from the odd list, which the cast or numpy may read differently."""
+    if cast is _flag:
+        return st.one_of(st.sampled_from(["0", "1"]), st.sampled_from(ODD_FLAGS))
+    if cast is str:
+        return st.one_of(st.sampled_from(["DC", "CC", "MGD", "BC"]), st.text(st.characters(codec="ascii"), max_size=3),
+                         st.sampled_from(ODD_TEXTS))
     if cast is int:
         return st.one_of(st.integers(-(2**63), 2**63 - 1).map(str), st.integers(0, 99).map(str),
                          st.sampled_from(ODD_INTS))
@@ -622,16 +648,29 @@ def _csv_file(draw):
 @example(((int, float, float, float), "h\n1,2.5,\x1c7,3\n"))  # and strips \x1c-\x1f
 @example(((int, int), "h\n1,1_000\n\n  \n"))
 @example(((float, float, int, int, float), "h"))
-def test_row_reader_equals_the_batch_loop(tmp_path_factory, case):
-    # numpy's parser, where _read_rows uses it, gives the columns the batch loop
-    # gives, and a file either refuses is the batch loop's GridIOError
+@example(((int, str, float, _flag), "h\n0,DC,1.5,1\n1, BC ,nan,0 \n"))  # the loop strips the line
+@example(((int, str, float, _flag), "h\n0,DC,1.5,+1\n1,BC,0.0,2\n"))  # a flag is no int
+@example(((int, str, float, _flag), "h\n0,D\x00C,1.5,0\n1,#x,0.0,1\n"))
+@example(((int, float, float, float, float, float, float, _flag), "h\n0,1,2,3,4,5,6,01\n"))
+@example(((int, float, str), "h\n0,1.5, DC \n"))
+def test_row_reader_equals_the_line_loop(tmp_path_factory, case):
+    # numpy's parser, where _read_rows uses it, gives the columns the line loop
+    # gives, and a file either refuses is the line loop's GridIOError
     casts, text = case
     path = tmp_path_factory.mktemp("rows") / "a.csv"
     path.write_bytes(text.encode())
-    assert _outcome(path, "h", *casts) == _batch_loop(path, "h", *casts)
+    assert _outcome(path, "h", *casts) == _line_loop(path, "h", *casts)
 
 
-def test_row_reader_returns_typed_columns(tmp_path):
+def test_row_reader_returns_typed_columns(tmp_path, monkeypatch):
+    # numpy's parser reads both files, the one with text and flag columns too
+    parsed, real = [], np.loadtxt
+
+    def loadtxt(*args, **kwargs):
+        parsed.append(real(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(grid_io.np, "loadtxt", loadtxt)
     path = tmp_path / "a.csv"
     path.write_text("h\n1,2.5,0\n-3,nan,1\n")
     ids, values = grid_io._read_rows(path, "h", int, float, float)[:2]
@@ -639,6 +678,7 @@ def test_row_reader_returns_typed_columns(tmp_path):
     assert values.dtype == np.float64 and values[0] == 2.5 and np.isnan(values[1])
     ids, names, flags = grid_io._read_rows(path, "h", int, str, grid_io._flag)
     assert names.tolist() == ["2.5", "nan"] and flags.dtype == bool and flags.tolist() == [False, True]
+    assert len(parsed) == 2
     path.write_text("h\n")
     cols = grid_io._read_rows(path, "h", int, float) + grid_io._read_rows(path, "h", int, str, grid_io._flag)
     assert [(c.dtype.kind, c.size) for c in cols] == [("i", 0), ("f", 0), ("i", 0), ("U", 0), ("b", 0)]
