@@ -27,26 +27,25 @@ edges or the bins show whether the labels give the same bytes. KERNEL is:
   pairs) and on the lattice with every node moved by up to PAIR_JITTER_DEG
   in latitude and longitude (every coordinate distinct), pinned to one CPU
   with OPENBLAS_NUM_THREADS=1, next to a network on 1% of the pairs: the
-  first call (cold_s, and the RSS it adds), the median of five on fresh
-  grids (warm_s; bins are memoized per GridSpec), of five pair_groups on
-  the memoized bins (groups_s) and of five estimate_profile calls after
-  them (profile_s), then warm_s at each netmetrics._PAIR_BLOCK in
-  PAIR_SWEEP.
+  first call (cold_s, and the RSS it adds), the median of five more
+  (warm_s), of five pair_groups, each with the pass it makes (groups_s),
+  and of five estimate_profile calls after them (profile_s), then warm_s at
+  each netmetrics._PAIR_BLOCK in PAIR_SWEEP. pair_groups is the grid's one
+  distance memo, so grid.derived is cleared before each timed pair_bins or
+  pair_groups: a source that also kept the bins there makes its pass too.
 - surrogate_members: the surrogate ensemble's one-off set-up and its members
   on the two bc_conus networks, pinned to one CPU with
   OPENBLAS_NUM_THREADS=1: the distance pass (pair_bins at 50 km, pass_s),
-  the one-off that the member draw needs beyond it (one_off_s: the grouping
-  netmetrics.pair_groups, or at 0.7.0 the per-pair probability vector
-  pair_link_probabilities), estimate_profile on them (profile_s), then
+  the one-off that the member draw needs (one_off_s: the grouping
+  netmetrics.pair_groups from a cleared grid.derived, its pass included),
+  estimate_profile on it (profile_s), then
   MEMBERS members of stream(seed, SURROGATE_TAG, k): the median time of the
   draw and of each metric in MEMBER_METRICS, and the process's peak RSS.
 - member_block: one surrogate.member_block of BLOCK_MEMBERS members (DC,
   CC and MGD) on the boundary_conus network of bc_conus, pinned to one CPU
   with OPENBLAS_NUM_THREADS=1, after estimate_profile has made the pair
   memo: the block's wall time, the RSS it adds and the process's peak RSS,
-  and a digest of the summed fields. A source without member_block runs
-  ensemble_stats on one block instead, whose means times BLOCK_MEMBERS are
-  the same sums.
+  and a digest of the summed fields.
 - events_stage: ``gridsync events`` (gridsync.cli.main) for JJA and for DJF
   on one CNG1 file of every calendar day of EVENT_YEARS (10,957 days) on
   the 57 x 57 lattice, made once with grid_io.write_gridded: the stage's
@@ -262,7 +261,6 @@ def pair_measure(seed: int, name: str) -> dict:
     import numpy as np
 
     from gridsync import netmetrics
-    from gridsync.grid_io import GridSpec
     from gridsync.surrogate import estimate_profile
 
     grid = pair_grid(seed, name)
@@ -279,12 +277,11 @@ def pair_measure(seed: int, name: str) -> dict:
             times.append(time.perf_counter() - t)
         return round(statistics.median(times), 4)
 
-    def warm() -> float:  # bins are memoized per GridSpec, so each call gets a fresh one
-        fresh = [GridSpec(lat=grid.lat, lon=grid.lon) for _ in range(5)]
-        return median_s(lambda: netmetrics.pair_bins(fresh.pop(), PAIR_BIN_KM))
+    def warm() -> float:
+        return median_s(lambda: grid.derived.clear() or netmetrics.pair_bins(grid, PAIR_BIN_KM))
 
-    def group() -> tuple:  # the grouping, memoized next to the bins, computed again
-        grid.derived.pop(("pair_groups", PAIR_BIN_KM), None)
+    def group() -> tuple:
+        grid.derived.clear()
         return netmetrics.pair_groups(grid, PAIR_BIN_KM)
 
     before = rss_mb()
@@ -345,25 +342,17 @@ def members_measure(seed: int, path: str) -> dict:
     t0 = time.perf_counter()
     netmetrics.pair_bins(grid, PAIR_BIN_KM)
     t1 = time.perf_counter()
-    if hasattr(surrogate, "surrogate_member"):
-        netmetrics.pair_groups(grid, PAIR_BIN_KM)
-        t2 = time.perf_counter()
-        profile = surrogate.estimate_profile(net, PAIR_BIN_KM)
-        t3 = time.perf_counter()
-        draw = lambda rng: surrogate.surrogate_member(profile, grid, rng)  # noqa: E731
-        one_off, prof = t2 - t1, t3 - t2
-    else:  # 0.7.0: one double per pair against the pair's probability
-        profile = surrogate.estimate_profile(net, PAIR_BIN_KM)
-        t2 = time.perf_counter()
-        p = surrogate.pair_link_probabilities(profile, grid)
-        t3 = time.perf_counter()
-        draw = lambda rng: netmetrics.bernoulli_network(grid, p, rng)  # noqa: E731
-        one_off, prof = t3 - t2, t2 - t1
+    grid.derived.clear()
+    t2 = time.perf_counter()
+    netmetrics.pair_groups(grid, PAIR_BIN_KM)
+    t3 = time.perf_counter()
+    profile = surrogate.estimate_profile(net, PAIR_BIN_KM)
+    t4 = time.perf_counter()
     times: dict[str, list] = {"draw_s": [], **{f"{m}_s": [] for m in MEMBER_METRICS}}
     edges, first = [], ""
     for k in range(MEMBERS):
         t = time.perf_counter()
-        member = draw(stream(seed, SURROGATE_TAG, k))
+        member = surrogate.surrogate_member(profile, grid, stream(seed, SURROGATE_TAG, k))
         times["draw_s"].append(time.perf_counter() - t)
         for m in MEMBER_METRICS:
             t = time.perf_counter()
@@ -371,7 +360,7 @@ def members_measure(seed: int, path: str) -> dict:
             times[f"{m}_s"].append(time.perf_counter() - t)
         edges.append(member.edge_count)
         first = first or hashlib.sha256(member.edge_array().tobytes()).hexdigest()[:16]
-    return {"pass_s": round(t1 - t0, 4), "one_off_s": round(one_off, 4), "profile_s": round(prof, 4),
+    return {"pass_s": round(t1 - t0, 4), "one_off_s": round(t3 - t2, 4), "profile_s": round(t4 - t3, 4),
             **{k: round(statistics.median(v), 5) for k, v in times.items()},
             "member_edges_mean": round(statistics.mean(edges), 1), "member_0_sha256": first,
             "peak_rss_mb": round(rss_mb(), 1), "above_input_mb": round(rss_mb() - before, 1)}
@@ -414,11 +403,7 @@ def block_measure(seed: int, path: str) -> dict:
     profile = surrogate.estimate_profile(netmetrics.Network(grid, a["indptr"], a["indices"]), PAIR_BIN_KM)
     before = rss_mb()
     t = time.perf_counter()
-    if hasattr(surrogate, "member_block"):
-        sums = surrogate.member_block(profile, grid, MEMBER_METRICS, seed, 0, BLOCK_MEMBERS)
-    else:  # dividing by a power of two and multiplying back is exact
-        stats = surrogate.ensemble_stats(profile, grid, MEMBER_METRICS, BLOCK_MEMBERS, seed)
-        sums = np.stack([stats[m].mean * BLOCK_MEMBERS for m in MEMBER_METRICS])
+    sums = surrogate.member_block(profile, grid, MEMBER_METRICS, seed, 0, BLOCK_MEMBERS)
     wall = time.perf_counter() - t
     return {"block_s": round(wall, 4), "peak_rss_mb": round(rss_mb(), 1),
             "above_input_mb": round(rss_mb() - before, 1),

@@ -23,6 +23,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
+# read_profile_csv (never called here) and extract_season (a no-op after the season-only read)
+# stay imported: perfbench/tracer.py times the grid_io.read and grid_io.season spans on these names
 from .correction import (
     CORRECTED_HEADER,
     correct_divide,

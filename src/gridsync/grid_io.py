@@ -62,7 +62,7 @@ class GridSpec:
 
     lat: np.ndarray
     lon: np.ndarray
-    # values computed once per grid (netmetrics.pair_bins and pair_groups per bin width, _node_cells);
+    # values computed once per grid (netmetrics.pair_groups per bin width, _node_cells);
     # they stay valid because the coordinates are read-only copies
     derived: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -91,7 +91,7 @@ class GridSpec:
     def n(self) -> int:
         return int(self.lat.size)
 
-    def __reduce__(self):  # a pickle carries the coordinates, not the memo (31 MB of pair tables at CONUS size)
+    def __reduce__(self):  # a pickle carries the coordinates, not the memo (21 MB of pair groups at CONUS size)
         return GridSpec, (self.lat, self.lon)
 
 

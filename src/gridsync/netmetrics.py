@@ -139,16 +139,6 @@ def _haversine(cos1, cos2, s_lon, s_lat2, out=None) -> np.ndarray:
 _PAIR_BLOCK = 1 << 15
 
 
-def _by_last_use(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x's distinct values ordered by the last position each takes in x, those positions, and each
-    element's index into the values: positions c and later hold values[searchsorted(last, c):]."""
-    values, first, code = np.unique(x[::-1], return_index=True, return_inverse=True)
-    order = np.argsort(first)[::-1]
-    index = np.empty_like(order)
-    index[order] = np.arange(order.size)
-    return values[order], x.size - 1 - first[order], index[code[::-1]]
-
-
 def _pair_blocks(grid: GridSpec):
     """Yield (position of pair (i, i + 1), km from i to each j > i) for every row i in turn.
 
@@ -156,38 +146,29 @@ def _pair_blocks(grid: GridSpec):
     of max(1, _PAIR_BLOCK // n) rows at a time against the columns right of
     the block's first row: no n x n matrix and no copy of a block is built.
     The sines come from per-block tables of sin(dlat / 2)^2 and sin(dlon / 2)
-    of each row against each distinct latitude and longitude among the
-    block's columns (at most 57 each on a 57 x 57 lattice), gathered per pair;
-    a table with one column per column is used as it stands. A table entry is
-    the same double as the per-pair sine, so every distance keeps its bits.
+    of each row against every distinct latitude and longitude of the grid (57
+    each on a 57 x 57 lattice), gathered per pair. A table entry is the same
+    double as the per-pair sine, so every distance keeps its bits.
     """
     n = grid.n
     lat = np.radians(grid.lat)
     lon = np.radians(grid.lon)
     cos = np.cos(lat)
     rows = max(1, min(_PAIR_BLOCK // max(n, 1), n - 1))
-    r0s = range(0, n - 1, rows)
-    buf, s_lat2, s_lon = np.empty((3, rows * max(n - 1, 0)))
-    tables = []
-    for x in (lat, lon):
-        values, last, index = _by_last_use(x)
-        # the columns of the block at r0, nodes r0 + 1 on, hold values[searchsorted(last, r0 + 1):]
-        tables.append((x, values, index, np.searchsorted(last, np.add(r0s, 1)).tolist()))
+    buf, s_lat2, s_lon = np.empty((3, rows * n))  # buf also holds a table of up to n columns
+    coords = [(x, *np.unique(x, return_inverse=True)) for x in (lat, lon)]
     pos = 0
-    for b, r0 in enumerate(r0s):
+    for r0 in range(0, n - 1, rows):
         r1 = min(r0 + rows, n - 1)
         m = n - r0 - 1
         block, *factors = (a[: (r1 - r0) * m].reshape(r1 - r0, m) for a in (buf, s_lat2, s_lon))
-        for (x, values, index, firsts), factor in zip(tables, factors):
-            first = firsts[b]
-            width = values.size - first
-            # buf is free until _haversine; a table of one column per column is the factor itself
-            table = factor if width == m else buf[: (r1 - r0) * width].reshape(r1 - r0, width)
-            _sin_half_diff(x[r0:r1, None], values[first:], out=table)
+        for (x, values, index), factor in zip(coords, factors):
+            table = buf[: (r1 - r0) * values.size].reshape(r1 - r0, -1)  # buf is free until _haversine
+            _sin_half_diff(x[r0:r1, None], values, out=table)
             if x is lat:
                 table *= table
-            if width < m:  # the indices are in range; mode "clip" writes to out without a buffer
-                np.take(table, index[r0 + 1 :] - first, axis=1, out=factor, mode="clip")
+            # the indices are in range; mode "clip" writes to out without a buffer
+            np.take(table, index[r0 + 1 :], axis=1, out=factor, mode="clip")
         _haversine(cos[r0:r1, None], cos[None, r0 + 1 :], factors[1], factors[0], out=block)
         for k in range(r1 - r0):  # column k of the block is node r0 + k + 1, row r0 + k's first partner
             yield pos, block[k, k:]
@@ -205,21 +186,17 @@ def pair_distances(grid: GridSpec) -> np.ndarray:
 def pair_bins(grid: GridSpec, bin_width_km: float) -> np.ndarray:
     """Distance bin floor(d / bin_width_km) of every pair i < j, in np.triu_indices(n, 1) order.
 
-    Computed once per grid and width, read-only, in the smallest unsigned
-    dtype that holds the bin of half the Earth's circumference. The distances
-    come from _pair_blocks' per-block sine tables and are bitwise those of a
-    haversine with each pair's own sines, so the bins are too.
+    In the smallest unsigned dtype that holds the bin of half the Earth's
+    circumference, and not kept: pair_groups is the grid's one distance memo.
+    The distances come from _pair_blocks' per-block sine tables and are
+    bitwise those of a haversine with each pair's own sines, so the bins are too.
     """
-    key = ("pair_bins", float(bin_width_km))
-    if key not in grid.derived:
-        dtype = np.min_scalar_type(int(np.pi * EARTH_RADIUS_KM / bin_width_km) + 1)
-        out = np.empty(grid.n * (grid.n - 1) // 2, dtype=dtype)
-        for pos, d in _pair_blocks(grid):
-            # the cast truncates, which is floor for d >= 0
-            np.divide(d, bin_width_km, out=out[pos : pos + d.size], casting="unsafe")
-        out.setflags(write=False)
-        grid.derived[key] = out
-    return grid.derived[key]
+    dtype = np.min_scalar_type(int(np.pi * EARTH_RADIUS_KM / bin_width_km) + 1)
+    out = np.empty(grid.n * (grid.n - 1) // 2, dtype=dtype)
+    for pos, d in _pair_blocks(grid):
+        # the cast truncates, which is floor for d >= 0
+        np.divide(d, bin_width_km, out=out[pos : pos + d.size], casting="unsafe")
+    return out
 
 
 # pairs per chunk of the counting sort in pair_groups
@@ -229,12 +206,13 @@ _GROUP_CHUNK = 1 << 16
 def pair_groups(grid: GridSpec, bin_width_km: float) -> tuple[np.ndarray, np.ndarray]:
     """The pairs i < j grouped by distance bin, as (ranks, starts), computed once per grid and width.
 
-    ranks[starts[b]:starts[b + 1]] are the np.triu_indices(n, 1) positions of
-    pair_bins' bin b, ascending: a stable counting sort in which each chunk of
-    _GROUP_CHUNK pairs, sorted by bin, adds one slice to each bin's ranks. A
-    chunk is sorted as one array of keys bin << s | offset in the chunk (uint32
-    where the bits fit): the keys are unique, so their order is the stable
-    order by bin.
+    The grid's one distance memo, read-only in grid.derived; the bins it is
+    built from are dropped. ranks[starts[b]:starts[b + 1]] are the
+    np.triu_indices(n, 1) positions of pair_bins' bin b, ascending: a stable
+    counting sort in which each chunk of _GROUP_CHUNK pairs, sorted by bin,
+    adds one slice to each bin's ranks. A chunk is sorted as one array of keys
+    bin << s | offset in the chunk (uint32 where the bits fit): the keys are
+    unique, so their order is the stable order by bin.
     """
     key = ("pair_groups", float(bin_width_km))
     if key not in grid.derived:
@@ -304,6 +282,21 @@ def clustering(net: Network) -> MetricField:
     return MetricField("CC", vals)
 
 
+def edge_distances(grid: GridSpec, edges: np.ndarray) -> np.ndarray:
+    """Great-circle distance in km of each pair (i, j) of an (m, 2) array.
+
+    The same _sin_half_diff and _haversine steps, in the same order, as
+    _pair_blocks, so each distance is bitwise that pair's in the pair pass.
+    """
+    lat = np.radians(grid.lat)
+    lon = np.radians(grid.lon)
+    cos = np.cos(lat)
+    i, j = edges[:, 0], edges[:, 1]
+    s_lat2 = _sin_half_diff(lat[i], lat[j])
+    s_lat2 *= s_lat2
+    return _haversine(cos[i], cos[j], _sin_half_diff(lon[i], lon[j]), s_lat2)
+
+
 def mean_geo_distance(net: Network) -> MetricField:
     """Mean great-circle distance from each node to its neighbors (km).
 
@@ -311,14 +304,7 @@ def mean_geo_distance(net: Network) -> MetricField:
     """
     deg = net.degrees()
     edges = net.edge_array()
-    lat = np.radians(net.grid.lat)
-    lon = np.radians(net.grid.lon)
-    cos = np.cos(lat)
-    i, j = edges[:, 0], edges[:, 1]
-    s_lat2 = _sin_half_diff(lat[i], lat[j])
-    s_lat2 *= s_lat2
-    d = _haversine(cos[i], cos[j], _sin_half_diff(lon[i], lon[j]), s_lat2)
-    total = np.bincount(edges.ravel(), np.repeat(d, 2), minlength=net.n)
+    total = np.bincount(edges.ravel(), np.repeat(edge_distances(net.grid, edges), 2), minlength=net.n)
     vals = np.zeros(net.n)
     linked = deg > 0
     vals[linked] = total[linked] / deg[linked]

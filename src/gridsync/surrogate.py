@@ -14,7 +14,7 @@ from itertools import repeat
 import numpy as np
 
 from .grid_io import GridIOError, GridSpec, _flag, _node_order, _read_rows, _write_rows
-from .netmetrics import Network, compute_metric, pair_bins, pair_groups, pair_rank
+from .netmetrics import Network, compute_metric, edge_distances, pair_groups
 from .seeding import SURROGATE_TAG, stream
 
 PROFILE_HEADER = "bin_lo_km,bin_hi_km,pairs,links,prob"
@@ -67,8 +67,8 @@ def estimate_profile(net: Network, bin_width_km: float = 50.0) -> DistanceProfil
     if net.edge_count == 0:
         raise ValueError("cannot estimate a link-probability profile from an edgeless network")
     pair_count = np.diff(pair_groups(net.grid, bin_width_km)[1])
-    edges = net.edge_array()
-    link_bins = pair_bins(net.grid, bin_width_km)[pair_rank(edges[:, 0], edges[:, 1], net.n)]
+    # a link's own distance is bitwise its distance in the pair pass, so it takes its pair_bins bin
+    link_bins = (edge_distances(net.grid, net.edge_array()) / bin_width_km).astype(np.intp)
     link_count = np.bincount(link_bins, minlength=pair_count.size)
     return DistanceProfile(
         bin_edges=np.arange(pair_count.size + 1, dtype=float) * bin_width_km,

@@ -3,6 +3,7 @@ import pytest
 
 from gridsync.grid_io import GridSpec
 from gridsync.netmetrics import Network
+from gridsync.synth import RectLattice, lattice_grid
 
 
 def random_grid(n, seed, lat_range=(20.0, 50.0), lon_range=(-120.0, -70.0)) -> GridSpec:
@@ -11,6 +12,29 @@ def random_grid(n, seed, lat_range=(20.0, 50.0), lon_range=(-120.0, -70.0)) -> G
         lat=rng.uniform(*lat_range, n),
         lon=rng.uniform(*lon_range, n),
     )
+
+
+def shared_coordinate_grid(name: str) -> GridSpec:
+    """Grids whose nodes share latitudes or longitudes, in the pair pass's table cases."""
+    rng = np.random.default_rng(17)
+    lattice = lattice_grid(RectLattice(rows=33, cols=33, spacing_km=50.0))
+    if name == "lattice":  # 33 latitudes and 33 longitudes, row by row
+        return lattice
+    if name == "shuffled-lattice":  # the same values, each spread over the whole node order
+        order = rng.permutation(lattice.n)
+        return GridSpec(lat=lattice.lat[order], lon=lattice.lon[order])
+    if name == "jittered-lattice":  # every coordinate distinct
+        return GridSpec(lat=lattice.lat + rng.uniform(-0.1, 0.1, lattice.n),
+                        lon=lattice.lon + rng.uniform(-0.1, 0.1, lattice.n))
+    if name == "shared-latitudes":  # 3 latitudes, every longitude distinct
+        return GridSpec(lat=rng.choice([30.0, 35.5, 41.25], 900), lon=rng.uniform(-120.0, -70.0, 900))
+    if name == "n-2":
+        return GridSpec(lat=[40.0, 40.0], lon=[-100.0, -99.0])
+    assert name == "n-3"
+    return GridSpec(lat=[40.0, 41.0, 40.0], lon=[-100.0, -100.0, -99.0])
+
+
+SHARED_COORDINATE_GRIDS = ("lattice", "shuffled-lattice", "jittered-lattice", "shared-latitudes", "n-2", "n-3")
 
 
 def random_network(n, density, seed) -> Network:

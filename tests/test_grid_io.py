@@ -24,7 +24,7 @@ from gridsync.grid_io import (
     write_gridded,
     write_metric_csv,
 )
-from gridsync.netmetrics import pair_bins, pair_groups
+from gridsync.netmetrics import pair_groups
 
 from conftest import random_grid
 
@@ -149,10 +149,10 @@ def test_out_of_range_coordinates(tmp_path):
 
 
 def test_grid_pickles_without_its_memo():
-    # a grid sent to a worker process carries its coordinates, not pair_bins or pair_groups
+    # a grid sent to a worker process carries its coordinates, not pair_groups
     grid = random_grid(300, 5)
     ranks, starts = pair_groups(grid, 50.0)
-    assert ranks.nbytes + starts.nbytes + pair_bins(grid, 50.0).nbytes > 200_000 and len(grid.derived) == 2
+    assert ranks.nbytes + starts.nbytes > 150_000 and len(grid.derived) == 1
     blob = pickle.dumps(grid)
     back = pickle.loads(blob)
     assert back.lat.tobytes() == grid.lat.tobytes() and back.lon.tobytes() == grid.lon.tobytes()

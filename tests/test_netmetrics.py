@@ -26,7 +26,7 @@ from gridsync.netmetrics import (
 )
 from gridsync.synth import Exponential, RectLattice, SynthNetSpec, gen_embedded_network, lattice_grid
 
-from conftest import dense_adjacency, random_grid, random_network
+from conftest import SHARED_COORDINATE_GRIDS, dense_adjacency, random_grid, random_network, shared_coordinate_grid
 from oracles import brandes_oracle, csr_by_sort, haversine, haversine_matrix, neighbors
 
 
@@ -436,32 +436,9 @@ def test_pair_bins_equal_floor_of_matrix_distances(width, dtype):
     bins = pair_bins(grid, width)
     assert bins.dtype == dtype and bins.shape == d.shape
     assert np.array_equal(bins, np.floor(d / width))
-    assert pair_bins(grid, width) is bins and not bins.flags.writeable
-    assert not (grid.lat.flags.writeable or grid.lon.flags.writeable)  # the memo stays valid
+    assert not grid.derived  # pair_groups is the grid's one distance memo
+    assert not (grid.lat.flags.writeable or grid.lon.flags.writeable)  # so the memo stays valid
     assert np.array_equal(pair_bins(grid, 3 * width), np.floor(d / (3 * width)))
-
-
-def shared_coordinate_grid(name: str) -> GridSpec:
-    """Grids whose nodes share latitudes or longitudes, in the pair pass's table cases."""
-    rng = np.random.default_rng(17)
-    lattice = lattice_grid(RectLattice(rows=33, cols=33, spacing_km=50.0))
-    if name == "lattice":  # 33 latitudes and 33 longitudes, row by row
-        return lattice
-    if name == "shuffled-lattice":  # the same values, each spread over the whole node order
-        order = rng.permutation(lattice.n)
-        return GridSpec(lat=lattice.lat[order], lon=lattice.lon[order])
-    if name == "jittered-lattice":  # every coordinate distinct
-        return GridSpec(lat=lattice.lat + rng.uniform(-0.1, 0.1, lattice.n),
-                        lon=lattice.lon + rng.uniform(-0.1, 0.1, lattice.n))
-    if name == "shared-latitudes":  # 3 latitudes, every longitude distinct
-        return GridSpec(lat=rng.choice([30.0, 35.5, 41.25], 900), lon=rng.uniform(-120.0, -70.0, 900))
-    if name == "n-2":
-        return GridSpec(lat=[40.0, 40.0], lon=[-100.0, -99.0])
-    assert name == "n-3"
-    return GridSpec(lat=[40.0, 41.0, 40.0], lon=[-100.0, -100.0, -99.0])
-
-
-SHARED_COORDINATE_GRIDS = ("lattice", "shuffled-lattice", "jittered-lattice", "shared-latitudes", "n-2", "n-3")
 
 
 @pytest.mark.parametrize("name", SHARED_COORDINATE_GRIDS)

@@ -8,7 +8,7 @@ import pytest
 
 from gridsync import netmetrics
 from gridsync.grid_io import GridSpec
-from gridsync.netmetrics import Network, degree, pair_bins, pair_groups, pair_rank
+from gridsync.netmetrics import Network, degree, edge_distances, pair_bins, pair_distances, pair_groups, pair_rank
 from gridsync.seeding import SURROGATE_TAG, mix64, stream
 from gridsync.surrogate import (
     BLOCK,
@@ -24,7 +24,7 @@ from gridsync.surrogate import (
 )
 from gridsync.synth import Exponential, HardCutoff, RectLattice, SynthNetSpec, gen_embedded_network, lattice_grid
 
-from conftest import random_grid, random_network
+from conftest import random_grid, random_network, shared_coordinate_grid
 from oracles import (
     ensemble_means_oracle,
     has_edge,
@@ -72,6 +72,28 @@ def test_pair_groups_with_64_bit_keys(monkeypatch, chunk):
     ranks, starts = pair_groups(grid, 0.07)
     assert np.array_equal(ranks, np.argsort(bins, kind="stable"))
     assert starts.tolist() == [0] + np.cumsum(np.bincount(bins)).tolist()
+
+
+@pytest.mark.parametrize("width", [50.0, 100.0])
+@pytest.mark.parametrize("name", ["lattice", "shuffled-lattice", "jittered-lattice", "random"])
+def test_profile_link_counts_equal_the_pair_bins_of_the_links(name, width):
+    # the profile bins each link by its own haversine; the definition is the pair pass's bin at the link's rank.
+    # The lattice's spacing is the narrower width, so many of its pairs sit on a bin edge
+    grid = random_grid(400, 23) if name == "random" else shared_coordinate_grid(name)
+    n = grid.n
+    d = haversine_matrix(grid)[np.triu_indices(n, 1)]
+    on_edge = np.flatnonzero(np.abs(d / width - np.rint(d / width)) < 1e-9)
+    rank = np.union1d(np.random.default_rng(5).choice(d.size, d.size // 20, replace=False), on_edge)
+    net = Network.from_pair_ranks(grid, rank)
+    if name in ("lattice", "shuffled-lattice"):
+        assert on_edge.size > 200
+    prof = estimate_profile(net, width)
+    edges = net.edge_array()
+    link_rank = pair_rank(edges[:, 0], edges[:, 1], n)
+    assert edge_distances(grid, edges).tobytes() == pair_distances(grid)[link_rank].tobytes()
+    expect = np.bincount(pair_bins(grid, width)[link_rank], minlength=prof.n_bins)
+    assert prof.bin_link_count.tolist() == expect.tolist()
+    assert prof.bin_prob.tobytes() == (expect / np.maximum(prof.bin_pair_count, 1)).tobytes()
 
 
 def test_profile_complete_graph():
@@ -268,8 +290,9 @@ def test_profile_and_ensemble_share_one_distance_pass(monkeypatch):
     net = random_network(40, 0.2, 3)
     prof = estimate_profile(net, bin_width_km=100.0)
     ensemble_stats(prof, net.grid, metrics=("DC",), ensemble_size=3, seed=4)
-    pair_link_probabilities(prof, net.grid)
     assert len(passes) == 1 and passes[0] is net.grid
+    pair_link_probabilities(prof, net.grid)  # the test oracle makes its own pass
+    assert len(passes) == 2
 
 
 def test_sample_expected_edge_count(rng):
