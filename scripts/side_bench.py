@@ -10,34 +10,37 @@ This process never imports numpy: a child's ru_maxrss starts from its
 parent's RSS at spawn, so each call's peak RSS is its own. The result, every
 run and the medians, is printed and written to --out, which
 scripts/distill_bench.py embeds with --side KERNEL=FILE. Digests of the
-edges or the bins show whether the labels give the same bytes. KERNEL is:
+results show whether the labels give the same bytes. KERNEL is:
 
-- bc_conus: netmetrics.betweenness on two networks that gridsync's own
-  generator makes on a 57 x 57 lattice at 50 km spacing (3,249 nodes): the
-  boundary_conus input for the same seed (Exponential(0.8, 100), about 28.5k
-  edges) and a denser one (Exponential(0.3, 400), about 133k edges, near the
-  chance-link density of a 99.5%-quantile ES network).
+- bc_conus: netmetrics.betweenness, and a digest of its values, on three
+  networks on a 57 x 57 lattice at 50 km spacing (3,249 nodes). Two come
+  from gridsync's own generator: the boundary_conus input for the same seed
+  (Exponential(0.8, 100), about 28.5k edges) and a denser one
+  (Exponential(0.3, 400), about 133k edges, near the chance-link density of
+  a 99.5%-quantile ES network). The third is local, with many BFS levels:
+  surrogate member 0 of the seed drawn in PAIR_BIN_KM bins from the profile
+  of a HardCutoff(BC_LOCAL_KM) network.
 - es_kernel: ``import gridsync`` with OPENBLAS_NUM_THREADS unset (wall time,
   and the thread count after it on Linux); then sync.build_network on one
   season of independent events (probability 0.029 a day over T = 2,760
   days, a 95th-percentile JJA record of 30 years) on 144 nodes (the
   network_30y size) and 3,249, with OPENBLAS_NUM_THREADS 1 and 2: the RSS
   the call adds to its loaded input, and then sync._es_matrix alone.
-- pair_pass: netmetrics.pair_bins at 50 km on that lattice (5,276,376
+- pair_pass: netmetrics.pair_groups at 50 km on that lattice (5,276,376
   pairs) and on the lattice with every node moved by up to PAIR_JITTER_DEG
   in latitude and longitude (every coordinate distinct), pinned to one CPU
   with OPENBLAS_NUM_THREADS=1, next to a network on 1% of the pairs: the
-  first call (cold_s, and the RSS it adds), the median of five more
-  (warm_s), of five pair_groups, each with the pass it makes (groups_s),
-  and of five estimate_profile calls after them (profile_s), then warm_s at
-  each netmetrics._PAIR_BLOCK in PAIR_SWEEP. pair_groups is the grid's one
-  distance memo, so grid.derived is cleared before each timed pair_bins or
-  pair_groups: a source that also kept the bins there makes its pass too.
+  first grouping, its pass included (cold_s, and the RSS it adds), the
+  median of five more (groups_s), of five netmetrics.pair_distances calls,
+  the pass alone (warm_s), and of five estimate_profile calls (profile_s),
+  then warm_s at each netmetrics._PAIR_BLOCK in PAIR_SWEEP, and digests of
+  the distances and the groups. pair_groups is the grid's one distance
+  memo, so grid.derived is cleared before each timed grouping.
 - surrogate_members: the surrogate ensemble's one-off set-up and its members
-  on the two bc_conus networks, pinned to one CPU with
-  OPENBLAS_NUM_THREADS=1: the distance pass (pair_bins at 50 km, pass_s),
+  on the two generated bc_conus networks, pinned to one CPU with
+  OPENBLAS_NUM_THREADS=1: the distance pass (pair_distances, pass_s),
   the one-off that the member draw needs (one_off_s: the grouping
-  netmetrics.pair_groups from a cleared grid.derived, its pass included),
+  netmetrics.pair_groups from an empty grid.derived, its pass included),
   estimate_profile on it (profile_s), then
   MEMBERS members of stream(seed, SURROGATE_TAG, k): the median time of the
   draw and of each metric in MEMBER_METRICS, and the process's peak RSS.
@@ -119,20 +122,29 @@ def medians(runs: dict[str, list], key: str, digits: int = 4) -> dict[str, float
 
 # bc_conus
 BC_GRAPHS = {"edges_28k": (0.8, 100.0), "edges_133k": (0.3, 400.0)}  # Exponential(p0, lambda_km)
+BC_LOCAL, BC_LOCAL_KM = "member_120km", 120.0  # a surrogate member of a hard-cutoff network's profile
 
 
 def bc_make(seed: int, name: str, path: str) -> int:
     import numpy as np
 
-    from gridsync.synth import Exponential, RectLattice, SynthNetSpec, gen_embedded_network
+    from gridsync.seeding import SURROGATE_TAG, stream
+    from gridsync.surrogate import estimate_profile, surrogate_member
+    from gridsync.synth import Exponential, HardCutoff, RectLattice, SynthNetSpec, gen_embedded_network
 
     layout = RectLattice(rows=ROWS, cols=ROWS, spacing_km=SPACING_KM)
-    net = gen_embedded_network(SynthNetSpec(layout, Exponential(*BC_GRAPHS[name]), seed=seed))
+    if name == BC_LOCAL:
+        cutoff = gen_embedded_network(SynthNetSpec(layout, HardCutoff(BC_LOCAL_KM), seed=seed))
+        net = surrogate_member(estimate_profile(cutoff, PAIR_BIN_KM), cutoff.grid, stream(seed, SURROGATE_TAG, 0))
+    else:
+        net = gen_embedded_network(SynthNetSpec(layout, Exponential(*BC_GRAPHS[name]), seed=seed))
     np.savez(path, lat=net.grid.lat, lon=net.grid.lon, indptr=net.indptr, indices=net.indices)
     return net.edge_count
 
 
 def bc_measure(seed: int, path: str) -> dict:
+    import hashlib
+
     import numpy as np
 
     from gridsync.grid_io import GridSpec
@@ -142,19 +154,24 @@ def bc_measure(seed: int, path: str) -> dict:
     net = Network(GridSpec(lat=a["lat"], lon=a["lon"]), a["indptr"], a["indices"])
     before = rss_mb()
     t = time.perf_counter()
-    betweenness(net)
+    bc = betweenness(net)
     wall = time.perf_counter() - t
-    return {"bc_s": round(wall, 3), "peak_rss_mb": round(rss_mb(), 1), "rss_before_bc_mb": round(before, 1)}
+    return {"bc_s": round(wall, 3), "peak_rss_mb": round(rss_mb(), 1), "rss_before_bc_mb": round(before, 1),
+            "bc_sha256": hashlib.sha256(bc.values.tobytes()).hexdigest()[:16]}
 
 
 def bc_conus(h: Harness) -> dict:
     result = {"nodes": ROWS * ROWS, "seed": h.seed, "graphs": {}}
-    for name, model in BC_GRAPHS.items():
+    models = {**{name: f"Exponential{model}" for name, model in BC_GRAPHS.items()},
+              BC_LOCAL: f"surrogate member 0 of HardCutoff({BC_LOCAL_KM})'s profile in {PAIR_BIN_KM} km bins"}
+    for name, model in models.items():
         path = str(h.tmp / f"{name}.npz")
         edges = h.spawn("bc_make", h.first, name, path)
         runs = h.alternate("bc_measure", path)
-        result["graphs"][name] = {"link_model": f"Exponential{model}", "edges": edges,
+        result["graphs"][name] = {"link_model": model, "edges": edges,
                                   "bc_s_median": medians(runs, "bc_s", 3),
+                                  "bc_sha256": {label: sorted({r["bc_sha256"] for r in rs})
+                                                for label, rs in runs.items()},
                                   "peak_rss_mb_max": {label: max(r["peak_rss_mb"] for r in rs)
                                                       for label, rs in runs.items()}, "runs": runs}
     return result
@@ -278,7 +295,7 @@ def pair_measure(seed: int, name: str) -> dict:
         return round(statistics.median(times), 4)
 
     def warm() -> float:
-        return median_s(lambda: grid.derived.clear() or netmetrics.pair_bins(grid, PAIR_BIN_KM))
+        return median_s(lambda: netmetrics.pair_distances(grid))
 
     def group() -> tuple:
         grid.derived.clear()
@@ -286,13 +303,13 @@ def pair_measure(seed: int, name: str) -> dict:
 
     before = rss_mb()
     t = time.perf_counter()
-    bins = netmetrics.pair_bins(grid, PAIR_BIN_KM)
+    groups = group()
     cold = time.perf_counter() - t
     peak = rss_mb()
-    out = {"cold_s": round(cold, 4), "warm_s": warm(), "above_input_mb": round(peak - before, 1),
-           "groups_s": median_s(group), "profile_s": median_s(lambda: estimate_profile(net, PAIR_BIN_KM)),
-           "bins_sha256": hashlib.sha256(bins.tobytes()).hexdigest()[:16],
-           "groups_sha256": hashlib.sha256(b"".join(a.tobytes() for a in group())).hexdigest()[:16],
+    out = {"cold_s": round(cold, 4), "above_input_mb": round(peak - before, 1), "groups_s": median_s(group),
+           "warm_s": warm(), "profile_s": median_s(lambda: estimate_profile(net, PAIR_BIN_KM)),
+           "distances_sha256": hashlib.sha256(netmetrics.pair_distances(grid).tobytes()).hexdigest()[:16],
+           "groups_sha256": hashlib.sha256(b"".join(a.tobytes() for a in groups)).hexdigest()[:16],
            "sweep_warm_s": {}}
     for e in PAIR_SWEEP:
         netmetrics._PAIR_BLOCK = 1 << e
@@ -313,7 +330,7 @@ def pair_pass(h: Harness) -> dict:
             "medians": {label: {k: round(statistics.median(x[k] for x in rs), 4) for k in keys}
                         for label, rs in runs.items()},
             **{f"{d}_sha256": {label: sorted({x[f"{d}_sha256"] for x in rs}) for label, rs in runs.items()}
-               for d in ("bins", "groups")},
+               for d in ("distances", "groups")},
             "sweep_warm_s": {label: {b: {"median": round(statistics.median(v), 4), "min": min(v), "max": max(v)}
                                      for b, v in sweep.items()} for label, sweep in sweeps.items()},
             "runs": runs}
@@ -340,14 +357,12 @@ def members_measure(seed: int, path: str) -> dict:
     net = netmetrics.Network(grid, a["indptr"], a["indices"])
     before = rss_mb()
     t0 = time.perf_counter()
-    netmetrics.pair_bins(grid, PAIR_BIN_KM)
+    netmetrics.pair_distances(grid)
     t1 = time.perf_counter()
-    grid.derived.clear()
-    t2 = time.perf_counter()
     netmetrics.pair_groups(grid, PAIR_BIN_KM)
-    t3 = time.perf_counter()
+    t2 = time.perf_counter()
     profile = surrogate.estimate_profile(net, PAIR_BIN_KM)
-    t4 = time.perf_counter()
+    t3 = time.perf_counter()
     times: dict[str, list] = {"draw_s": [], **{f"{m}_s": [] for m in MEMBER_METRICS}}
     edges, first = [], ""
     for k in range(MEMBERS):
@@ -360,7 +375,7 @@ def members_measure(seed: int, path: str) -> dict:
             times[f"{m}_s"].append(time.perf_counter() - t)
         edges.append(member.edge_count)
         first = first or hashlib.sha256(member.edge_array().tobytes()).hexdigest()[:16]
-    return {"pass_s": round(t1 - t0, 4), "one_off_s": round(t3 - t2, 4), "profile_s": round(t4 - t3, 4),
+    return {"pass_s": round(t1 - t0, 4), "one_off_s": round(t2 - t1, 4), "profile_s": round(t3 - t2, 4),
             **{k: round(statistics.median(v), 5) for k, v in times.items()},
             "member_edges_mean": round(statistics.mean(edges), 1), "member_0_sha256": first,
             "peak_rss_mb": round(rss_mb(), 1), "above_input_mb": round(rss_mb() - before, 1)}

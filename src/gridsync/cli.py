@@ -69,7 +69,8 @@ VARIABLES = ("precip", "tmax", "tmin")
 # rules: (test, what a value that fails it must be)
 _AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
 _IN_UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
-# pair_bins' bin of half the Earth's circumference then fits in uint16
+# the bin of half the Earth's circumference is then below 2^16, so netmetrics.pair_groups' keys
+# bin << s | rank fit in uint64 on any grid of up to 2^48 pairs
 _MIN_BIN_WIDTH_KM = math.pi * EARTH_RADIUS_KM / 65535
 _BIN_WIDTH = (lambda v: v >= _MIN_BIN_WIDTH_KM, f"must be >= {_MIN_BIN_WIDTH_KM!r} (pi x Earth radius / 65535)")
 

@@ -140,11 +140,12 @@ _PAIR_BLOCK = 1 << 15
 
 
 def _pair_blocks(grid: GridSpec):
-    """Yield (position of pair (i, i + 1), km from i to each j > i) for every row i in turn.
+    """Yield (position of the block's first pair, km of its pairs) for each block of rows in turn.
 
-    Each row is a view into one buffer that _haversine fills in place, a block
-    of max(1, _PAIR_BLOCK // n) rows at a time against the columns right of
-    the block's first row: no n x n matrix and no copy of a block is built.
+    A block is max(1, _PAIR_BLOCK // n) rows against the columns right of its
+    first row, filled in place in one buffer by _haversine: no n x n matrix is
+    built. Its pairs i < j, in np.triu_indices(n, 1) order, are one boolean
+    compress of the block's upper triangle, a new array the caller may keep.
     The sines come from per-block tables of sin(dlat / 2)^2 and sin(dlon / 2)
     of each row against every distinct latitude and longitude of the grid (57
     each on a 57 x 57 lattice), gathered per pair. A table entry is the same
@@ -157,6 +158,7 @@ def _pair_blocks(grid: GridSpec):
     rows = max(1, min(_PAIR_BLOCK // max(n, 1), n - 1))
     buf, s_lat2, s_lon = np.empty((3, rows * n))  # buf also holds a table of up to n columns
     coords = [(x, *np.unique(x, return_inverse=True)) for x in (lat, lon)]
+    upper = np.arange(n - 1) >= np.arange(rows)[:, None]  # column k of a block is row k's first partner
     pos = 0
     for r0 in range(0, n - 1, rows):
         r1 = min(r0 + rows, n - 1)
@@ -170,9 +172,9 @@ def _pair_blocks(grid: GridSpec):
             # the indices are in range; mode "clip" writes to out without a buffer
             np.take(table, index[r0 + 1 :], axis=1, out=factor, mode="clip")
         _haversine(cos[r0:r1, None], cos[None, r0 + 1 :], factors[1], factors[0], out=block)
-        for k in range(r1 - r0):  # column k of the block is node r0 + k + 1, row r0 + k's first partner
-            yield pos, block[k, k:]
-            pos += m - k
+        pairs = block[upper[: r1 - r0, :m]]
+        yield pos, pairs
+        pos += pairs.size
 
 
 def pair_distances(grid: GridSpec) -> np.ndarray:
@@ -183,62 +185,39 @@ def pair_distances(grid: GridSpec) -> np.ndarray:
     return out
 
 
-def pair_bins(grid: GridSpec, bin_width_km: float) -> np.ndarray:
-    """Distance bin floor(d / bin_width_km) of every pair i < j, in np.triu_indices(n, 1) order.
-
-    In the smallest unsigned dtype that holds the bin of half the Earth's
-    circumference, and not kept: pair_groups is the grid's one distance memo.
-    The distances come from _pair_blocks' per-block sine tables and are
-    bitwise those of a haversine with each pair's own sines, so the bins are too.
-    """
-    dtype = np.min_scalar_type(int(np.pi * EARTH_RADIUS_KM / bin_width_km) + 1)
-    out = np.empty(grid.n * (grid.n - 1) // 2, dtype=dtype)
-    for pos, d in _pair_blocks(grid):
-        # the cast truncates, which is floor for d >= 0
-        np.divide(d, bin_width_km, out=out[pos : pos + d.size], casting="unsafe")
-    return out
-
-
-# pairs per chunk of the counting sort in pair_groups
-_GROUP_CHUNK = 1 << 16
-
-
 def pair_groups(grid: GridSpec, bin_width_km: float) -> tuple[np.ndarray, np.ndarray]:
     """The pairs i < j grouped by distance bin, as (ranks, starts), computed once per grid and width.
 
-    The grid's one distance memo, read-only in grid.derived; the bins it is
-    built from are dropped. ranks[starts[b]:starts[b + 1]] are the
-    np.triu_indices(n, 1) positions of pair_bins' bin b, ascending: a stable
-    counting sort in which each chunk of _GROUP_CHUNK pairs, sorted by bin,
-    adds one slice to each bin's ranks. A chunk is sorted as one array of keys
-    bin << s | offset in the chunk (uint32 where the bits fit): the keys are
-    unique, so their order is the stable order by bin.
+    The grid's one distance memo, read-only in grid.derived.
+    ranks[starts[b]:starts[b + 1]] are the np.triu_indices(n, 1) positions of
+    the pairs at distance d with floor(d / bin_width_km) = b, ascending. The
+    pass writes each pair's key bin << s | rank, s the bits of the largest
+    rank: uint32 where the bin of half the Earth's circumference keeps every
+    key below 2^32, as at 50 km on a CONUS-size grid, and uint64 otherwise.
+    The keys are unique, so one sort orders them by bin and by rank within a
+    bin; starts are searched among them, and masking turns them into the
+    ranks in place.
     """
     key = ("pair_groups", float(bin_width_km))
     if key not in grid.derived:
-        bins = pair_bins(grid, bin_width_km)
-        chunks = [bins[c0 : c0 + _GROUP_CHUNK] for c0 in range(0, bins.size, _GROUP_CHUNK)]
-        nb = int(bins.max(initial=0)) + 1
-        count = np.array([np.bincount(c, minlength=nb) for c in chunks], dtype=np.intp).reshape(-1, nb)
-        starts = np.concatenate([[0], np.cumsum(count.sum(axis=0))])
-        # where chunk c's pairs of bin b sit in the chunk sorted by bin, and where they go in ranks
-        src = (np.cumsum(count, axis=1) - count).tolist()
-        dst = (starts[:-1] + np.cumsum(count, axis=0) - count).tolist()
-        ranks = np.empty(bins.size, dtype=np.int32 if bins.size < 2**31 else np.int64)
-        size = min(_GROUP_CHUNK, bins.size)
-        shift = max(size - 1, 0).bit_length()  # bits of an offset in a chunk
-        packed_type = np.uint32 if (nb - 1).bit_length() + shift <= 32 else np.uint64
-        offset = np.arange(size, dtype=packed_type)
-        for c, chunk in enumerate(chunks):
-            packed = chunk.astype(packed_type)
-            packed <<= shift
-            packed |= offset[: chunk.size]
-            packed.sort()
-            packed &= (1 << shift) - 1
-            order = packed.astype(ranks.dtype)
-            order += c * _GROUP_CHUNK
-            for k, s, d in zip(count[c].tolist(), src[c], dst[c]):
-                ranks[d : d + k] = order[s : s + k]
+        size = grid.n * (grid.n - 1) // 2
+        shift = max(size - 1, 0).bit_length()
+        span = (int(np.pi * EARTH_RADIUS_KM / bin_width_km) + 1) << shift  # above every key
+        if span >= 2**64:
+            raise ValueError(f"bin width {bin_width_km} km: the pair keys of {grid.n} nodes exceed 64 bits")
+        keys = np.empty(size, dtype=np.uint32 if span < 2**32 else np.uint64)
+        for pos, d in _pair_blocks(grid):
+            part = keys[pos : pos + d.size]
+            d /= bin_width_km
+            np.copyto(part, d, casting="unsafe")  # the cast truncates, which is floor for d >= 0
+            part <<= shift
+            part |= np.arange(pos, pos + d.size, dtype=keys.dtype)
+        keys.sort()
+        bins = (int(keys[-1:].max(initial=0)) >> shift) + 1  # the last key is the farthest pair's
+        starts = np.searchsorted(keys, np.arange(bins + 1, dtype=keys.dtype) << shift)
+        keys &= (1 << shift) - 1
+        rank_type = np.dtype(np.int32 if size < 2**31 else np.int64)
+        ranks = keys.view(rank_type) if keys.itemsize == rank_type.itemsize else keys.astype(rank_type)
         grid.derived[key] = ranks, starts
         for a in grid.derived[key]:
             a.setflags(write=False)
@@ -360,7 +339,7 @@ def _brandes_block(net: Network, sources: np.ndarray) -> np.ndarray:
         parent, child = parent[keep], child[keep]
         step = np.bincount(child, sigma[parent], minlength=size)
         sigma += step
-        front = np.flatnonzero(step)
+        front = np.flatnonzero(step > 0)
         if not front.size:
             break
         level[front] = d + 1

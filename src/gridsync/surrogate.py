@@ -67,7 +67,7 @@ def estimate_profile(net: Network, bin_width_km: float = 50.0) -> DistanceProfil
     if net.edge_count == 0:
         raise ValueError("cannot estimate a link-probability profile from an edgeless network")
     pair_count = np.diff(pair_groups(net.grid, bin_width_km)[1])
-    # a link's own distance is bitwise its distance in the pair pass, so it takes its pair_bins bin
+    # a link's own distance is bitwise its distance in the pair pass, so it takes its pair's pair_groups bin
     link_bins = (edge_distances(net.grid, net.edge_array()) / bin_width_km).astype(np.intp)
     link_count = np.bincount(link_bins, minlength=pair_count.size)
     return DistanceProfile(

@@ -6,8 +6,9 @@ scalar haversine and the dense distance matrix, the CSR by one sort of keys,
 one-source-at-a-time Brandes betweenness, the per-bin surrogate draw by pair
 enumeration, the 0.8.0 ensemble fold, and pair-level helpers on networks and
 surrogates. Where a helper runs a production kernel (event_sync,
-null_threshold, sample_surrogate, ensemble_means_oracle), its docstring says so;
-compare it only with an independent oracle, never with itself.
+null_threshold, pair_bins, sample_surrogate, ensemble_means_oracle), its
+docstring says so; compare it only with an independent oracle, never with
+itself.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gridsync.netmetrics import EARTH_RADIUS_KM, compute_metric, pair_bins
+from gridsync.netmetrics import EARTH_RADIUS_KM, compute_metric, pair_distances
 from gridsync.seeding import SURROGATE_TAG, stream
 from gridsync.surrogate import surrogate_member
 from gridsync.sync import _es_matrix, _key_threshold
@@ -188,6 +189,17 @@ def has_edge(net, i: int, j: int) -> bool:
     a = neighbors(net, i)
     k = np.searchsorted(a, j)
     return bool(k < a.size and a[k] == j)
+
+
+def pair_bins(grid, bin_width_km: float) -> np.ndarray:
+    """Distance bin floor(d / bin_width_km) of every pair i < j, in np.triu_indices(n, 1) order.
+
+    Runs the production pass (netmetrics.pair_distances), which the tests
+    check bitwise against haversine_matrix. In the smallest unsigned dtype
+    that holds the bin of half the Earth's circumference.
+    """
+    dtype = np.min_scalar_type(int(np.pi * EARTH_RADIUS_KM / bin_width_km) + 1)
+    return (pair_distances(grid) / bin_width_km).astype(dtype)  # the cast truncates, which is floor for d >= 0
 
 
 def pair_link_probabilities(profile, grid) -> np.ndarray:

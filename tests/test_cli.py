@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import re
 import shutil
@@ -13,7 +14,7 @@ import pytest
 
 import gridsync
 from gridsync.cli import CONFIG_KEYS, STAGES, ConfigError, _keys, load_config, main, validate_config
-from gridsync.netmetrics import pair_bins
+from gridsync.netmetrics import EARTH_RADIUS_KM, pair_groups
 from gridsync.synth import RectLattice, lattice_grid
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -152,7 +153,7 @@ def test_config_rejects_unknown_sync_key(tmp_path):
     ({"synth": {"lat0": 95}}, "synth: latitude out of range"),
     ({"synth": {"output": "x.cng1"}}, "unknown key synth.output"),
     ({"format": "csv"}, "format must be one of ('binary',)"),
-    # pair_bins' bin of half the Earth's circumference must fit in uint16
+    # netmetrics.pair_groups' key bin << s | rank must fit in uint64 on a grid of up to 2^48 pairs
     ({"surrogate": {"bin_width_km": 1e-300}}, "surrogate.bin_width_km must be >= 0.3054"),
     ({"surrogate": {"bin_width_km": 1e-12}}, "surrogate.bin_width_km must be >= 0.3054"),
     ({"surrogate": {"bin_width_km": 0.3}}, "surrogate.bin_width_km must be >= 0.3054"),
@@ -234,8 +235,13 @@ def test_config_rejects_bad_value_of_every_key(tmp_path, capsys, name, value):
 
 
 def test_config_bin_width_floor_keeps_pair_bins_small():
+    # at the floor the bin of half the Earth's circumference is below 2^16, so the pair keys
+    # bin << s | rank of up to 2^48 pairs (s <= 48 bits of rank) stay within uint64
     cfg = validate_config({"seed": 1, "surrogate": {"bin_width_km": 0.3055}})
-    assert pair_bins(lattice_grid(RectLattice(3, 3, 50.0)), cfg.bin_width_km).dtype == np.uint16
+    assert (int(math.pi * EARTH_RADIUS_KM / cfg.bin_width_km) + 1) * 2**48 <= 2**64
+    grid = lattice_grid(RectLattice(3, 3, 50.0))
+    ranks, starts = pair_groups(grid, cfg.bin_width_km)
+    assert sorted(ranks.tolist()) == list(range(36)) and starts[-1] == 36
 
 
 def test_result_parameters_pinned():

@@ -21,13 +21,12 @@ from gridsync.netmetrics import (
     degree,
     log_bc,
     mean_geo_distance,
-    pair_bins,
     pair_distances,
 )
 from gridsync.synth import Exponential, RectLattice, SynthNetSpec, gen_embedded_network, lattice_grid
 
 from conftest import SHARED_COORDINATE_GRIDS, dense_adjacency, random_grid, random_network, shared_coordinate_grid
-from oracles import brandes_oracle, csr_by_sort, haversine, haversine_matrix, neighbors
+from oracles import brandes_oracle, csr_by_sort, haversine, haversine_matrix, neighbors, pair_bins
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,47 @@ def test_child_runs_one_step_on_its_labelled_source(monkeypatch):
         assert run["threads"] == 1  # gridsync's own one-BLAS-thread default
 
 
+def test_bc_measure_step_digests_the_production_bc(tmp_path):
+    # a fresh child on this source reports the time and the digest of betweenness on the saved network
+    import hashlib
+
+    import numpy as np
+
+    from gridsync.netmetrics import betweenness
+    from gridsync.synth import Exponential, RectLattice, SynthNetSpec, gen_embedded_network
+
+    net = gen_embedded_network(SynthNetSpec(RectLattice(10, 10, 50.0), Exponential(0.8, 100.0), seed=2))
+    path = tmp_path / "net.npz"
+    np.savez(path, lat=net.grid.lat, lon=net.grid.lon, indptr=net.indptr, indices=net.indices)
+    src = str(Path(gridsync.__file__).resolve().parents[1])
+    run = side_bench.Harness({"a": src}, seed=4, repeats=1).spawn("bc_measure", "a", str(path))
+    assert set(run) == {"bc_s", "peak_rss_mb", "rss_before_bc_mb", "bc_sha256"}
+    assert run["bc_sha256"] == hashlib.sha256(betweenness(net).values.tobytes()).hexdigest()[:16]
+
+
+def test_bc_conus_summary_per_graph_and_label():
+    # the two generated networks and the local surrogate member, each made once by the first label
+    h = side_bench.Harness({"change": "C", "parent": "P"}, seed=1, repeats=2, tmp="work")
+    calls = []
+
+    def spawn(step, label, *args, env=None):
+        calls.append((step, label, args))
+        if step == "bc_make":
+            return 7
+        return {"bc_s": 1.0 if label == "change" else 1.5, "peak_rss_mb": 90.0, "rss_before_bc_mb": 80.0,
+                "bc_sha256": args[0]}
+
+    h.spawn = spawn
+    out = side_bench.bc_conus(h)
+    assert list(out["graphs"]) == [*side_bench.BC_GRAPHS, side_bench.BC_LOCAL]
+    assert [c[:3] for c in calls if c[0] == "bc_make"] == [
+        ("bc_make", "change", (name, f"work/{name}.npz")) for name in out["graphs"]]
+    local = out["graphs"][side_bench.BC_LOCAL]
+    assert "HardCutoff(120.0)" in local["link_model"] and local["edges"] == 7
+    assert local["bc_s_median"] == {"change": 1.0, "parent": 1.5}
+    assert local["bc_sha256"] == {label: [f"work/{side_bench.BC_LOCAL}.npz"] for label in ("change", "parent")}
+
+
 def test_surrogate_members_step_draws_the_production_members(tmp_path):
     # a fresh child on this source reports every key the summary reads, and its
     # member 0 is the ensemble's member 0
@@ -153,7 +194,7 @@ def test_pair_pass_summary_per_grid_and_label():
     def spawn(step, label, *args, env=None):
         calls.append((step, label, args, env))
         return {"cold_s": 0.2, "warm_s": 0.1 if label == "change" else 0.15, "above_input_mb": 9.7,
-                "groups_s": 0.05, "profile_s": 0.01, "bins_sha256": args[0], "groups_sha256": "g",
+                "groups_s": 0.05, "profile_s": 0.01, "distances_sha256": args[0], "groups_sha256": "g",
                 "sweep_warm_s": {"2^15": 0.1, "2^16": 0.12}}
 
     h.spawn = spawn
@@ -161,7 +202,8 @@ def test_pair_pass_summary_per_grid_and_label():
     assert set(out["grids"]) == set(side_bench.PAIR_GRIDS) == {"lattice", "jittered"}
     g = out["grids"]["jittered"]
     assert g["medians"]["parent"]["warm_s"] == 0.15 and g["medians"]["change"]["groups_s"] == 0.05
-    assert g["bins_sha256"] == {"change": ["jittered"], "parent": ["jittered"]}
+    assert g["distances_sha256"] == {"change": ["jittered"], "parent": ["jittered"]}
+    assert g["groups_sha256"] == {"change": ["g"], "parent": ["g"]}
     assert g["sweep_warm_s"]["change"]["2^16"] == {"median": 0.12, "min": 0.12, "max": 0.12}
     assert [c[2] for c in calls] == [("lattice",)] * 4 + [("jittered",)] * 4
     assert all(c[3] == {"OPENBLAS_NUM_THREADS": "1"} for c in calls)

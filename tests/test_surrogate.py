@@ -8,7 +8,15 @@ import pytest
 
 from gridsync import netmetrics
 from gridsync.grid_io import GridSpec
-from gridsync.netmetrics import Network, degree, edge_distances, pair_bins, pair_distances, pair_groups, pair_rank
+from gridsync.netmetrics import (
+    EARTH_RADIUS_KM,
+    Network,
+    degree,
+    edge_distances,
+    pair_distances,
+    pair_groups,
+    pair_rank,
+)
 from gridsync.seeding import SURROGATE_TAG, mix64, stream
 from gridsync.surrogate import (
     BLOCK,
@@ -29,6 +37,7 @@ from oracles import (
     ensemble_means_oracle,
     has_edge,
     haversine_matrix,
+    pair_bins,
     pair_link_probabilities,
     sample_surrogate,
     surrogate_member_oracle,
@@ -45,33 +54,73 @@ def complete_net(n, seed=0):
 # profile estimation
 
 
-@pytest.mark.parametrize("chunk", [netmetrics._GROUP_CHUNK, 997, 1 << 30])
-def test_profile_pair_count_equals_whole_bincount(monkeypatch, chunk):
-    # 400 nodes have 79,800 pairs: 2 grouping chunks at the default, 81 chunks of 997 pairs, or one chunk
-    monkeypatch.setattr(netmetrics, "_GROUP_CHUNK", chunk)
+@pytest.mark.parametrize("width", [50.0, 0.07])
+def test_profile_pair_count_equals_whole_bincount(width):
+    # 400 nodes have 79,800 pairs: their keys bin << 17 | rank take uint32 at 50 km and uint64 at 70 m
     net = random_network(400, 0.05, 9)
-    prof = estimate_profile(net, bin_width_km=50.0)
-    bins = pair_bins(net.grid, 50.0)
+    prof = estimate_profile(net, bin_width_km=width)
+    bins = pair_bins(net.grid, width)
     whole = np.bincount(bins)
     assert prof.bin_pair_count.dtype == whole.dtype
     assert np.array_equal(prof.bin_pair_count, whole)
-    ranks, starts = pair_groups(net.grid, 50.0)
+    ranks, starts = pair_groups(net.grid, width)
     assert ranks.dtype == np.int32 and not (ranks.flags.writeable or starts.flags.writeable)
     assert np.array_equal(ranks, np.argsort(bins, kind="stable"))
     assert starts.tolist() == [0] + np.cumsum(whole).tolist()
-    assert pair_groups(net.grid, 50.0)[0] is ranks
+    assert pair_groups(net.grid, width)[0] is ranks
 
 
-@pytest.mark.parametrize("chunk", [netmetrics._GROUP_CHUNK, 1 << 30])
-def test_pair_groups_with_64_bit_keys(monkeypatch, chunk):
-    # bins of 70 m take 17 bits, so a chunk's keys bin << 16 (or << 17) | offset need 64
-    monkeypatch.setattr(netmetrics, "_GROUP_CHUNK", chunk)
+def test_pair_groups_with_64_bit_keys():
+    # 400 nodes have 79,800 pairs, whose ranks take 17 bits, so bins up to half the Earth's
+    # circumference keep the keys bin << 17 | rank below 2^32 while they number fewer than 2^15:
+    # the first two widths sit on either side of that switch to uint64, and 70 m far past it
     grid = random_grid(400, 9)
-    bins = pair_bins(grid, 0.07)
-    assert int(bins.max()).bit_length() + 16 > 32
-    ranks, starts = pair_groups(grid, 0.07)
-    assert np.array_equal(ranks, np.argsort(bins, kind="stable"))
-    assert starts.tolist() == [0] + np.cumsum(np.bincount(bins)).tolist()
+    span = math.pi * EARTH_RADIUS_KM
+    for width, wide in ((span / 32_766.5, False), (span / 32_767.5, True), (0.07, True)):
+        assert ((int(span / width) + 1) << 17 >= 2**32) == wide
+        bins = pair_bins(grid, width)
+        ranks, starts = pair_groups(grid, width)
+        assert ranks.dtype == np.int32 and not (ranks.flags.writeable or starts.flags.writeable)
+        assert np.array_equal(ranks, np.argsort(bins, kind="stable"))
+        assert starts.tolist() == [0] + np.cumsum(np.bincount(bins)).tolist()
+
+
+@pytest.mark.parametrize("width", [50.0, 0.07])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_pair_groups_of_grids_with_few_pairs(n, width):
+    # 0, 0, 1 and 3 pairs; a grid without pairs has one empty bin
+    grid = random_grid(n, 60 + n)
+    bins = pair_bins(grid, width)
+    ranks, starts = pair_groups(grid, width)
+    assert ranks.dtype == np.int32 and starts.dtype == np.int64
+    assert ranks.tolist() == np.argsort(bins, kind="stable").tolist()
+    assert starts.tolist() == [0] + np.cumsum(np.bincount(bins, minlength=1)).tolist()
+    if n < 2:
+        assert starts.tolist() == [0, 0]
+
+
+def test_pair_groups_rejects_keys_beyond_64_bits():
+    # 36 pairs in bins of 1e-14 km: bin << 6 | rank of the pair at half the Earth's circumference passes 2^66
+    grid = random_grid(9, 3)
+    with pytest.raises(ValueError, match="exceed 64 bits"):
+        pair_groups(grid, 1e-14)
+    assert not grid.derived
+
+
+def test_pair_groups_peak_memory_stays_near_the_ranks():
+    # from an empty memo, the traced peak stays below 1.5 x the int32 ranks (6.7 MB at 1,500 nodes):
+    # the sorted keys become the ranks in place, and the pass holds about 1 MB beside them.
+    # uint16 bins kept next to the ranks until the grouping ends would take the peak to 8 MB
+    import tracemalloc
+
+    grid = random_grid(1500, 37)
+    tracemalloc.start()
+    try:
+        ranks, _ = pair_groups(grid, 50.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ranks.nbytes
 
 
 @pytest.mark.parametrize("width", [50.0, 100.0])
@@ -221,14 +270,14 @@ def test_member_csr_equals_pairwise_draw(profile):
 
 
 def test_member_draw_across_chunks_and_row_blocks():
-    # 1,500 nodes: 1,124,250 pairs take 18 grouping chunks and 72 distance row blocks
+    # 1,500 nodes: 1,124,250 pairs in 72 distance row blocks of 21 rows, grouped by one sort of their keys
     net = random_network(1500, 0.01, 37)
     prof = estimate_profile(net, bin_width_km=300.0)
-    assert 17 * netmetrics._GROUP_CHUNK < net.n * (net.n - 1) // 2
     got = sample_surrogate(prof, net.grid, mix64(8, SURROGATE_TAG, 1))
     indptr, indices, i, j = member_oracle(prof, net.grid, mix64(8, SURROGATE_TAG, 1))
     assert np.array_equal(got.indptr, indptr) and np.array_equal(got.indices, indices)
-    assert pair_rank(i, j, net.n).max() >= 17 * netmetrics._GROUP_CHUNK
+    rows = netmetrics._PAIR_BLOCK // net.n
+    assert rows == 21 and np.unique(i // rows).size == 72  # links from every row block
 
 
 def banded_profile(probs, width):
