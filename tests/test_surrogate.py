@@ -54,35 +54,43 @@ def complete_net(n, seed=0):
 # profile estimation
 
 
-@pytest.mark.parametrize("width", [50.0, 0.07])
-def test_profile_pair_count_equals_whole_bincount(width):
-    # 400 nodes have 79,800 pairs: their keys bin << 17 | rank take uint32 at 50 km and uint64 at 70 m
+@pytest.mark.parametrize("block", [1 << 16, 997, 1 << 30])
+def test_profile_pair_count_equals_whole_bincount(monkeypatch, block):
+    # 400 nodes have 79,800 pairs, whose keys bin << 17 | rank take uint32 at 50 km and uint64 at 70 m.
+    # The pair pass writes the keys a row block at a time: 3 blocks of 163 rows, 200 blocks of 2 rows,
+    # or one block of every row. The reference bins come from the pass at its default block
     net = random_network(400, 0.05, 9)
-    prof = estimate_profile(net, bin_width_km=width)
-    bins = pair_bins(net.grid, width)
-    whole = np.bincount(bins)
-    assert prof.bin_pair_count.dtype == whole.dtype
-    assert np.array_equal(prof.bin_pair_count, whole)
-    ranks, starts = pair_groups(net.grid, width)
-    assert ranks.dtype == np.int32 and not (ranks.flags.writeable or starts.flags.writeable)
-    assert np.array_equal(ranks, np.argsort(bins, kind="stable"))
-    assert starts.tolist() == [0] + np.cumsum(whole).tolist()
-    assert pair_groups(net.grid, width)[0] is ranks
+    bins = {width: pair_bins(net.grid, width) for width in (50.0, 0.07)}
+    monkeypatch.setattr(netmetrics, "_PAIR_BLOCK", block)
+    for width in (50.0, 0.07):
+        prof = estimate_profile(net, bin_width_km=width)
+        whole = np.bincount(bins[width])
+        assert prof.bin_pair_count.dtype == whole.dtype
+        assert np.array_equal(prof.bin_pair_count, whole)
+        ranks, starts = pair_groups(net.grid, width)
+        assert ranks.dtype == np.int32 and not (ranks.flags.writeable or starts.flags.writeable)
+        assert np.array_equal(ranks, np.argsort(bins[width], kind="stable"))
+        assert starts.tolist() == [0] + np.cumsum(whole).tolist()
+        assert pair_groups(net.grid, width)[0] is ranks
 
 
-def test_pair_groups_with_64_bit_keys():
+@pytest.mark.parametrize("block", [1 << 16, 1 << 30])
+def test_pair_groups_with_64_bit_keys(monkeypatch, block):
     # 400 nodes have 79,800 pairs, whose ranks take 17 bits, so bins up to half the Earth's
     # circumference keep the keys bin << 17 | rank below 2^32 while they number fewer than 2^15:
-    # the first two widths sit on either side of that switch to uint64, and 70 m far past it
+    # the first two widths sit on either side of that switch to uint64, and 70 m far past it.
+    # The pass writes the keys in 3 row blocks or in one
     grid = random_grid(400, 9)
     span = math.pi * EARTH_RADIUS_KM
-    for width, wide in ((span / 32_766.5, False), (span / 32_767.5, True), (0.07, True)):
+    widths = (span / 32_766.5, span / 32_767.5, 0.07)
+    bins = [pair_bins(grid, width) for width in widths]
+    monkeypatch.setattr(netmetrics, "_PAIR_BLOCK", block)
+    for width, wide, b in zip(widths, (False, True, True), bins):
         assert ((int(span / width) + 1) << 17 >= 2**32) == wide
-        bins = pair_bins(grid, width)
         ranks, starts = pair_groups(grid, width)
         assert ranks.dtype == np.int32 and not (ranks.flags.writeable or starts.flags.writeable)
-        assert np.array_equal(ranks, np.argsort(bins, kind="stable"))
-        assert starts.tolist() == [0] + np.cumsum(np.bincount(bins)).tolist()
+        assert np.array_equal(ranks, np.argsort(b, kind="stable"))
+        assert starts.tolist() == [0] + np.cumsum(np.bincount(b)).tolist()
 
 
 @pytest.mark.parametrize("width", [50.0, 0.07])
