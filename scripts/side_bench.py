@@ -20,7 +20,7 @@ results show whether the labels give the same bytes. KERNEL is:
   a 99.5%-quantile ES network). The third is local, with many BFS levels:
   surrogate member 0 of the seed drawn in PAIR_BIN_KM bins from the profile
   of a HardCutoff(BC_LOCAL_KM) network.
-- es_kernel: ``import gridsync`` with OPENBLAS_NUM_THREADS unset (wall time,
+- es_kernel: ``import gridsync.sync`` with OPENBLAS_NUM_THREADS unset (wall time,
   and the thread count after it on Linux); then sync.build_network on one
   season of independent events (probability 0.029 a day over T = 2,760
   days, a 95th-percentile JJA record of 30 years) on 144 nodes (the
@@ -184,7 +184,7 @@ ES_T, ES_RATE, ES_SHUFFLES = 2760, 0.029, 1000
 
 def es_import(seed: int) -> dict:
     t = time.perf_counter()
-    import gridsync  # noqa: F401
+    import gridsync.sync  # noqa: F401
 
     wall = time.perf_counter() - t
     tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None

@@ -91,8 +91,8 @@ def render_map(
     cols = np.clip(np.round((grid.lon - lon_min) / lon_step).astype(int), 0, width - 1)
     t = (np.where(good, values, vmin) - vmin) / span
     rgb = _ramp(t, palette)
-    for i in range(grid.n):
-        img[rows[i], cols[i]] = rgb[i] if good[i] else UNDEFINED_RGB
+    # repeated (row, col) pairs are assigned in node order: the last node in a cell wins
+    img[rows, cols] = np.where(good[:, None], rgb, np.array(UNDEFINED_RGB, dtype=np.uint8))
 
     path = Path(path)
     with open(path, "wb") as f:

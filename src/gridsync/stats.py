@@ -12,11 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .correction import paired_fields
+from .grid_io import SEASON_MONTHS
+from .netmetrics import METRIC_NAMES
+
 _P_FLOOR_DISPLAY = 1e-300  # below this the report prints "0.00"
 
-METRIC_ORDER = ("DC", "CC", "MGD", "BC")
 NETWORK_ORDER = ("EPE", "ETE")
-SEASON_ORDER = ("JJA", "DJF")
 _SEASON_LABEL = {"JJA": "Summer (JJA)", "DJF": "Winter (DJF)"}
 
 
@@ -208,17 +210,15 @@ class ComparisonReport:
         return out
 
     def to_text_table(self) -> str:
-        metrics = [m for m in METRIC_ORDER if any(k[2] == m for k in self.cells)]
-        extra = sorted({k[2] for k in self.cells} - set(metrics))
-        metrics += extra
-        networks = [nw for nw in NETWORK_ORDER if any(k[0] == nw for k in self.cells)]
-        networks += sorted({k[0] for k in self.cells} - set(networks))
+        networks = _in_order(NETWORK_ORDER, {k[0] for k in self.cells})
+        seasons = _in_order(SEASON_MONTHS, {k[1] for k in self.cells})
+        metrics = _in_order(METRIC_NAMES, {k[2] for k in self.cells})
         lines = []
-        header = ["Statistical test"] + list(metrics)
+        header = ["Statistical test"] + metrics
         widths = [22] + [14] * len(metrics)
         lines.append(_row(header, widths))
         for nw in networks:
-            for season in SEASON_ORDER:
+            for season in seasons:
                 keys = [(nw, season, m) for m in metrics]
                 if not any(k in self.cells for k in keys):
                     continue
@@ -230,6 +230,11 @@ class ComparisonReport:
         for key, reason in sorted(self.missing.items()):
             lines.append(f"missing {'/'.join(key)}: {reason}")
         return "\n".join(lines) + "\n"
+
+
+def _in_order(paper_order, present: set) -> list:
+    """The present labels in the paper's order, then the others sorted."""
+    return [x for x in paper_order if x in present] + sorted(present.difference(paper_order))
 
 
 def _row(cells, widths) -> str:
@@ -250,8 +255,6 @@ def compare_methods(runs: dict, alpha: float = 0.05) -> ComparisonReport:
     corrections) are reported under missing; the rest of the report is still
     emitted.
     """
-    from .correction import paired_fields
-
     cells = {}
     missing = {}
     for key, (sub, div) in runs.items():

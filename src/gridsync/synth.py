@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_io import GridSpec, GriddedSeries
+from .grid_io import SEASON_MONTHS, GridSpec, GriddedSeries, day_index_months
 from .netmetrics import EARTH_RADIUS_KM, Network, pair_distances
 from .seeding import SYNTH_TAG, stream
 
@@ -114,8 +114,6 @@ def gen_gridded_values(
     group's storm days every member draws from a heavy upper tail, which
     yields synchronized threshold exceedances downstream.
     """
-    from .grid_io import SEASON_MONTHS, day_index_months
-
     grid = lattice_grid(layout)
     n = grid.n
     months = SEASON_MONTHS[season]

@@ -551,7 +551,7 @@ def child_env():
 
 
 _THREAD_PROBE = """
-import os, sys, gridsync
+import os, sys, gridsync.sync
 tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
 print(os.environ["OPENBLAS_NUM_THREADS"], tasks)
 """
@@ -559,8 +559,9 @@ print(os.environ["OPENBLAS_NUM_THREADS"], tasks)
 
 @pytest.mark.parametrize("preset, value", [(None, "1"), ("2", "2")])
 def test_import_sets_one_blas_thread_unless_preset(preset, value):
-    # importing gridsync before numpy leaves one BLAS thread, so the process has
-    # no thread besides the main one; a caller's own OPENBLAS_NUM_THREADS wins
+    # importing gridsync.sync, the module with the one BLAS call, loads numpy after the
+    # package's one-BLAS-thread default, so the process has no thread besides the main
+    # one; a caller's own OPENBLAS_NUM_THREADS wins
     env = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset

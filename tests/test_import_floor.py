@@ -1,10 +1,12 @@
 """What a stage process imports, it pays for in every run: neither the
 library chain of perfbench/conus.py, the CLI pipeline nor `gridsync render` may
 import numpy.ma (np.unique without indices, and so np.unique(axis=0) and
-np.nanquantile, do; so does np.median)."""
+np.nanquantile, do; so does np.median). A library caller or a spawned worker
+loads only the gridsync modules that its names come from."""
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -44,12 +46,64 @@ assert main(["render", "--config", "run.json", "--field", "metric_DC.csv"]) == 0
 print("numpy.ma" in sys.modules)
 """
 
-def _numpy_ma_imported(code: str, cwd: Path, *args: str) -> bool:
-    """Whether numpy.ma is in sys.modules after code runs in a fresh interpreter that imports gridsync from src."""
+_LOADED = """
+import sys
+print(*sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "gridsync"))
+"""
+
+_CONUS_IMPORTS = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("conus", sys.argv[1])
+spec.loader.exec_module(importlib.util.module_from_spec(spec))
+"""
+
+_UNPICKLE_AND_CALL = """
+import pickle, sys
+with open(sys.argv[1], "rb") as f:
+    fn, *args = pickle.load(f)
+assert fn(*args).shape == (3, 144)
+"""
+
+
+def _last_line(code: str, cwd: Path, *args: str) -> str:
+    """The last line that code prints in a fresh interpreter that imports gridsync from src."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    return out.stdout.split()[-1] == "True"
+    return out.stdout.splitlines()[-1]
+
+
+def _numpy_ma_imported(code: str, cwd: Path, *args: str) -> bool:
+    """Whether numpy.ma is in sys.modules after code runs in a fresh interpreter."""
+    return _last_line(code, cwd, *args) == "True"
+
+
+def _gridsync_modules(code: str, cwd: Path, *args: str) -> list[str]:
+    """The gridsync modules in sys.modules after code runs in a fresh interpreter, and "numpy" if it loaded."""
+    return _last_line(code + _LOADED, cwd, *args).split()
+
+
+def test_package_import_loads_no_module_and_no_numpy(tmp_path):
+    assert _gridsync_modules("import gridsync", tmp_path) == ["gridsync"]
+
+
+def test_conus_imports_load_only_its_chain(tmp_path):
+    chain = ["correction", "grid_io", "netmetrics", "seeding", "stats", "surrogate"]
+    loaded = _gridsync_modules(_CONUS_IMPORTS, tmp_path, str(ROOT / "perfbench" / "conus.py"))
+    assert loaded == ["gridsync"] + [f"gridsync.{m}" for m in chain] + ["numpy"]
+
+
+def test_member_block_worker_loads_only_the_surrogate_chain(tmp_path):
+    # what a spawned member_block worker does: unpickle the call, then run it
+    from gridsync.surrogate import estimate_profile, member_block
+    from gridsync.synth import Exponential, SynthNetSpec, gen_embedded_network
+
+    net = gen_embedded_network(SynthNetSpec(RectLattice(12, 12, 50.0), Exponential(0.8, 100.0), seed=3))
+    call = (member_block, estimate_profile(net, 50.0), net.grid, ("DC", "CC", "MGD"), 3, 0, 2)
+    (tmp_path / "call.pkl").write_bytes(pickle.dumps(call))
+    chain = ["grid_io", "netmetrics", "seeding", "surrogate"]
+    loaded = _gridsync_modules(_UNPICKLE_AND_CALL, tmp_path, str(tmp_path / "call.pkl"))
+    assert loaded == ["gridsync"] + [f"gridsync.{m}" for m in chain] + ["numpy"]
 
 
 def test_conus_chain_never_imports_numpy_ma(tmp_path):

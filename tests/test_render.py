@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gridsync.grid_io import GridSpec
-from gridsync.render import EMPTY_RGB, UNDEFINED_RGB, _ramp, render_map
+from gridsync.render import EMPTY_RGB, UNDEFINED_RGB, _axis_step, _ramp, render_map
 
 
 def regular_grid(rows, cols, step=0.5, lat0=30.0, lon0=-100.0):
@@ -66,6 +66,51 @@ def test_irregular_nodes_nearest_cell(tmp_path):
     img = read_ppm(p)
     assert img.shape == (h, w, 3)
     assert not (img.reshape(-1, 3) == EMPTY_RGB).all(axis=1).all()
+
+
+def paint_per_node(values, grid, palette="heat"):
+    """render_map's raster painted one node at a time, later nodes over earlier ones.
+
+    Returns the image and the number of nodes painted over an earlier one.
+    """
+    lat_step, lon_step = _axis_step(grid.lat), _axis_step(grid.lon)
+    lat_max, lon_min = grid.lat.max(), grid.lon.min()
+    height = int(round((lat_max - grid.lat.min()) / lat_step)) + 1
+    width = int(round((grid.lon.max() - lon_min) / lon_step)) + 1
+    good = np.isfinite(values)
+    vmin, vmax = values[good].min(), values[good].max()
+    rgb = _ramp((np.where(good, values, vmin) - vmin) / (vmax - vmin), palette)
+    img = np.empty((height, width, 3), dtype=np.uint8)
+    img[:, :] = EMPTY_RGB
+    painted = set()
+    for i in range(grid.n):
+        r = min(max(int(np.round((lat_max - grid.lat[i]) / lat_step)), 0), height - 1)
+        c = min(max(int(np.round((grid.lon[i] - lon_min) / lon_step)), 0), width - 1)
+        img[r, c] = rgb[i] if good[i] else UNDEFINED_RGB
+        painted.add((r, c))
+    return img, grid.n - len(painted)
+
+
+def test_colliding_nodes_last_one_wins(tmp_path):
+    # 5,000 distinct nodes over 80 x 80 coordinates per axis on a 0.5 degree step,
+    # 20 of them per axis nudged 0.1 degree off it, so nudged nodes share cells
+    rng = np.random.default_rng(7)
+
+    def axis(origin):
+        on = origin + 0.5 * np.arange(80)
+        return np.concatenate([on, rng.choice(on, 20, replace=False) + rng.choice([-0.1, 0.1], 20)])
+
+    lat, lon = axis(30.0), axis(-100.0)
+    pairs = rng.choice(lat.size * lon.size, 5000, replace=False)
+    grid = GridSpec(lat=lat[pairs // lon.size], lon=lon[pairs % lon.size])
+    values = rng.random(grid.n)
+    values[rng.random(grid.n) < 0.1] = np.nan
+    for palette in ("heat", "grayscale"):
+        p = tmp_path / f"{palette}.ppm"
+        render_map(values, grid, p, palette=palette)
+        expected, overwritten = paint_per_node(values, grid, palette)
+        assert overwritten > 500
+        np.testing.assert_array_equal(read_ppm(p), expected)
 
 
 def test_empty_field_rejected(tmp_path):

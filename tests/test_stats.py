@@ -277,6 +277,23 @@ def test_report_table_mixed_outcome():
     assert not cells[("ETE", "DJF", "CC")].paired_t.reject
 
 
+def test_report_table_orders_every_label_and_drops_no_season():
+    # the paper's networks, seasons and metrics first, then the others sorted; a season
+    # outside JJA/DJF, like perfbench/conus.py's ("SYN", "ALL"), is labelled by its name
+    cell = ComparisonCell(paired_t=TestResult(statistic=1.0, p_value=0.5), ks=TestResult(statistic=0.1, p_value=0.25))
+    keys = [("SYN", "ALL", m) for m in ("MGD", "DC", "CC")]
+    keys += [("EPE", "MAM", "BC"), ("EPE", "DJF", "XYZ"), ("EPE", "JJA", "DC"), ("ETE", "ALL", "DC")]
+    lines = ComparisonReport(cells=dict.fromkeys(keys, cell)).to_text_table().splitlines()
+    assert lines[0].split() == ["Statistical", "test", "DC", "CC", "MGD", "BC", "XYZ"]
+    sections = [line for line in lines if "network-" in line]
+    assert sections == ["EPE network-Summer (JJA)", "EPE network-Winter (DJF)", "EPE network-MAM",
+                        "ETE network-ALL", "SYN network-ALL"]
+    assert len(lines) == 1 + 3 * len(sections)
+    syn = lines.index("SYN network-ALL")
+    assert lines[syn + 1].split() == ["Paired", "t-test", "5.00e-01", "5.00e-01", "5.00e-01", "-", "-"]
+    assert lines[syn + 2].split() == ["KS", "test", "2.50e-01", "2.50e-01", "2.50e-01", "-", "-"]
+
+
 def test_format_p_tiny_renders_zero():
     assert format_p(1e-310) == "0.00"
     assert format_p(0.0) == "0.00"
