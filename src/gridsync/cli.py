@@ -22,9 +22,12 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy
+
 from . import __version__
-# read_profile_csv (never called here) and extract_season (a no-op after the season-only read)
-# stay imported: perfbench/tracer.py times the grid_io.read and grid_io.season spans on these names
+# read_profile_csv and write_gridded (never called here) and extract_season (a no-op after the
+# season-only read) stay imported: perfbench/tracer.py times the grid_io.read, grid_io.write and
+# grid_io.season spans on these names
 from .correction import (
     CORRECTED_HEADER,
     correct_divide,
@@ -62,13 +65,11 @@ from .surrogate import (
     write_surrogate_stats_csv,
 )
 from .sync import SyncParams, build_network
-from .synth import RectLattice, gen_gridded_values, lattice_grid
 
 VARIABLES = ("precip", "tmax", "tmin")
 
 # rules: (test, what a value that fails it must be)
 _AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
-_IN_UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 # the bin of half the Earth's circumference is then below 2^16, so netmetrics.pair_groups' keys
 # bin << s | rank fit in uint64 on any grid of up to 2^48 pairs
 _MIN_BIN_WIDTH_KM = math.pi * EARTH_RADIUS_KM / 65535
@@ -77,8 +78,8 @@ _BIN_WIDTH = (lambda v: v >= _MIN_BIN_WIDTH_KM, f"must be >= {_MIN_BIN_WIDTH_KM!
 # Every config key, in the order that "expected from" lists them: (name, JSON kind, default,
 # rule, recorded). "block.key" is a key of the block object. A dict default is per variable.
 # The rule is a choice or list key's choices or a number's (test, what it must be); None
-# leaves the range to ThresholdSpec or SyncParams, or there is none. The recorded keys, with
-# the synth block as given, are every manifest's parameters.
+# leaves the range to ThresholdSpec or SyncParams, or there is none. The recorded keys are
+# every manifest's parameters.
 CONFIG_KEYS = (
     ("input", "path", None, None, False),
     # the one gridded format: the key stays so configs that name it still run
@@ -101,17 +102,7 @@ CONFIG_KEYS = (
     ("metrics", "list", METRIC_NAMES, METRIC_NAMES, True),
     ("alpha", "number", 0.05, (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"), True),
     ("out", "path", "out", None, False),
-    ("synth.rows", "integer", 8, _AT_LEAST_1, False),
-    ("synth.cols", "integer", 8, _AT_LEAST_1, False),
-    ("synth.spacing_km", "number", 50.0, (lambda v: v > 0, "must be positive"), False),
-    ("synth.lat0", "number", 0.0, None, False),
-    ("synth.lon0", "number", 0.0, None, False),
-    ("synth.n_years", "integer", 5, _AT_LEAST_1, False),
-    ("synth.storm_groups", "integer", 4, _AT_LEAST_1, False),
-    ("synth.storm_rate", "number", 0.08, _IN_UNIT, False),
-    ("synth.wet_prob", "number", 0.55, _IN_UNIT, False),
 )
-_LATTICE_KEYS = ("rows", "cols", "spacing_km", "lat0", "lon0")
 
 # the stages a pipeline runs, in order; stage "x" is the module function stage_x
 STAGES = ("events", "network", "metrics", "surrogate", "correct", "compare")
@@ -129,7 +120,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    input: str | None
+    input: str
     variable: str
     season: str
     threshold: ThresholdSpec
@@ -140,22 +131,20 @@ class RunConfig:
     alpha: float
     out: str
     seed: int
-    synth: dict | None  # the synth block as given
-    synth_values: dict  # its keys' checked values, defaults filled in
 
     @property
     def network_label(self) -> str:
         return "EPE" if self.variable == "precip" else "ETE"
 
     def result_parameters(self) -> dict:
-        """Parameters that influence artifact bytes: the recorded keys, and the synth block as given."""
+        """Parameters that influence artifact bytes: the recorded keys."""
         params = {}
         for name, *_, recorded in CONFIG_KEYS:
             if recorded:
                 block, _, key = name.rpartition(".")
                 owner = {"threshold": self.threshold, "sync": self.sync}.get(block, self)
                 (params.setdefault(block, {}) if block else params)[key] = getattr(owner, key)
-        return {**params, "synth": self.synth}
+        return params
 
 
 def _keys(block: str) -> tuple[str, ...]:
@@ -213,6 +202,8 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(["config must be a JSON object"])
     doc = {**doc, **{k: v for k, v in (overrides or {}).items() if v is not None}}
     problems = [f"unknown key {key}; expected from {_keys('')}" for key in sorted(set(doc) - set(_keys("")))]
+    if doc.get("input") is None:
+        problems.append("input is mandatory (a CNG1 gridded file)")
     if doc.get("seed") is None:
         problems.append("seed is mandatory (wall-clock seeding is not allowed)")
     given, values = {"": doc}, {"": {}}
@@ -229,17 +220,13 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
             default = default[values[""]["variable"]]
         values[block][key] = _value(name, kind, default, rule, given[block].get(key), problems)
 
-    top, s, y = values[""], values["sync"], values["synth"]
+    top, s = values[""], values["sync"]
     threshold = _checked(problems, "threshold", ThresholdSpec, **values["threshold"])
     sync = _checked(problems, "sync", SyncParams, s["n_shuffles"], s["link_quantile"], top["seed"])
-    if y["rows"] * y["cols"] < 3:
-        problems.append(f"synth.rows x synth.cols must be >= 3 nodes, got {y['rows']} x {y['cols']}")
-    _checked(problems, "synth", lattice_grid, RectLattice(**{k: y[k] for k in _LATTICE_KEYS}))
     if problems:
         raise ConfigError(problems)
     del top["format"]
-    return RunConfig(**top, threshold=threshold, sync=sync, **values["surrogate"], synth=doc.get("synth"),
-                     synth_values=y)
+    return RunConfig(**top, threshold=threshold, sync=sync, **values["surrogate"])
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
@@ -263,12 +250,11 @@ def _files(stage: str, cfg: RunConfig, out_dir: Path) -> tuple[dict[str, Path], 
     This is the one place that names a stage's artifacts: the stage bodies take
     their paths from it, and _run_stage checks the reads and hashes both into
     the manifest. Input "x" is the file x.csv, except the events stage's
-    gridded input: the configured input, or else the synth stage's output.
+    gridded input, the configured input.
     """
     metrics = (*cfg.metrics, "logBC") if "BC" in cfg.metrics else cfg.metrics
     corrected = [f"corrected_{m}_{method}" for m in cfg.metrics for method in CORRECTIONS]
     reads, writes = {
-        "synth": ((), ("synthetic.cng1",)),
         "events": ((), ("events.csv", "events.csv.json", "grid.csv")),
         "network": (("events", "grid"), ("edges.csv",)),
         "metrics": (("edges", "grid"), [f"metric_{m}.csv" for m in metrics]),
@@ -278,7 +264,7 @@ def _files(stage: str, cfg: RunConfig, out_dir: Path) -> tuple[dict[str, Path], 
     }[stage]
     reads = {key: out_dir / f"{key}.csv" for key in reads}
     if stage == "events":
-        reads["gridded"] = Path(cfg.input) if cfg.input is not None else out_dir / "synthetic.cng1"
+        reads["gridded"] = Path(cfg.input)
     return reads, {name: out_dir / name for name in writes}
 
 
@@ -295,6 +281,7 @@ def _write_manifest(out_dir: Path, stage: str, cfg: RunConfig, inputs: dict, out
     doc = {
         "stage": stage,
         "version": __version__,
+        "numpy": numpy.__version__,
         "seed": cfg.seed,
         "parameters": cfg.result_parameters(),
         "inputs": {name: _sha256(p) for name, p in inputs.items()},
@@ -337,7 +324,7 @@ def _run_stage(name: str, cfg: RunConfig, out_dir: Path) -> None:
     with _Progress(name):
         for path in reads.values():
             if not path.exists():
-                writers = [s for s in ("synth", *STAGES) if path in _files(s, cfg, out_dir)[1].values()]
+                writers = [s for s in STAGES if path in _files(s, cfg, out_dir)[1].values()]
                 why = f"the {writers[0]} stage writes it; run that first" if writers else "the configured input"
                 raise ConfigError([f"{name} stage: {path} not found ({why})"])
         extra = _stage(name)(cfg, reads, writes)
@@ -346,15 +333,6 @@ def _run_stage(name: str, cfg: RunConfig, out_dir: Path) -> None:
 
 # ---------------------------------------------------------------------------
 # stages
-
-
-def stage_synth(cfg: RunConfig, reads: dict, writes: dict) -> None:
-    """Generate a synthetic gridded input file from cfg.synth."""
-    kw = dict(cfg.synth_values)
-    layout = RectLattice(**{key: kw.pop(key) for key in _LATTICE_KEYS})
-    gs = gen_gridded_values(layout, seed=cfg.seed, season=cfg.season, **kw)
-    (path,) = writes.values()
-    write_gridded(gs, path)
 
 
 def stage_events(cfg: RunConfig, reads: dict, writes: dict) -> None:
@@ -387,10 +365,13 @@ def stage_network(cfg: RunConfig, reads: dict, writes: dict) -> dict:
     events, sidecar = read_event_series(reads["events"], grid.n)
     net = build_network(events, grid, cfg.sync)
     write_edge_list(net.edge_array(), writes["edges.csv"])
+    # the sidecar is read with events.csv; it is hashed apart from "inputs", whose names are .csv stems
+    sidecar_path = Path(f"{reads['events']}.json")
     return {
         "event_counts": events.sum(axis=1).tolist(),
         "unusable_count": len(sidecar.get("unusable_nodes", [])),
         "edge_count": net.edge_count,
+        "input_sidecars": {sidecar_path.name: _sha256(sidecar_path)},
     }
 
 
@@ -470,8 +451,8 @@ def stage_render(path: Path, palette: str, vmin: float | None, vmax: float | Non
 
 
 def run_pipeline(cfg: RunConfig, out_dir: Path) -> None:
-    """All stages in order, each re-reading its inputs from disk; synth first when no input is configured."""
-    for name in ("synth",) * (cfg.synth is not None and cfg.input is None) + STAGES:
+    """All stages in order, each re-reading its inputs from disk."""
+    for name in STAGES:
         _run_stage(name, cfg, out_dir)
 
 
@@ -494,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gridsync {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in STAGES + ("synth", "pipeline", "render"):
+    for name in STAGES + ("pipeline", "render"):
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override config seed")

@@ -5,6 +5,7 @@ asserts both the criterion and its runtime budget.
 """
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -292,7 +293,12 @@ def test_criterion_7_pipeline_determinism(tmp_path):
     from gridsync.cli import main
 
     t0 = time.perf_counter()
-    config = os.path.join(os.path.dirname(__file__), "fixtures", "demo8x8.json")
+    # the demo's own input and config, written beside the runs as scripts/run_demo.py writes them
+    spec = importlib.util.spec_from_file_location(
+        "run_demo", os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "run_demo.py"))
+    run_demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_demo)
+    config = str(run_demo.write_demo_config(tmp_path / "demo"))
     max_threads = os.cpu_count() or 1
     runs = {
         "blas1": _run_pipeline(config, tmp_path / "blas1", 1),

@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import json
 import math
 import os
@@ -14,14 +13,24 @@ import pytest
 
 import gridsync
 from gridsync.cli import CONFIG_KEYS, STAGES, ConfigError, _keys, load_config, main, validate_config
+from gridsync.grid_io import write_gridded
 from gridsync.netmetrics import EARTH_RADIUS_KM, pair_groups
-from gridsync.synth import RectLattice, lattice_grid
+from gridsync.synth import RectLattice, gen_gridded_values, lattice_grid
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# the SHA-256 of the test pipeline's input, 6 x 6 nodes over three JJA seasons
+INPUT_DIGEST = "de490d1d17a9fb8c66a2011b306c29ef4188fd97b8a5f3b3c7d8247945688261"
+
+
 def base_config(tmp_path, **over):
+    """A run config in tmp_path, and beside it the input that it reads, made through the library."""
+    gridded = tmp_path / "input.cng1"
+    if not gridded.exists():
+        write_gridded(gen_gridded_values(RectLattice(6, 6, 50.0), n_years=3, seed=77), gridded)
     doc = {
+        "input": str(gridded),
         "variable": "precip",
         "season": "JJA",
         "format": "binary",
@@ -29,7 +38,6 @@ def base_config(tmp_path, **over):
         "out": str(tmp_path / "out"),
         "sync": {"n_shuffles": 200},
         "surrogate": {"ensemble_size": 30, "bin_width_km": 50.0},
-        "synth": {"rows": 6, "cols": 6, "n_years": 3, "spacing_km": 50.0},
     }
     doc.update(over)
     p = tmp_path / "run.json"
@@ -72,12 +80,12 @@ def test_config_collects_all_problems():
 
 
 def test_config_defaults_follow_variable():
-    cfg = validate_config({"variable": "tmin", "season": "DJF", "seed": 1})
+    cfg = validate_config({"input": "in.cng1", "variable": "tmin", "season": "DJF", "seed": 1})
     assert cfg.threshold.percentile == 5.0
     assert cfg.threshold.direction == "below"
     assert cfg.threshold.support == "all"
     assert cfg.network_label == "ETE"
-    cfg = validate_config({"variable": "precip", "seed": 1})
+    cfg = validate_config({"input": "in.cng1", "variable": "precip", "seed": 1})
     assert cfg.threshold.percentile == 95.0
     assert cfg.threshold.support == "positive_only"
     assert cfg.network_label == "EPE"
@@ -99,9 +107,9 @@ def test_config_overrides(tmp_path):
 def test_config_rejects_unknown_sync_key(tmp_path):
     # the per-pair null switch is gone; asking for it must fail, not be ignored
     with pytest.raises(ConfigError, match="sync.memoize"):
-        validate_config({"seed": 1, "sync": {"memoize": False}})
+        validate_config({"input": "in.cng1", "seed": 1, "sync": {"memoize": False}})
     with pytest.raises(ConfigError, match="sync must be an object"):
-        validate_config({"seed": 1, "sync": 5})
+        validate_config({"input": "in.cng1", "seed": 1, "sync": 5})
     cfg = base_config(tmp_path, sync={"n_shuffles": 200, "memoize": False})
     assert main(["network", "--config", str(cfg)]) == 1
 
@@ -126,10 +134,11 @@ def test_config_rejects_unknown_sync_key(tmp_path):
     ({"surrogate": {"bin_width_km": True}}, "surrogate.bin_width_km must be a number"),
     ({"threshold": {"percentile": "95"}}, "threshold.percentile must be a number"),
     ({"sync": {"link_quantile": False}}, "sync.link_quantile must be a number"),
-    ({"synth": {"row": 30}}, "unknown key synth.row"),
-    ({"synth": {"rows": "abc"}}, "synth.rows must be an integer"),
-    ({"synth": {"wet_prob": "0.5"}}, "synth.wet_prob must be a number"),
-    ({"synth": [6, 6]}, "synth must be an object"),
+    # a synth block is an unknown key: synthetic inputs are written through the library
+    ({"synth": {"rows": 6, "cols": 6}}, "unknown key synth; expected from"),
+    ({"input": None}, "input is mandatory"),
+    ({"surrogate": {"ensemble_size": 0}}, "surrogate.ensemble_size must be >= 1"),
+    ({"alpha": 1.0}, "alpha must lie in (0, 1)"),
     ({"sync": {"tau_max": 1}}, "sync.tau_max must be 0"),
     ({"sync": {"simultaneous_weight": 0.5}}, "unknown key sync.simultaneous_weight"),
     ({"sync": {"simultaneous_weight": 0}}, "unknown key sync.simultaneous_weight"),
@@ -143,15 +152,15 @@ def test_config_rejects_unknown_sync_key(tmp_path):
     ({"threshold": {"min_support": 0}}, "threshold: min_support must be >= 1"),
     ({"surrogate": {"bin_width_km": float("inf")}}, "surrogate.bin_width_km must be a finite number"),
     ({"threshold": {"positive_floor": float("nan")}}, "threshold.positive_floor must be a finite number"),
-    ({"synth": {"rows": 0}}, "synth.rows must be >= 1"),
-    ({"synth": {"n_years": 0}}, "synth.n_years must be >= 1"),
-    ({"synth": {"storm_groups": 0}}, "synth.storm_groups must be >= 1"),
-    ({"synth": {"rows": 1, "cols": 2}}, "synth.rows x synth.cols must be >= 3 nodes, got 1 x 2"),
-    ({"synth": {"spacing_km": -5}}, "synth.spacing_km must be positive"),
-    ({"synth": {"wet_prob": 7}}, "synth.wet_prob must lie in"),
-    ({"synth": {"storm_rate": -0.1}}, "synth.storm_rate must lie in"),
-    ({"synth": {"lat0": 95}}, "synth: latitude out of range"),
-    ({"synth": {"output": "x.cng1"}}, "unknown key synth.output"),
+    ({"synth": None}, "unknown key synth; expected from"),
+    ({"alpha": 0}, "alpha must lie in (0, 1)"),
+    ({"sync": {"n_shuffles": 99}}, "sync: n_shuffles must be >= 100"),
+    ({"sync": {"link_quantile": 1.0}}, "sync: link_quantile must lie in (0, 1)"),
+    ({"threshold": {"percentile": 100}}, "threshold: percentile must lie in (0, 100)"),
+    ({"threshold": {"percentile": 0}}, "threshold: percentile must lie in (0, 100)"),
+    ({"sync": {"link_quantile": 0}}, "sync: link_quantile must lie in (0, 1)"),
+    ({"seed": None}, "seed is mandatory"),
+    ({"metrics": [["DC"]]}, "unknown metric ['DC']"),
     ({"format": "csv"}, "format must be one of ('binary',)"),
     # netmetrics.pair_groups' key bin << s | rank must fit in uint64 on a grid of up to 2^48 pairs
     ({"surrogate": {"bin_width_km": 1e-300}}, "surrogate.bin_width_km must be >= 0.3054"),
@@ -167,9 +176,9 @@ def test_config_rejects_unknown_sync_key(tmp_path):
 def test_config_rejects_bad_document(tmp_path, capsys, doc, message):
     # each mistake is a config error (exit 1), never a silent default or a crash (exit 2)
     with pytest.raises(ConfigError, match=re.escape(message)):
-        validate_config({"seed": 1, **doc})
-    assert main(["synth", "--config", str(base_config(tmp_path))]) == 0
-    assert main(["synth", "--config", str(base_config(tmp_path, **doc))]) == 1
+        validate_config({"input": "in.cng1", "seed": 1, **doc})
+    load_config(base_config(tmp_path))
+    assert main(["pipeline", "--config", str(base_config(tmp_path, **doc))]) == 1
     assert message in capsys.readouterr().err
 
 
@@ -193,10 +202,10 @@ def test_out_of_range_seed_override_and_huge_number_exit_1(tmp_path, capsys):
     # a --seed override meets the config's range rule, and an integer past float range
     # for a number key is a config error (exit 1), not an OverflowError (exit 2)
     cfg = base_config(tmp_path)
-    assert main(["synth", "--config", str(cfg), "--seed", str(2**64)]) == 1
+    assert main(["pipeline", "--config", str(cfg), "--seed", str(2**64)]) == 1
     assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
     cfg.write_text(cfg.read_text()[:-1] + ', "alpha": 1' + "0" * 400 + "}")
-    assert main(["synth", "--config", str(cfg)]) == 1
+    assert main(["pipeline", "--config", str(cfg)]) == 1
     assert "alpha must be a finite number" in capsys.readouterr().err
 
 
@@ -228,7 +237,7 @@ def test_config_rejects_bad_value_of_every_key(tmp_path, capsys, name, value):
     # every key of the table checks its JSON kind, and the message names the key
     block, _, key = name.rpartition(".")
     cfg = base_config(tmp_path, **({block: {key: value}} if block else {key: value}))
-    assert main(["synth", "--config", str(cfg)]) == 1
+    assert main(["pipeline", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     # direction and support are ThresholdSpec's to check: "threshold: unknown direction 'bogus'"
     assert name in err or (f"{block}: " in err and key in err), err
@@ -237,7 +246,7 @@ def test_config_rejects_bad_value_of_every_key(tmp_path, capsys, name, value):
 def test_config_bin_width_floor_keeps_pair_bins_small():
     # at the floor the bin of half the Earth's circumference is below 2^16, so the pair keys
     # bin << s | rank of up to 2^48 pairs (s <= 48 bits of rank) stay within uint64
-    cfg = validate_config({"seed": 1, "surrogate": {"bin_width_km": 0.3055}})
+    cfg = validate_config({"input": "in.cng1", "seed": 1, "surrogate": {"bin_width_km": 0.3055}})
     assert (int(math.pi * EARTH_RADIUS_KM / cfg.bin_width_km) + 1) * 2**48 <= 2**64
     grid = lattice_grid(RectLattice(3, 3, 50.0))
     ranks, starts = pair_groups(grid, cfg.bin_width_km)
@@ -245,8 +254,14 @@ def test_config_bin_width_floor_keeps_pair_bins_small():
 
 
 def test_result_parameters_pinned():
-    # recorded from the hand-written result_parameters of 0.8.0; manifest bytes must not move
+    # recorded from the hand-written result_parameters of 0.8.0, less the synth block it echoed
+    # until 0.9.0; a config with a synth block is now an unknown-key case
     for case in json.loads((ROOT / "tests" / "fixtures" / "result_parameters.json").read_text()):
+        if "problems" in case:
+            with pytest.raises(ConfigError) as err:
+                validate_config(case["config"])
+            assert err.value.problems == case["problems"]
+            continue
         got = validate_config(case["config"]).result_parameters()
         assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(case["parameters"], indent=2, sort_keys=True)
 
@@ -287,7 +302,6 @@ def pipeline_run(tmp_path_factory):
 
 
 EXPECTED_ARTIFACTS = [
-    "synthetic.cng1",
     "grid.csv",
     "events.csv",
     "events.csv.json",
@@ -306,10 +320,9 @@ EXPECTED_ARTIFACTS = [
 ]
 
 
-# each stage's inputs, as file names, with the stage that writes each
+# each stage's inputs but the events stage's configured one, as file names, with the stage that writes each
 METRICS = ("DC", "CC", "MGD", "BC")
 STAGE_INPUTS = {
-    "events": {"synthetic.cng1": "synth"},
     "network": {"events.csv": "events", "grid.csv": "events"},
     "metrics": {"edges.csv": "network", "grid.csv": "events"},
     "surrogate": {"edges.csv": "network", "grid.csv": "events"},
@@ -319,8 +332,8 @@ STAGE_INPUTS = {
 
 
 def input_file(name):
-    """The file a manifest input names: input "x" is x.csv, and "gridded" is the synthetic input."""
-    return "synthetic.cng1" if name == "gridded" else f"{name}.csv"
+    """The run-directory file a manifest input names: input "x" is x.csv."""
+    return f"{name}.csv"
 
 
 def read_manifests(out_dir):
@@ -332,7 +345,7 @@ def test_pipeline_produces_artifacts(pipeline_run):
     out = tmp / "out"
     for name in EXPECTED_ARTIFACTS:
         assert (out / name).exists(), name
-    for stage in ("synth", "events", "network", "metrics", "surrogate", "correct", "compare"):
+    for stage in STAGES:
         assert (out / f"{stage}_manifest.json").exists()
 
 
@@ -356,6 +369,9 @@ def test_pipeline_network_nontrivial(pipeline_run):
 
 def test_pipeline_manifest_contents(pipeline_run):
     tmp, _ = pipeline_run
+    for doc in read_manifests(tmp / "out").values():
+        # artifact bytes depend on numpy's Generator distributions, which may change between releases
+        assert doc["version"] == gridsync.__version__ and doc["numpy"] == np.__version__
     doc = json.loads((tmp / "out" / "network_manifest.json").read_text())
     assert doc["seed"] == 77
     assert len(doc["event_counts"]) == 36
@@ -381,6 +397,7 @@ def test_pipeline_bytes_pinned(pipeline_run):
     # move artifact bytes updates tests/fixtures/pipeline_digests.json and says so
     pinned = json.loads((ROOT / "tests" / "fixtures" / "pipeline_digests.json").read_text())
     assert hash_artifacts(pipeline_run[0] / "out") == pinned
+    assert hashlib.sha256((pipeline_run[0] / "input.cng1").read_bytes()).hexdigest() == INPUT_DIGEST
 
 
 def test_manifest_chain_consistent(pipeline_run):
@@ -388,7 +405,11 @@ def test_manifest_chain_consistent(pipeline_run):
     # carries the hash that its producer's manifest lists for that file
     out = pipeline_run[0] / "out"
     manifests = read_manifests(out)
-    assert set(manifests) == {"synth", *STAGES}
+    assert set(manifests) == set(STAGES)
+    assert manifests["events"]["inputs"] == {"gridded": INPUT_DIGEST}
+    # the network stage reads the events sidecar with events.csv and hashes it apart
+    assert manifests["network"]["input_sidecars"] == {
+        "events.csv.json": manifests["events"]["outputs"]["events.csv.json"]}
     producer = {}
     for stage, doc in manifests.items():
         for name in doc["outputs"]:
@@ -410,9 +431,9 @@ def test_stage_reads_only_what_its_manifest_hashes(pipeline_run, tmp_path, stage
     tmp, cfg_path = pipeline_run
     chained = tmp / "out"
     manifest = read_manifests(chained)[stage]
-    names = [input_file(name) for name in manifest["inputs"]]
-    # the event file's JSON sidecar is part of it, and its manifest entry does not hash it
-    names += [name + ".json" for name in names if name == "events.csv"]
+    # the events stage reads the configured input where it lies
+    names = [input_file(name) for name in manifest["inputs"] if name != "gridded"]
+    names += list(manifest.get("input_sidecars", {}))
     for name in names:
         shutil.copy(chained / name, tmp_path / name)
     assert main([stage, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
@@ -436,10 +457,13 @@ def test_stage_rerun_from_disk_identical(pipeline_run):
 # other commands and exit codes
 
 
-def test_synth_command(tmp_path):
-    cfg = base_config(tmp_path)
-    assert main(["synth", "--config", str(cfg)]) == 0
-    assert (tmp_path / "out" / "synthetic.cng1").exists()
+def test_synth_command_is_gone(tmp_path, capsys):
+    # synthetic inputs are made through the library (synth.gen_gridded_values, grid_io.write_gridded)
+    with pytest.raises(SystemExit) as err:
+        main(["synth", "--config", str(base_config(tmp_path))])
+    assert err.value.code == 1
+    assert "invalid choice: 'synth'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_render_metric_and_corrected(pipeline_run, tmp_path):
@@ -491,7 +515,7 @@ def test_exit_code_missing_configured_input(tmp_path, capsys):
 
 
 def test_exit_code_runtime_failure(tmp_path):
-    cfg = base_config(tmp_path, synth=None, input=str(tmp_path / "corrupt.cng1"))
+    cfg = base_config(tmp_path, input=str(tmp_path / "corrupt.cng1"))
     (tmp_path / "corrupt.cng1").write_bytes(b"CNG1" + b"\xff" * 40)
     assert main(["events", "--config", str(cfg)]) == 2
 
@@ -581,18 +605,3 @@ def test_console_entry_point():
     assert out.returncode == 0
     assert out.stdout.split() == ["gridsync", gridsync.__version__]
 
-
-def test_tracer_call_sites_exist():
-    # perfbench/tracer.py wraps these names where the pipeline looks them up; a name that is
-    # gone (say, an import that only the tracer uses) would show up only as a missing span
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    import gridsync.cli
-    import gridsync.surrogate
-    from gridsync.netmetrics import Network
-
-    names = [*tracer.LIBRARY_SPANS, *(f"stage_{s}" for s in tracer.STAGES)]
-    assert [n for n in names if not callable(getattr(gridsync.cli, n, None))] == []
-    assert callable(gridsync.surrogate.compute_metric) and callable(Network.from_edges)

@@ -2,8 +2,10 @@
 library chain of perfbench/conus.py, the CLI pipeline nor `gridsync render` may
 import numpy.ma (np.unique without indices, and so np.unique(axis=0) and
 np.nanquantile, do; so does np.median). A library caller or a spawned worker
-loads only the gridsync modules that its names come from."""
+loads only the gridsync modules that its names come from, and the CLI, which
+reads a CNG1 file, never loads the synthetic generators."""
 
+import importlib.util
 import json
 import os
 import pickle
@@ -13,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from gridsync.grid_io import write_metric_csv
-from gridsync.synth import RectLattice, lattice_grid
+from gridsync.grid_io import write_gridded, write_metric_csv
+from gridsync.synth import RectLattice, gen_gridded_values, lattice_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,6 +89,27 @@ def test_package_import_loads_no_module_and_no_numpy(tmp_path):
     assert _gridsync_modules("import gridsync", tmp_path) == ["gridsync"]
 
 
+def test_cli_import_loads_no_synth(tmp_path):
+    chain = ["cli", "correction", "events", "grid_io", "netmetrics", "render", "seeding", "stats", "surrogate", "sync"]
+    loaded = _gridsync_modules("import gridsync.cli", tmp_path)
+    assert loaded == ["gridsync"] + [f"gridsync.{m}" for m in chain] + ["numpy"]
+
+
+def test_tracer_call_sites_exist():
+    # perfbench/tracer.py wraps these names where the pipeline looks them up; a name that is
+    # gone (say, an import that only the tracer uses) would show up only as a missing span
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    import gridsync.cli
+    import gridsync.surrogate
+    from gridsync.netmetrics import Network
+
+    names = [*tracer.LIBRARY_SPANS, *(f"stage_{s}" for s in tracer.STAGES)]
+    assert [n for n in names if not callable(getattr(gridsync.cli, n, None))] == []
+    assert callable(gridsync.surrogate.compute_metric) and callable(Network.from_edges)
+
+
 def test_conus_imports_load_only_its_chain(tmp_path):
     chain = ["correction", "grid_io", "netmetrics", "seeding", "stats", "surrogate"]
     loaded = _gridsync_modules(_CONUS_IMPORTS, tmp_path, str(ROOT / "perfbench" / "conus.py"))
@@ -112,10 +135,10 @@ def test_conus_chain_never_imports_numpy_ma(tmp_path):
 
 
 def test_pipeline_never_imports_numpy_ma(tmp_path):
+    write_gridded(gen_gridded_values(RectLattice(5, 5, 50.0), n_years=2, seed=5), tmp_path / "input.cng1")
     (tmp_path / "run.json").write_text(json.dumps({
-        "variable": "precip", "season": "JJA", "seed": 5, "out": str(tmp_path / "out"),
-        "sync": {"n_shuffles": 100}, "surrogate": {"ensemble_size": 2},
-        "synth": {"rows": 5, "cols": 5, "n_years": 2, "spacing_km": 50.0},
+        "input": str(tmp_path / "input.cng1"), "variable": "precip", "season": "JJA", "seed": 5,
+        "out": str(tmp_path / "out"), "sync": {"n_shuffles": 100}, "surrogate": {"ensemble_size": 2},
     }))
     assert not _numpy_ma_imported(_PIPELINE, tmp_path)
     assert (tmp_path / "out" / "report.json").exists()
@@ -124,6 +147,6 @@ def test_pipeline_never_imports_numpy_ma(tmp_path):
 def test_render_never_imports_numpy_ma(tmp_path):
     grid = lattice_grid(RectLattice(6, 5, 50.0))
     write_metric_csv(np.arange(grid.n, dtype=float), grid, tmp_path / "metric_DC.csv")
-    (tmp_path / "run.json").write_text(json.dumps({"seed": 1, "out": str(tmp_path)}))
+    (tmp_path / "run.json").write_text(json.dumps({"input": "input.cng1", "seed": 1, "out": str(tmp_path)}))
     assert not _numpy_ma_imported(_RENDER, tmp_path)
     assert (tmp_path / "metric_DC.csv.ppm").read_bytes().startswith(b"P6\n5 6\n255\n")
