@@ -61,7 +61,9 @@ results show whether the labels give the same bytes. KERNEL is:
   random raw fields and surrogate means (a tenth of the means zero). The
   inputs are made once and saved with numpy; each run writes every file
   (write_s), reads it back with the stage readers (read_s), and reports the
-  digests of the files and the process's peak RSS.
+  digests of the files and the process's peak RSS. It calls
+  write_event_series as 0.10.0 defines it (the unusable nodes in place of
+  a sidecar dict), so every --src must be 0.10.0 or later.
 """
 
 from __future__ import annotations
@@ -534,13 +536,12 @@ def csv_measure(seed: int, path: str) -> dict:
 
     d = np.load(path)
     grid, days = GridSpec(lat=d["lat"], lon=d["lon"]), d["days"]
-    sidecar = {"n_nodes": grid.n, "season_days": days.tolist()}
     fields = {}
     for m, raw, mean in zip(CSV_METRICS, d["raw"], d["mean"]):
         stats = SurrogateStats(m, mean)
         fields[f"corrected_{m}_subtract.csv"] = correct_subtract(MetricField(m, raw), stats)
         fields[f"corrected_{m}_divide.csv"] = correct_divide(MetricField(m, raw), stats)
-    write = {"events": lambda out: write_event_series(d["events"], days, out / "events.csv", sidecar),
+    write = {"events": lambda out: write_event_series(d["events"], days, out / "events.csv", []),
              "edges": lambda out: write_edge_list(d["edges"], out / "edges.csv"),
              "corrected": lambda out: [write_corrected_csv(cf, grid, out / name) for name, cf in fields.items()]}
     read = {"events": lambda out: read_event_series(out / "events.csv", grid.n),

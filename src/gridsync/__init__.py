@@ -17,4 +17,4 @@ import os
 # byte depends on it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy
@@ -93,8 +93,6 @@ CONFIG_KEYS = (
     ("threshold.min_support", "integer", 20, None, True),
     # seeding.mix64 keeps a seed's low 64 bits, so any other integer would alias one of these
     ("seed", "integer", None, (lambda v: 0 <= v < 2**64, "must lie in [0, 2**64)"), False),
-    # the key stays so configs that spell out the paper's setting still run
-    ("sync.tau_max", "integer", 0, (lambda v: v == 0, "must be 0 (the paper's zero-lag event synchronization)"), False),
     ("sync.n_shuffles", "integer", 1000, None, True),
     ("sync.link_quantile", "number", 0.995, None, True),
     ("surrogate.ensemble_size", "integer", 1000, _AT_LEAST_1, True),
@@ -196,11 +194,10 @@ def _checked(problems: list[str], label: str, make, *args, **kw):
         problems.append(f"{label}: {e}")
 
 
-def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
+def validate_config(doc: dict) -> RunConfig:
     """Build a RunConfig from a JSON document by walking CONFIG_KEYS, collecting every problem."""
     if not isinstance(doc, dict):
         raise ConfigError(["config must be a JSON object"])
-    doc = {**doc, **{k: v for k, v in (overrides or {}).items() if v is not None}}
     problems = [f"unknown key {key}; expected from {_keys('')}" for key in sorted(set(doc) - set(_keys("")))]
     if doc.get("input") is None:
         problems.append("input is mandatory (a CNG1 gridded file)")
@@ -229,7 +226,7 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     return RunConfig(**top, threshold=threshold, sync=sync, **values["surrogate"])
 
 
-def load_config(path, overrides: dict | None = None) -> RunConfig:
+def load_config(path) -> RunConfig:
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -237,7 +234,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError([f"config file not found: {path}"])
     except json.JSONDecodeError as e:
         raise ConfigError([f"config is not valid JSON: {e}"])
-    return validate_config(doc, overrides)
+    return validate_config(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +313,18 @@ def _stage(name: str):
 
 
 def _run_stage(name: str, cfg: RunConfig, out_dir: Path) -> None:
-    """Check that a stage's inputs exist, run the stage, and write its manifest, all from _files.
+    """Check that a stage's inputs are files, run the stage, and write its manifest, all from _files.
 
     A stage function takes (cfg, reads, writes) and may return extra manifest fields.
     """
     reads, writes = _files(name, cfg, out_dir)
     with _Progress(name):
         for path in reads.values():
-            if not path.exists():
+            if not path.is_file():
                 writers = [s for s in STAGES if path in _files(s, cfg, out_dir)[1].values()]
                 why = f"the {writers[0]} stage writes it; run that first" if writers else "the configured input"
-                raise ConfigError([f"{name} stage: {path} not found ({why})"])
+                found = "is not a file" if path.exists() else "not found"
+                raise ConfigError([f"{name} stage: {path} {found} ({why})"])
         extra = _stage(name)(cfg, reads, writes)
         _write_manifest(out_dir, name, cfg, reads, writes.values(), extra)
 
@@ -345,17 +343,8 @@ def stage_events(cfg: RunConfig, reads: dict, writes: dict) -> None:
             + ("..." if len(unusable) > 20 else ""),
             file=sys.stderr,
         )
-    sidecar = {
-        "n_nodes": seasonal.n_nodes,
-        "T": seasonal.n_days,
-        "season": cfg.season,
-        **asdict(cfg.threshold),
-        "dedup": True,
-        "season_days": [int(d) for d in seasonal.days],
-        "unusable_nodes": unusable,
-    }
     # write_event_series also writes the sidecar, events.csv.json
-    write_event_series(events, seasonal.days, writes["events.csv"], sidecar)
+    write_event_series(events, seasonal.days, writes["events.csv"], unusable)
     write_grid_csv(seasonal.grid, writes["grid.csv"])
 
 
@@ -369,7 +358,7 @@ def stage_network(cfg: RunConfig, reads: dict, writes: dict) -> dict:
     sidecar_path = Path(f"{reads['events']}.json")
     return {
         "event_counts": events.sum(axis=1).tolist(),
-        "unusable_count": len(sidecar.get("unusable_nodes", [])),
+        "unusable_count": len(sidecar["unusable_nodes"]),
         "edge_count": net.edge_count,
         "input_sidecars": {sidecar_path.name: _sha256(sidecar_path)},
     }
@@ -430,7 +419,7 @@ def stage_compare(cfg: RunConfig, reads: dict, writes: dict) -> None:
 
 def stage_render(path: Path, palette: str, vmin: float | None, vmax: float | None) -> None:
     """Rasterize a metric or corrected field CSV to path.ppm, with node coordinates from the CSV."""
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError([f"field CSV not found: {path}"])
     with open(path) as f:
         header = f.readline().strip()
@@ -478,7 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in STAGES + ("pipeline", "render"):
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override output directory")
         if name == "render":
             p.add_argument("--field", required=True, help="field CSV to rasterize")
@@ -491,10 +479,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(
-            args.config,
-            overrides={"seed": args.seed, "out": args.out},
-        )
+        cfg = load_config(args.config)
+        # the output location never reaches a manifest, so it alone may come from the command line
+        if args.out is not None:
+            cfg = replace(cfg, out=args.out)
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "pipeline":

@@ -12,8 +12,8 @@ Formats (all little-endian, '.' decimal separator):
 * Edge list CSV: header ``i,j`` with i < j, one undirected edge per row.
 * Event CSV: header ``node_id,day_index``, one row per true cell of a
   season's (n_nodes, n_days) bool event matrix, node-major, plus a JSON
-  sidecar with the season metadata; its ``season_days`` are the day indices
-  of the matrix columns.
+  sidecar of exactly ``n_nodes``, ``season_days`` (the day indices of the
+  matrix columns) and ``unusable_nodes``.
 
 Day indices are integer days since 1970-01-01 (proleptic Gregorian).
 """
@@ -269,7 +269,10 @@ def _write_rows(f, *columns) -> None:
     integers. A float64 column's cells come from the last _FLOAT_MEMO such
     columns when one has the same bytes.
     """
-    f.writelines(",".join(row) + "\n" for row in zip(*map(_cells, columns)))
+    text = "\n".join(map(",".join, zip(*map(_cells, columns))))
+    if text:  # "" only when there is no row (no row's first cell is empty): the file stays header-only
+        f.write(text)
+        f.write("\n")
 
 
 def _flag(cell: str) -> bool:
@@ -427,18 +430,19 @@ def read_edge_list(path) -> np.ndarray:
 # event series files (CSV + JSON sidecar)
 
 
-def write_event_series(events: np.ndarray, days: np.ndarray, path, sidecar: dict) -> None:
+def write_event_series(events: np.ndarray, days: np.ndarray, path, unusable_nodes: list[int]) -> None:
     """Write one row per event of the (n_nodes, n_days) bool matrix, node-major, plus a
     JSON sidecar (same path + '.json').
 
-    The sidecar records the season day universe so downstream stages can be
-    re-run from disk alone.
+    The sidecar holds what the rows cannot: n_nodes, season_days (the matrix
+    columns' day indices) and unusable_nodes; the events manifest records the rest.
     """
     path = Path(path)
     nodes, cols = np.nonzero(events)
     with open(path, "w", newline="") as f:
         f.write(EVENT_HEADER + "\n")
         _write_rows(f, nodes, days[cols])
+    sidecar = {"n_nodes": events.shape[0], "season_days": days.tolist(), "unusable_nodes": unusable_nodes}
     with open(path.with_suffix(path.suffix + ".json"), "w") as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -466,6 +470,9 @@ def read_event_series(path, grid_n: int | None = None) -> tuple[np.ndarray, dict
         season_days = np.array(season_days, dtype=np.int64)
         if (np.diff(season_days) <= 0).any():
             raise ValueError("season_days must be strictly increasing")
+        unusable = sidecar.get("unusable_nodes")
+        if not isinstance(unusable, list) or not all(_json_int(i) and 0 <= i < n_nodes for i in unusable):
+            raise ValueError(f"unusable_nodes must be a list of node ids in 0..{n_nodes - 1}")
         events = np.zeros((n_nodes, season_days.size), dtype=bool)
     n_nodes, T = events.shape
     ids, days = _read_rows(path, EVENT_HEADER, int, int)

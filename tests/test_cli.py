@@ -97,11 +97,11 @@ def test_config_defaults_follow_variable():
 
 
 def test_config_overrides(tmp_path):
-    p = base_config(tmp_path)
-    cfg = load_config(p, overrides={"seed": 123, "out": str(tmp_path / "other")})
-    assert cfg.seed == 123
-    assert cfg.sync.seed == 123
-    assert cfg.out.endswith("other")
+    # --out is the one command-line override: no manifest records the output location
+    cfg = base_config(tmp_path)
+    assert main(["events", "--config", str(cfg), "--out", str(tmp_path / "other")]) == 0
+    assert (tmp_path / "other" / "events_manifest.json").is_file()
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_unknown_sync_key(tmp_path):
@@ -114,64 +114,70 @@ def test_config_rejects_unknown_sync_key(tmp_path):
     assert main(["network", "--config", str(cfg)]) == 1
 
 
+def bad_doc(n, doc, message):
+    """A bad-document case named by its message. n keeps the "doc<n>-" prefix that named the case
+    while the table had no ids (a case added since has none), so deleting a row renames no other."""
+    return pytest.param(doc, message, id=message if n is None else f"doc{n}-{message}")
+
+
 @pytest.mark.parametrize("doc, message", [
-    ({"alhpa": 0.01}, "unknown key alhpa"),
-    ({"threshold": {"pct": 90}}, "unknown key threshold.pct"),
-    ({"surrogate": {"members": 10}}, "unknown key surrogate.members"),
-    ({"threshold": 95}, "threshold must be an object"),
-    ({"surrogate": [1000]}, "surrogate must be an object"),
-    ({"surrogate": {"ensemble_size": "abc"}}, "surrogate.ensemble_size must be an integer"),
-    ({"surrogate": {"bin_width_km": "abc"}}, "surrogate.bin_width_km must be a number"),
-    ({"alpha": "abc"}, "alpha must be a number"),
-    ({"threads": 2}, "unknown key threads"),
-    ({"use_normalized": True}, "unknown key use_normalized"),
-    ({"seed": 1.7}, "seed must be an integer"),
-    ({"seed": True}, "seed must be an integer"),
-    ({"surrogate": {"ensemble_size": 10.7}}, "surrogate.ensemble_size must be an integer"),
-    ({"sync": {"n_shuffles": 200.9}}, "sync.n_shuffles must be an integer"),
-    ({"threshold": {"min_support": 19.9}}, "threshold.min_support must be an integer"),
-    ({"sync": {"tau_max": True}}, "sync.tau_max must be an integer"),
-    ({"surrogate": {"bin_width_km": True}}, "surrogate.bin_width_km must be a number"),
-    ({"threshold": {"percentile": "95"}}, "threshold.percentile must be a number"),
-    ({"sync": {"link_quantile": False}}, "sync.link_quantile must be a number"),
+    bad_doc(0, {"alhpa": 0.01}, "unknown key alhpa"),
+    bad_doc(1, {"threshold": {"pct": 90}}, "unknown key threshold.pct"),
+    bad_doc(2, {"surrogate": {"members": 10}}, "unknown key surrogate.members"),
+    bad_doc(3, {"threshold": 95}, "threshold must be an object"),
+    bad_doc(4, {"surrogate": [1000]}, "surrogate must be an object"),
+    bad_doc(5, {"surrogate": {"ensemble_size": "abc"}}, "surrogate.ensemble_size must be an integer"),
+    bad_doc(6, {"surrogate": {"bin_width_km": "abc"}}, "surrogate.bin_width_km must be a number"),
+    bad_doc(7, {"alpha": "abc"}, "alpha must be a number"),
+    bad_doc(8, {"threads": 2}, "unknown key threads"),
+    bad_doc(9, {"use_normalized": True}, "unknown key use_normalized"),
+    bad_doc(10, {"seed": 1.7}, "seed must be an integer"),
+    bad_doc(11, {"seed": True}, "seed must be an integer"),
+    bad_doc(12, {"surrogate": {"ensemble_size": 10.7}}, "surrogate.ensemble_size must be an integer"),
+    bad_doc(13, {"sync": {"n_shuffles": 200.9}}, "sync.n_shuffles must be an integer"),
+    bad_doc(14, {"threshold": {"min_support": 19.9}}, "threshold.min_support must be an integer"),
+    bad_doc(16, {"surrogate": {"bin_width_km": True}}, "surrogate.bin_width_km must be a number"),
+    bad_doc(17, {"threshold": {"percentile": "95"}}, "threshold.percentile must be a number"),
+    bad_doc(18, {"sync": {"link_quantile": False}}, "sync.link_quantile must be a number"),
     # a synth block is an unknown key: synthetic inputs are written through the library
-    ({"synth": {"rows": 6, "cols": 6}}, "unknown key synth; expected from"),
-    ({"input": None}, "input is mandatory"),
-    ({"surrogate": {"ensemble_size": 0}}, "surrogate.ensemble_size must be >= 1"),
-    ({"alpha": 1.0}, "alpha must lie in (0, 1)"),
-    ({"sync": {"tau_max": 1}}, "sync.tau_max must be 0"),
-    ({"sync": {"simultaneous_weight": 0.5}}, "unknown key sync.simultaneous_weight"),
-    ({"sync": {"simultaneous_weight": 0}}, "unknown key sync.simultaneous_weight"),
-    ({"corrections": ["subtract", "divide"]}, "unknown key corrections"),
-    ({"metrics": 5}, "metrics must be a non-empty list"),
-    ({"metrics": []}, "metrics must be a non-empty list"),
-    ({"metrics": ["DC", "DC"]}, "metric 'DC' is listed twice"),
-    ({"season": {}}, "season must be one of"),
-    ({"input": 5}, "input must be a path"),
-    ({"out": [1]}, "out must be a path"),
-    ({"threshold": {"min_support": 0}}, "threshold: min_support must be >= 1"),
-    ({"surrogate": {"bin_width_km": float("inf")}}, "surrogate.bin_width_km must be a finite number"),
-    ({"threshold": {"positive_floor": float("nan")}}, "threshold.positive_floor must be a finite number"),
-    ({"synth": None}, "unknown key synth; expected from"),
-    ({"alpha": 0}, "alpha must lie in (0, 1)"),
-    ({"sync": {"n_shuffles": 99}}, "sync: n_shuffles must be >= 100"),
-    ({"sync": {"link_quantile": 1.0}}, "sync: link_quantile must lie in (0, 1)"),
-    ({"threshold": {"percentile": 100}}, "threshold: percentile must lie in (0, 100)"),
-    ({"threshold": {"percentile": 0}}, "threshold: percentile must lie in (0, 100)"),
-    ({"sync": {"link_quantile": 0}}, "sync: link_quantile must lie in (0, 1)"),
-    ({"seed": None}, "seed is mandatory"),
-    ({"metrics": [["DC"]]}, "unknown metric ['DC']"),
-    ({"format": "csv"}, "format must be one of ('binary',)"),
+    bad_doc(19, {"synth": {"rows": 6, "cols": 6}}, "unknown key synth; expected from"),
+    bad_doc(20, {"input": None}, "input is mandatory"),
+    bad_doc(21, {"surrogate": {"ensemble_size": 0}}, "surrogate.ensemble_size must be >= 1"),
+    bad_doc(22, {"alpha": 1.0}, "alpha must lie in (0, 1)"),
+    # zero-lag event synchronization has no lag to set
+    bad_doc(None, {"sync": {"tau_max": 0}}, "unknown key sync.tau_max"),
+    bad_doc(24, {"sync": {"simultaneous_weight": 0.5}}, "unknown key sync.simultaneous_weight"),
+    bad_doc(25, {"sync": {"simultaneous_weight": 0}}, "unknown key sync.simultaneous_weight"),
+    bad_doc(26, {"corrections": ["subtract", "divide"]}, "unknown key corrections"),
+    bad_doc(27, {"metrics": 5}, "metrics must be a non-empty list"),
+    bad_doc(28, {"metrics": []}, "metrics must be a non-empty list"),
+    bad_doc(29, {"metrics": ["DC", "DC"]}, "metric 'DC' is listed twice"),
+    bad_doc(30, {"season": {}}, "season must be one of"),
+    bad_doc(31, {"input": 5}, "input must be a path"),
+    bad_doc(32, {"out": [1]}, "out must be a path"),
+    bad_doc(33, {"threshold": {"min_support": 0}}, "threshold: min_support must be >= 1"),
+    bad_doc(34, {"surrogate": {"bin_width_km": float("inf")}}, "surrogate.bin_width_km must be a finite number"),
+    bad_doc(35, {"threshold": {"positive_floor": float("nan")}}, "threshold.positive_floor must be a finite number"),
+    bad_doc(36, {"synth": None}, "unknown key synth; expected from"),
+    bad_doc(37, {"alpha": 0}, "alpha must lie in (0, 1)"),
+    bad_doc(38, {"sync": {"n_shuffles": 99}}, "sync: n_shuffles must be >= 100"),
+    bad_doc(39, {"sync": {"link_quantile": 1.0}}, "sync: link_quantile must lie in (0, 1)"),
+    bad_doc(40, {"threshold": {"percentile": 100}}, "threshold: percentile must lie in (0, 100)"),
+    bad_doc(41, {"threshold": {"percentile": 0}}, "threshold: percentile must lie in (0, 100)"),
+    bad_doc(42, {"sync": {"link_quantile": 0}}, "sync: link_quantile must lie in (0, 1)"),
+    bad_doc(43, {"seed": None}, "seed is mandatory"),
+    bad_doc(44, {"metrics": [["DC"]]}, "unknown metric ['DC']"),
+    bad_doc(45, {"format": "csv"}, "format must be one of ('binary',)"),
     # netmetrics.pair_groups' key bin << s | rank must fit in uint64 on a grid of up to 2^48 pairs
-    ({"surrogate": {"bin_width_km": 1e-300}}, "surrogate.bin_width_km must be >= 0.3054"),
-    ({"surrogate": {"bin_width_km": 1e-12}}, "surrogate.bin_width_km must be >= 0.3054"),
-    ({"surrogate": {"bin_width_km": 0.3}}, "surrogate.bin_width_km must be >= 0.3054"),
-    ({"surrogate": {"bin_width_km": 0}}, "surrogate.bin_width_km must be >= 0.3054"),
+    bad_doc(46, {"surrogate": {"bin_width_km": 1e-300}}, "surrogate.bin_width_km must be >= 0.3054"),
+    bad_doc(47, {"surrogate": {"bin_width_km": 1e-12}}, "surrogate.bin_width_km must be >= 0.3054"),
+    bad_doc(48, {"surrogate": {"bin_width_km": 0.3}}, "surrogate.bin_width_km must be >= 0.3054"),
+    bad_doc(49, {"surrogate": {"bin_width_km": 0}}, "surrogate.bin_width_km must be >= 0.3054"),
     # seeding.mix64 keeps 64 bits: 2**64 and -1 would alias seeds 0 and 2**64 - 1
-    ({"seed": 2**64}, "seed must lie in [0, 2**64)"),
-    ({"seed": -1}, "seed must lie in [0, 2**64)"),
+    bad_doc(50, {"seed": 2**64}, "seed must lie in [0, 2**64)"),
+    bad_doc(51, {"seed": -1}, "seed must lie in [0, 2**64)"),
     # an integer past float range, where math.isfinite would overflow
-    ({"alpha": 10**400}, "alpha must be a finite number"),
+    bad_doc(52, {"alpha": 10**400}, "alpha must be a finite number"),
 ])
 def test_config_rejects_bad_document(tmp_path, capsys, doc, message):
     # each mistake is a config error (exit 1), never a silent default or a crash (exit 2)
@@ -183,10 +189,15 @@ def test_config_rejects_bad_document(tmp_path, capsys, doc, message):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--config", "{cfg}", "--threads", "4"], "unrecognized arguments: --threads 4"),
-    (["--config", "{cfg}", "--bogus"], "unrecognized arguments: --bogus"),
-    (["--config", "{cfg}", "--seed", "abc"], "--seed: invalid int value: 'abc'"),
-    (["--seed", "1"], "the following arguments are required: --config"),
+    pytest.param(["--config", "{cfg}", "--threads", "4"], "unrecognized arguments: --threads 4",
+                 id="args0-unrecognized arguments: --threads 4"),
+    pytest.param(["--config", "{cfg}", "--bogus"], "unrecognized arguments: --bogus",
+                 id="args1-unrecognized arguments: --bogus"),
+    # the seed is the config's alone: a run's manifests are then the whole record of its parameters
+    pytest.param(["--config", "{cfg}", "--seed", "1"], "unrecognized arguments: --seed",
+                 id="unrecognized arguments: --seed"),
+    pytest.param(["--out", "elsewhere"], "the following arguments are required: --config",
+                 id="args3-the following arguments are required: --config"),
 ])
 def test_cli_usage_error_exits_1(tmp_path, capsys, args, message):
     # a malformed command line is a usage error (exit 1); exit 2 means a runtime failure
@@ -199,11 +210,15 @@ def test_cli_usage_error_exits_1(tmp_path, capsys, args, message):
 
 
 def test_out_of_range_seed_override_and_huge_number_exit_1(tmp_path, capsys):
-    # a --seed override meets the config's range rule, and an integer past float range
-    # for a number key is a config error (exit 1), not an OverflowError (exit 2)
+    # a seed on the command line is a usage error (the config's seed: 2**64 rows check the range),
+    # and an integer past float range for a number key is a config error (exit 1), not an
+    # OverflowError (exit 2)
     cfg = base_config(tmp_path)
-    assert main(["pipeline", "--config", str(cfg), "--seed", str(2**64)]) == 1
-    assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(["pipeline", "--config", str(cfg), "--seed", str(2**64)])
+    assert err.value.code == 1
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     cfg.write_text(cfg.read_text()[:-1] + ', "alpha": 1' + "0" * 400 + "}")
     assert main(["pipeline", "--config", str(cfg)]) == 1
     assert "alpha must be a finite number" in capsys.readouterr().err
@@ -232,7 +247,15 @@ BAD_VALUES = {
 }
 
 
-@pytest.mark.parametrize("name, value", [(name, v) for name, kind, *_ in CONFIG_KEYS for v in BAD_VALUES[kind]])
+def bad_value_id(name, value):
+    """A bad-value case's name: key and value. The empty list keeps the name that pytest gave it by
+    position before these cases had ids, so that removing a key renames no other case."""
+    return f"{name}-value43" if value == [] else f"{name}-{value}"
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param(name, v, id=bad_value_id(name, v)) for name, kind, *_ in CONFIG_KEYS for v in BAD_VALUES[kind]
+])
 def test_config_rejects_bad_value_of_every_key(tmp_path, capsys, name, value):
     # every key of the table checks its JSON kind, and the message names the key
     block, _, key = name.rpartition(".")
@@ -485,6 +508,14 @@ def test_render_metric_and_corrected(pipeline_run, tmp_path):
     assert (out / "corrected_DC_divide.csv.ppm").exists()
 
 
+@pytest.mark.parametrize("field", ["absent.csv", ""], ids=["missing", "directory"])
+def test_render_without_a_field_file_exits_1(tmp_path, capsys, field):
+    # an empty --field names the run directory itself, which is no field CSV
+    cfg = base_config(tmp_path)
+    assert main(["render", "--config", str(cfg), "--field", field]) == 1
+    assert f"field CSV not found: {tmp_path / 'out' / field}" in capsys.readouterr().err
+
+
 def test_exit_code_validation_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"variable": "nope"}))
@@ -512,6 +543,16 @@ def test_exit_code_missing_configured_input(tmp_path, capsys):
     cfg = base_config(tmp_path, input=str(tmp_path / "absent.cng1"))
     assert main(["pipeline", "--config", str(cfg)]) == 1
     assert f"events stage: {tmp_path / 'absent.cng1'} not found (the configured input)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given", ["", "{tmp}"], ids=["empty", "directory"])
+def test_exit_code_configured_input_not_a_file(tmp_path, capsys, given):
+    # an empty input is the working directory; neither it nor any directory is a CNG1 file
+    given = given.format(tmp=tmp_path)
+    cfg = base_config(tmp_path, input=given)
+    assert main(["events", "--config", str(cfg)]) == 1
+    assert f"events stage: {Path(given)} is not a file (the configured input)" in capsys.readouterr().err
+    assert not list((tmp_path / "out").iterdir())
 
 
 def test_exit_code_runtime_failure(tmp_path):

@@ -1,5 +1,6 @@
 import datetime
 import functools
+import io
 import json
 import pickle
 import struct
@@ -421,12 +422,35 @@ def test_csv_writers_match_per_cell_repr(tmp_path):
 
     events = np.arange(3) < np.arange(n)[:, None] % 3
     days = np.array([100, 101, 105])
-    write_event_series(events, days, tmp_path / "events.csv", {})
+    write_event_series(events, days, tmp_path / "events.csv", [])
     expected["events.csv"] = _reference(
         "node_id,day_index", [[str(i), str(days[k])] for i in range(n) for k in range(i % 3)])
 
     for name, text in expected.items():
         assert (tmp_path / name).read_text() == text, name
+
+
+@pytest.mark.parametrize("rows, text", [(0, ""), (1, "7,0.5\n")], ids=["no-row", "one-row"])
+def test_row_writer_ends_each_row_and_writes_nothing_for_none(rows, text):
+    # a header-only artifact stays header-only: no blank line after its header
+    f = io.StringIO()
+    grid_io._write_rows(f, np.array([7, 8])[:rows], np.array([0.5, -0.0])[:rows])
+    assert f.getvalue() == text
+
+
+def test_event_sidecar_holds_only_what_the_rows_cannot(tmp_path):
+    # the node count, the season's days and the excluded nodes; the season and threshold that
+    # made the events are the events manifest's parameters. The reader gives back both.
+    from gridsync.grid_io import read_event_series, write_event_series
+
+    days = np.array([100, 101, 105])
+    events = np.tri(3, dtype=bool)
+    events[1] = False  # node 1 is unusable, so it has no events
+    write_event_series(events, days, tmp_path / "events.csv", [1])
+    sidecar = json.loads((tmp_path / "events.csv.json").read_text())
+    assert sidecar == {"n_nodes": 3, "season_days": [100, 101, 105], "unusable_nodes": [1]}
+    back, read_sidecar = read_event_series(tmp_path / "events.csv", 3)
+    assert back.dtype == bool and np.array_equal(back, events) and read_sidecar == sidecar
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +479,7 @@ def _write_artifacts(tmp_path) -> dict:
         "grid": (lambda p: write_grid_csv(grid, p), read_grid_csv),
         "metric": (lambda p: write_metric_csv(np.array([1.0, 2.0, 3.0]), grid, p), read_metric_csv),
         "edges": (lambda p: write_edge_list(np.array([[0, 1], [1, 2]]), p), read_edge_list),
-        "events": (lambda p: write_event_series(events, days, p, {"n_nodes": 3, "season_days": days.tolist()}),
-                   read_event_series),
+        "events": (lambda p: write_event_series(events, days, p, []), read_event_series),
         "profile": (lambda p: write_profile_csv(profile, p), read_profile_csv),
         "surrogate_stats": (lambda p: write_surrogate_stats_csv({"DC": stats}, p), read_surrogate_stats_csv),
         "corrected": (lambda p: write_corrected_csv(cf, grid, p), read_corrected_csv),
@@ -536,6 +559,12 @@ def test_reader_rejects_malformed_artifact(tmp_path, name, fault):
                  id="event-day-outside-season"),
     pytest.param("events.json", lambda lines: [line.replace("105", "101") for line in lines],
                  "season_days must be strictly increasing", id="season-days-not-increasing"),
+    pytest.param("events.json", lambda lines: [line.replace('"unusable_nodes": []', '"unusable_nodes": [3]')
+                                               for line in lines],
+                 "unusable_nodes must be a list of node ids in 0..2", id="unusable-node-out-of-range"),
+    pytest.param("events.json", lambda lines: [line.replace('"unusable_nodes": []', '"unusable_nodes": 5')
+                                               for line in lines],
+                 "unusable_nodes must be a list of node ids in 0..2", id="unusable-nodes-not-a-list"),
     pytest.param("surrogate_stats", lambda lines: lines + [lines[2]], "node ids are not 0..n-1",
                  id="duplicate-surrogate-node"),
     pytest.param("surrogate_stats", lambda lines: lines[:1] + ["0,DC,8.67,1"] + lines[2:],

@@ -274,7 +274,7 @@ def test_csv_io_step_writes_and_reads_the_artifacts(tmp_path):
     import numpy as np
 
     from gridsync.correction import correct_divide, write_corrected_csv
-    from gridsync.grid_io import GridSpec
+    from gridsync.grid_io import GridSpec, write_event_series
     from gridsync.netmetrics import MetricField
     from gridsync.surrogate import SurrogateStats
 
@@ -295,6 +295,9 @@ def test_csv_io_step_writes_and_reads_the_artifacts(tmp_path):
     cf = correct_divide(MetricField("CC", raw[1]), SurrogateStats("CC", mean[1]))
     write_corrected_csv(cf, GridSpec(lat=d["lat"], lon=d["lon"]), tmp_path / "c.csv")
     assert run["sha256"]["corrected_CC_divide.csv"] == hashlib.sha256((tmp_path / "c.csv").read_bytes()).hexdigest()[:16]
+    write_event_series(d["events"], d["days"], tmp_path / "events.csv", [])
+    for name in ("events.csv", "events.csv.json"):
+        assert run["sha256"][name] == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16], name
 
 
 def test_csv_io_summary_per_group_and_label(tmp_path):
