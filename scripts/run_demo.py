@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Run the bundled 8x8 demo pipeline and render every output field.
+"""Run the bundled 8x8 demo pipeline and render its main fields.
 
 Writes the demo's synthetic input, OUT.cng1, and the config that reads it,
 OUT.json, beside the output directory OUT. Then produces the full artifact
 set (events, edge list, metrics, surrogate stats, corrections, comparison
-report) plus PPM maps under the output directory.
+report) in OUT, and a PPM map of each of MAP_FIELDS in OUT.maps, also beside
+it: every file in OUT is some manifest's output.
 """
 
 import argparse
@@ -20,6 +21,15 @@ DEMO_CONFIG = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "d
 # the demo field: 8 x 8 nodes 50 km apart over five seasons, with gen_gridded_values' storm defaults
 DEMO_LATTICE = RectLattice(rows=8, cols=8, spacing_km=50.0)
 DEMO_YEARS = 5
+# the fields mapped, each to OUT.maps/<field>.ppm with its legend beside it
+MAP_FIELDS = (
+    "metric_DC.csv",
+    "metric_CC.csv",
+    "metric_MGD.csv",
+    "metric_logBC.csv",
+    "corrected_DC_subtract.csv",
+    "corrected_DC_divide.csv",
+)
 
 
 def write_demo_config(out, seed: int | None = None) -> Path:
@@ -45,24 +55,18 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=None, help="override the demo seed")
     args = ap.parse_args()
 
-    base = ["--config", str(write_demo_config(args.out, args.seed))]
-    code = cli_main(["pipeline", *base])
+    code = cli_main(["pipeline", "--config", str(write_demo_config(args.out, args.seed))])
     if code != 0:
         return code
-    for field in (
-        "metric_DC.csv",
-        "metric_CC.csv",
-        "metric_MGD.csv",
-        "metric_logBC.csv",
-        "corrected_DC_subtract.csv",
-        "corrected_DC_divide.csv",
-    ):
-        code = cli_main(["render", *base, "--field", field])
+    out = Path(args.out)
+    maps = out.with_name(out.name + ".maps")
+    maps.mkdir(exist_ok=True)
+    for field in MAP_FIELDS:
+        code = cli_main(["render", str(out / field), str(maps / f"{field}.ppm")])
         if code != 0:
             return code
-    report = Path(args.out) / "report.txt"
-    print(report.read_text())
-    print(f"artifacts in {args.out}", file=sys.stderr)
+    print((out / "report.txt").read_text())
+    print(f"artifacts in {out}, maps in {maps}", file=sys.stderr)
     return 0
 
 

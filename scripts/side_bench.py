@@ -25,7 +25,9 @@ results show whether the labels give the same bytes. KERNEL is:
   season of independent events (probability 0.029 a day over T = 2,760
   days, a 95th-percentile JJA record of 30 years) on 144 nodes (the
   network_30y size) and 3,249, with OPENBLAS_NUM_THREADS 1 and 2: the RSS
-  the call adds to its loaded input, and then sync._es_matrix alone.
+  the call adds to its loaded input, and then sync._es_matrix alone. It
+  calls build_network(events, grid, params, seed), with no seed in
+  SyncParams, so every --src must take the seed there.
 - pair_pass: netmetrics.pair_groups at 50 km on that lattice (5,276,376
   pairs) and on the lattice with every node moved by up to PAIR_JITTER_DEG
   in latitude and longitude (every coordinate distinct), pinned to one CPU
@@ -215,7 +217,7 @@ def es_measure(seed: int, path: str) -> dict:
     grid, events = GridSpec(lat=a["lat"], lon=a["lon"]), a["events"]
     before = rss_mb()
     t = time.perf_counter()
-    net = build_network(events, grid, SyncParams(n_shuffles=ES_SHUFFLES, seed=seed))
+    net = build_network(events, grid, SyncParams(n_shuffles=ES_SHUFFLES), seed)
     wall = time.perf_counter() - t
     peak = rss_mb()
     kernel = []

@@ -6,7 +6,8 @@ seed, version), and reports progress and timing to stderr. Reruns with the
 same config are byte-identical; the output location never influences artifact
 bytes, so it is not recorded in manifests. Stages run serially on one BLAS
 thread (importing gridsync sets OPENBLAS_NUM_THREADS=1 unless it is already
-set), and no artifact byte depends on the BLAS thread count.
+set), and no artifact byte depends on the BLAS thread count. render alone
+takes no config: it maps one field CSV to a PPM named on the command line.
 
 Exit codes: 0 success, 1 usage or validation error, 2 runtime failure.
 """
@@ -54,7 +55,7 @@ from .grid_io import (
     write_metric_csv,
 )
 from .netmetrics import EARTH_RADIUS_KM, METRIC_NAMES, MetricField, Network, compute_metric, log_bc
-from .render import PALETTES, render_map
+from .render import render_map
 from .stats import compare_methods
 from .surrogate import (
     ensemble_stats,
@@ -217,9 +218,9 @@ def validate_config(doc: dict) -> RunConfig:
             default = default[values[""]["variable"]]
         values[block][key] = _value(name, kind, default, rule, given[block].get(key), problems)
 
-    top, s = values[""], values["sync"]
+    top = values[""]
     threshold = _checked(problems, "threshold", ThresholdSpec, **values["threshold"])
-    sync = _checked(problems, "sync", SyncParams, s["n_shuffles"], s["link_quantile"], top["seed"])
+    sync = _checked(problems, "sync", SyncParams, **values["sync"])
     if problems:
         raise ConfigError(problems)
     del top["format"]
@@ -352,7 +353,7 @@ def stage_network(cfg: RunConfig, reads: dict, writes: dict) -> dict:
     grid = read_grid_csv(reads["grid"])
     # a sidecar n_nodes that disagrees with the grid is rejected before its event matrix is allocated
     events, sidecar = read_event_series(reads["events"], grid.n)
-    net = build_network(events, grid, cfg.sync)
+    net = build_network(events, grid, cfg.sync, cfg.seed)
     write_edge_list(net.edge_array(), writes["edges.csv"])
     # the sidecar is read with events.csv; it is hashed apart from "inputs", whose names are .csv stems
     sidecar_path = Path(f"{reads['events']}.json")
@@ -417,25 +418,21 @@ def stage_compare(cfg: RunConfig, reads: dict, writes: dict) -> None:
         f.write(report.to_text_table())
 
 
-def stage_render(path: Path, palette: str, vmin: float | None, vmax: float | None) -> None:
-    """Rasterize a metric or corrected field CSV to path.ppm, with node coordinates from the CSV."""
-    if not path.is_file():
-        raise ConfigError([f"field CSV not found: {path}"])
-    with open(path) as f:
+def stage_render(field: Path, out_path: Path) -> None:
+    """Rasterize a metric or corrected field CSV to out_path, with node coordinates from the CSV."""
+    if not field.is_file():
+        raise ConfigError([f"field CSV not found: {field}"])
+    with open(field) as f:
         header = f.readline().strip()
     if header == METRIC_HEADER:
-        values, grid = read_metric_csv(path)
+        values, grid = read_metric_csv(field)
         defined = None
     elif header == CORRECTED_HEADER:
-        cf, grid = read_corrected_csv(path)
-        values = cf.normalized
-        defined = ~cf.undefined
-        if vmin is None and vmax is None:
-            vmin, vmax = 0.0, 1.0
+        cf, grid = read_corrected_csv(field)
+        values, defined = cf.normalized, ~cf.undefined
     else:
-        raise ConfigError([f"unrecognized field header in {path}"])
-    out_path = Path(str(path) + ".ppm")
-    h, w = render_map(values, grid, out_path, defined=defined, vmin=vmin, vmax=vmax, palette=palette)
+        raise ConfigError([f"unrecognized field header in {field}"])
+    h, w = render_map(values, grid, out_path, defined=defined)
     print(f"[render] wrote {out_path} ({w} x {h})", file=sys.stderr)
 
 
@@ -464,21 +461,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gridsync {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in STAGES + ("pipeline", "render"):
+    for name in STAGES + ("pipeline",):
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="override output directory")
-        if name == "render":
-            p.add_argument("--field", required=True, help="field CSV to rasterize")
-            p.add_argument("--palette", default="heat", choices=PALETTES)
-            p.add_argument("--vmin", type=float, default=None)
-            p.add_argument("--vmax", type=float, default=None)
+    # render reads one field CSV and writes one map: no config, and no run directory
+    p = sub.add_parser("render", help="rasterize a metric or corrected field CSV to a PPM map")
+    p.add_argument("field", type=Path, metavar="FIELD", help="metric or corrected field CSV")
+    p.add_argument("map", type=Path, metavar="MAP", help="PPM to write; MAP.legend.txt goes beside it")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command == "render":
+            stage_render(args.field, args.map)
+            return 0
         cfg = load_config(args.config)
         # the output location never reaches a manifest, so it alone may come from the command line
         if args.out is not None:
@@ -487,8 +486,6 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "pipeline":
             run_pipeline(cfg, out_dir)
-        elif args.command == "render":
-            stage_render(out_dir / args.field, args.palette, args.vmin, args.vmax)
         else:
             _run_stage(args.command, cfg, out_dir)
         return 0

@@ -15,22 +15,14 @@ from .grid_io import GridSpec
 UNDEFINED_RGB = (255, 0, 255)  # magenta sentinel
 EMPTY_RGB = (40, 40, 40)  # cells with no node
 
-PALETTES = ("heat", "grayscale")
 
-
-def _ramp(t: np.ndarray, palette: str) -> np.ndarray:
-    """Map t in [0, 1] to RGB rows."""
+def _ramp(t: np.ndarray) -> np.ndarray:
+    """Map t in [0, 1] to RGB rows of the heat ramp, blue -> yellow -> red."""
     t = np.clip(t, 0.0, 1.0)
-    if palette == "grayscale":
-        g = np.round(255 * t).astype(np.uint8)
-        return np.stack([g, g, g], axis=-1)
-    if palette == "heat":
-        # blue -> yellow -> red
-        r = np.clip(2.0 * t, 0, 1)
-        g = np.clip(2.0 * np.minimum(t, 1.0 - t) + 0.15 * (1 - t), 0, 1)
-        b = np.clip(1.0 - 2.0 * t, 0, 1)
-        return np.round(255 * np.stack([r, g, b], axis=-1)).astype(np.uint8)
-    raise ValueError(f"unknown palette {palette!r}; expected one of {PALETTES}")
+    r = np.clip(2.0 * t, 0, 1)
+    g = np.clip(2.0 * np.minimum(t, 1.0 - t) + 0.15 * (1 - t), 0, 1)
+    b = np.clip(1.0 - 2.0 * t, 0, 1)
+    return np.round(255 * np.stack([r, g, b], axis=-1)).astype(np.uint8)
 
 
 def _axis_step(coords: np.ndarray) -> float:
@@ -49,20 +41,11 @@ def _axis_step(coords: np.ndarray) -> float:
     return float((part[k - 1] + part[k]) / 2)
 
 
-def render_map(
-    values: np.ndarray,
-    grid: GridSpec,
-    path,
-    *,
-    defined: np.ndarray | None = None,
-    vmin: float | None = None,
-    vmax: float | None = None,
-    palette: str = "heat",
-) -> tuple[int, int]:
+def render_map(values: np.ndarray, grid: GridSpec, path, *, defined: np.ndarray | None = None) -> tuple[int, int]:
     """Write a P6 PPM raster plus a '.legend.txt' sidecar.
 
-    Returns (height, width). The ramp spans [vmin, vmax]; defaults are the
-    min/max of the defined values. Undefined nodes get the sentinel color.
+    Returns (height, width). The ramp spans [vmin, vmax], the min and max of
+    the defined values. Undefined nodes get the sentinel color.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0 or grid.n == 0:
@@ -79,10 +62,7 @@ def render_map(
     width = int(round((lon_max - lon_min) / lon_step)) + 1
 
     good = defined & np.isfinite(values)
-    if vmin is None:
-        vmin = float(values[good].min()) if good.any() else 0.0
-    if vmax is None:
-        vmax = float(values[good].max()) if good.any() else 1.0
+    vmin, vmax = (float(values[good].min()), float(values[good].max())) if good.any() else (0.0, 1.0)
     span = vmax - vmin if vmax > vmin else 1.0
 
     img = np.empty((height, width, 3), dtype=np.uint8)
@@ -90,7 +70,7 @@ def render_map(
     rows = np.clip(np.round((lat_max - grid.lat) / lat_step).astype(int), 0, height - 1)
     cols = np.clip(np.round((grid.lon - lon_min) / lon_step).astype(int), 0, width - 1)
     t = (np.where(good, values, vmin) - vmin) / span
-    rgb = _ramp(t, palette)
+    rgb = _ramp(t)
     # repeated (row, col) pairs are assigned in node order: the last node in a cell wins
     img[rows, cols] = np.where(good[:, None], rgb, np.array(UNDEFINED_RGB, dtype=np.uint8))
 
@@ -101,7 +81,7 @@ def render_map(
     legend = path.with_suffix(path.suffix + ".legend.txt")
     with open(legend, "w") as f:
         f.write(f"range: [{vmin!r}, {vmax!r}]\n")
-        f.write(f"palette: {palette}\n")
+        f.write("palette: heat\n")
         f.write(f"size: {width} x {height}\n")
         f.write(f"undefined color: rgb{UNDEFINED_RGB}\n")
     return height, width

@@ -28,11 +28,6 @@ class TestResult:
 
     statistic: float
     p_value: float
-    alpha: float = 0.05
-
-    @property
-    def reject(self) -> bool:
-        return self.p_value < self.alpha
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +101,7 @@ def t_sf_two_sided(t: float, df: float) -> float:
     return betainc_reg(0.5 * df, 0.5, x)
 
 
-def paired_t_test(x, y, alpha: float = 0.05) -> TestResult:
+def paired_t_test(x, y) -> TestResult:
     """Two-sided paired t-test on the per-node differences x - y.
 
     Zero-variance differences get p = 1 rather than an error (constant
@@ -124,9 +119,9 @@ def paired_t_test(x, y, alpha: float = 0.05) -> TestResult:
     sd = float(d.std(ddof=1))
     if sd == 0.0:
         stat = 0.0 if mean == 0.0 else math.copysign(math.inf, mean)
-        return TestResult(statistic=stat, p_value=1.0, alpha=alpha)
+        return TestResult(statistic=stat, p_value=1.0)
     t = mean / (sd / math.sqrt(n))
-    return TestResult(statistic=t, p_value=t_sf_two_sided(t, n - 1), alpha=alpha)
+    return TestResult(statistic=t, p_value=t_sf_two_sided(t, n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +155,7 @@ def kolmogorov_sf(lam: float) -> float:
     return min(1.0, max(0.0, 2.0 * total))
 
 
-def ks_two_sample(x, y, alpha: float = 0.05) -> TestResult:
+def ks_two_sample(x, y) -> TestResult:
     """Two-sample K-S test with the small-sample-corrected asymptotic p-value.
 
     p uses lambda = (sqrt(n_e) + 0.12 + 0.11 / sqrt(n_e)) * D with effective
@@ -171,7 +166,7 @@ def ks_two_sample(x, y, alpha: float = 0.05) -> TestResult:
     d = ks_statistic(x, y)
     n_e = x.size * y.size / (x.size + y.size)
     lam = (math.sqrt(n_e) + 0.12 + 0.11 / math.sqrt(n_e)) * d
-    return TestResult(statistic=d, p_value=kolmogorov_sf(lam), alpha=alpha)
+    return TestResult(statistic=d, p_value=kolmogorov_sf(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +185,11 @@ _TESTS = (("paired_t", "Paired t-test"), ("ks", "KS test"))
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Per (network, season, metric) test results for subtract vs divide."""
+    """Per (network, season, metric) test results for subtract vs divide; a test rejects when p < alpha."""
 
     cells: dict
     missing: dict = field(default_factory=dict)
+    alpha: float = 0.05
 
     def to_json_dict(self) -> dict:
         out: dict = {}
@@ -202,7 +198,7 @@ class ComparisonReport:
             tests = block[metric] = {}
             for test, _ in _TESTS:
                 r = getattr(cell, test)
-                tests[test] = {"stat": r.statistic, "p": r.p_value, "reject": r.reject}
+                tests[test] = {"stat": r.statistic, "p": r.p_value, "reject": r.p_value < self.alpha}
         if self.missing:
             out["missing"] = {
                 "/".join(key): reason for key, reason in sorted(self.missing.items())
@@ -261,9 +257,9 @@ def compare_methods(runs: dict, alpha: float = 0.05) -> ComparisonReport:
         try:
             x, y = paired_fields(sub, div)
             cells[key] = ComparisonCell(
-                paired_t=paired_t_test(x, y, alpha=alpha),
-                ks=ks_two_sample(x, y, alpha=alpha),
+                paired_t=paired_t_test(x, y),
+                ks=ks_two_sample(x, y),
             )
         except ValueError as e:
             missing[key] = str(e)
-    return ComparisonReport(cells=cells, missing=missing)
+    return ComparisonReport(cells=cells, missing=missing, alpha=alpha)

@@ -30,7 +30,6 @@ _ES_ROWS = 256
 class SyncParams:
     n_shuffles: int = 1000
     link_quantile: float = 0.995
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_shuffles < 100:
@@ -60,7 +59,7 @@ def _es_matrix(events: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         yield r0, e[r0 : r0 + _ES_ROWS] @ e[r0:].T
 
 
-def _threshold_table(counts: np.ndarray, T: int, params: SyncParams) -> np.ndarray:
+def _threshold_table(counts: np.ndarray, T: int, params: SyncParams, seed: int) -> np.ndarray:
     """Null thresholds indexed by two event counts; +inf where no pair is tested.
 
     One threshold per distinct (n_lo, n_hi) key among pairs of nodes with
@@ -71,24 +70,24 @@ def _threshold_table(counts: np.ndarray, T: int, params: SyncParams) -> np.ndarr
     ia, ib = np.triu_indices(vals.size)
     keep = (ia != ib) | (mult[ia] > 1)
     for n_lo, n_hi in zip(vals[ia[keep]].tolist(), vals[ib[keep]].tolist()):
-        rng = stream(params.seed, NULL_MODEL_TAG, T, n_lo, n_hi)
+        rng = stream(seed, NULL_MODEL_TAG, T, n_lo, n_hi)
         table[n_lo, n_hi] = table[n_hi, n_lo] = _key_threshold(T, n_lo, n_hi, params, rng)
     return table
 
 
-def build_network(events: np.ndarray, grid: GridSpec, params: SyncParams) -> Network:
+def build_network(events: np.ndarray, grid: GridSpec, params: SyncParams, seed: int = 0) -> Network:
     """Undirected unweighted network: edge (i, j) iff ES >= null threshold.
 
     events is the (n_nodes, T) bool event matrix of one season, so every
     node shares its T season days. A pair's null then depends only on
     (T, n_lo, n_hi): one threshold is drawn per distinct key from the stream
     mix64(seed, NULL_MODEL_TAG, T, n_lo, n_hi). Nodes without events never
-    link. Deterministic for a fixed params.seed.
+    link. Deterministic for a fixed seed.
     """
     if events.shape[0] != grid.n:
         raise ValueError(f"{events.shape[0]} event series for {grid.n} grid nodes")
     counts = events.sum(axis=1)
-    thr = _threshold_table(counts, events.shape[1], params)
+    thr = _threshold_table(counts, events.shape[1], params, seed)
     edges = [np.empty((0, 2), dtype=np.intp)]
     for r0, es in _es_matrix(events):
         i, j = np.nonzero(es >= thr[counts[r0 : r0 + es.shape[0]]][:, counts[r0:]])

@@ -60,9 +60,8 @@ def shared_days(ei, ej) -> int:
     return len(set(np.flatnonzero(ei).tolist()) & set(np.flatnonzero(ej).tolist()))
 
 
-def event_sync(ei, ej, tau_max: int = 0) -> int:
+def event_sync(ei, ej) -> int:
     """Zero-lag ES of one pair, computed by the production all-pairs kernel."""
-    assert tau_max == 0, "only zero-lag ES exists"
     (_, es), = _es_matrix(np.stack([ei, ej]))
     return int(es[0, 1])
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -18,6 +19,9 @@ from gridsync.netmetrics import EARTH_RADIUS_KM, pair_groups
 from gridsync.synth import RectLattice, gen_gridded_values, lattice_grid
 
 ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("run_demo", ROOT / "scripts" / "run_demo.py")
+run_demo = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run_demo)
 
 
 # the SHA-256 of the test pipeline's input, 6 x 6 nodes over three JJA seasons
@@ -189,21 +193,24 @@ def test_config_rejects_bad_document(tmp_path, capsys, doc, message):
 
 
 @pytest.mark.parametrize("args, message", [
-    pytest.param(["--config", "{cfg}", "--threads", "4"], "unrecognized arguments: --threads 4",
+    pytest.param(["pipeline", "--config", "{cfg}", "--threads", "4"], "unrecognized arguments: --threads 4",
                  id="args0-unrecognized arguments: --threads 4"),
-    pytest.param(["--config", "{cfg}", "--bogus"], "unrecognized arguments: --bogus",
+    pytest.param(["pipeline", "--config", "{cfg}", "--bogus"], "unrecognized arguments: --bogus",
                  id="args1-unrecognized arguments: --bogus"),
     # the seed is the config's alone: a run's manifests are then the whole record of its parameters
-    pytest.param(["--config", "{cfg}", "--seed", "1"], "unrecognized arguments: --seed",
+    pytest.param(["pipeline", "--config", "{cfg}", "--seed", "1"], "unrecognized arguments: --seed",
                  id="unrecognized arguments: --seed"),
-    pytest.param(["--out", "elsewhere"], "the following arguments are required: --config",
+    pytest.param(["pipeline", "--out", "elsewhere"], "the following arguments are required: --config",
                  id="args3-the following arguments are required: --config"),
+    # render reads a field CSV and writes a map, and takes no config
+    pytest.param(["render", "--config", "{cfg}", "metric_DC.csv", "metric_DC.ppm"],
+                 "unrecognized arguments: --config", id="unrecognized arguments: --config"),
 ])
 def test_cli_usage_error_exits_1(tmp_path, capsys, args, message):
     # a malformed command line is a usage error (exit 1); exit 2 means a runtime failure
     cfg = base_config(tmp_path)
     with pytest.raises(SystemExit) as err:
-        main(["pipeline", *(a.format(cfg=cfg) for a in args)])
+        main([a.format(cfg=cfg) for a in args])
     assert err.value.code == 1
     text = capsys.readouterr().err
     assert text.startswith("usage: gridsync") and message in text
@@ -490,30 +497,41 @@ def test_synth_command_is_gone(tmp_path, capsys):
 
 
 def test_render_metric_and_corrected(pipeline_run, tmp_path):
-    # maps go next to their fields, so render works on a copy of the shared run
-    tmp, cfg_path = pipeline_run
-    out = tmp_path / "out"
-    shutil.copytree(tmp / "out", out)
-    (out / "grid.csv").unlink()  # both field CSVs hold their node coordinates
-    render = ["render", "--config", str(cfg_path), "--out", str(out), "--field"]
-    assert main([*render, "metric_DC.csv"]) == 0
-    ppm = out / "metric_DC.csv.ppm"
-    assert ppm.exists()
-    header = ppm.read_bytes()[:20].split(b"\n")
+    # render reads the field where it lies and writes the map where it is told
+    out = pipeline_run[0] / "out"
+    assert main(["render", str(out / "metric_DC.csv"), str(tmp_path / "dc.ppm")]) == 0
+    header = (tmp_path / "dc.ppm").read_bytes()[:20].split(b"\n")
     assert header[0] == b"P6"
     w, h = map(int, header[1].split())
     assert (w, h) == (6, 6)  # one raster cell per lattice node
-    assert (out / "metric_DC.csv.ppm.legend.txt").exists()
-    assert main([*render, "corrected_DC_divide.csv"]) == 0
-    assert (out / "corrected_DC_divide.csv.ppm").exists()
+    assert (tmp_path / "dc.ppm.legend.txt").exists()
+    assert main(["render", str(out / "corrected_DC_divide.csv"), str(tmp_path / "divide.ppm")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dc.ppm", "dc.ppm.legend.txt", "divide.ppm", "divide.ppm.legend.txt"]
+
+
+def test_render_demo_fields_leaves_the_run_directory_as_it_was(pipeline_run, tmp_path):
+    # every field the demo maps, rendered from a finished run into another directory: the run
+    # directory keeps its file set and bytes, so each of its files stays some manifest's output
+    out = pipeline_run[0] / "out"
+    before = hash_artifacts(out)
+    for field in run_demo.MAP_FIELDS:
+        assert main(["render", str(out / field), str(tmp_path / f"{field}.ppm")]) == 0
+    assert hash_artifacts(out) == before and {p.name for p in out.iterdir()} == set(before)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        name for field in run_demo.MAP_FIELDS for name in (f"{field}.ppm", f"{field}.ppm.legend.txt"))
+    # a corrected field's normalized values span [0, 1] over its defined nodes
+    legend = (tmp_path / "corrected_DC_divide.csv.ppm.legend.txt").read_text()
+    assert legend.splitlines()[:2] == ["range: [0.0, 1.0]", "palette: heat"]
 
 
 @pytest.mark.parametrize("field", ["absent.csv", ""], ids=["missing", "directory"])
-def test_render_without_a_field_file_exits_1(tmp_path, capsys, field):
-    # an empty --field names the run directory itself, which is no field CSV
-    cfg = base_config(tmp_path)
-    assert main(["render", "--config", str(cfg), "--field", field]) == 1
-    assert f"field CSV not found: {tmp_path / 'out' / field}" in capsys.readouterr().err
+def test_render_without_a_field_file_exits_1(tmp_path, capsys, monkeypatch, field):
+    # an empty FIELD names the directory itself, which is no field CSV; render makes no out/ or map
+    monkeypatch.chdir(tmp_path)
+    assert main(["render", str(tmp_path / field), "map.ppm"]) == 1
+    assert f"field CSV not found: {tmp_path / field}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_code_validation_error(tmp_path):

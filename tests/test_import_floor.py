@@ -44,7 +44,7 @@ print("numpy.ma" in sys.modules)
 _RENDER = """
 import sys
 from gridsync.cli import main
-assert main(["render", "--config", "run.json", "--field", "metric_DC.csv"]) == 0
+assert main(["render", "metric_DC.csv", "metric_DC.ppm"]) == 0
 print("numpy.ma" in sys.modules)
 """
 
@@ -147,6 +147,5 @@ def test_pipeline_never_imports_numpy_ma(tmp_path):
 def test_render_never_imports_numpy_ma(tmp_path):
     grid = lattice_grid(RectLattice(6, 5, 50.0))
     write_metric_csv(np.arange(grid.n, dtype=float), grid, tmp_path / "metric_DC.csv")
-    (tmp_path / "run.json").write_text(json.dumps({"input": "input.cng1", "seed": 1, "out": str(tmp_path)}))
     assert not _numpy_ma_imported(_RENDER, tmp_path)
-    assert (tmp_path / "metric_DC.csv.ppm").read_bytes().startswith(b"P6\n5 6\n255\n")
+    assert (tmp_path / "metric_DC.ppm").read_bytes().startswith(b"P6\n5 6\n255\n")

@@ -33,10 +33,11 @@ def test_constant_field_single_color(tmp_path):
 def test_normalized_ramp_endpoints(tmp_path):
     grid = regular_grid(1, 3)
     p = tmp_path / "n.ppm"
-    render_map(np.array([0.0, 0.5, 1.0]), grid, p, vmin=0.0, vmax=1.0)
+    render_map(np.array([0.0, 0.5, 1.0]), grid, p)
     img = read_ppm(p)
-    assert (img[0, 0] == _ramp(np.array([0.0]), "heat")[0]).all()
-    assert (img[0, 2] == _ramp(np.array([1.0]), "heat")[0]).all()
+    assert (img[0, 0] == _ramp(np.array([0.0]))[0]).all()
+    assert (img[0, 2] == _ramp(np.array([1.0]))[0]).all()
+    assert (tmp_path / "n.ppm.legend.txt").read_text().startswith("range: [0.0, 1.0]\npalette: heat\n")
 
 
 def test_grid_arithmetic_dimensions(tmp_path):
@@ -68,7 +69,7 @@ def test_irregular_nodes_nearest_cell(tmp_path):
     assert not (img.reshape(-1, 3) == EMPTY_RGB).all(axis=1).all()
 
 
-def paint_per_node(values, grid, palette="heat"):
+def paint_per_node(values, grid):
     """render_map's raster painted one node at a time, later nodes over earlier ones.
 
     Returns the image and the number of nodes painted over an earlier one.
@@ -79,7 +80,7 @@ def paint_per_node(values, grid, palette="heat"):
     width = int(round((grid.lon.max() - lon_min) / lon_step)) + 1
     good = np.isfinite(values)
     vmin, vmax = values[good].min(), values[good].max()
-    rgb = _ramp((np.where(good, values, vmin) - vmin) / (vmax - vmin), palette)
+    rgb = _ramp((np.where(good, values, vmin) - vmin) / (vmax - vmin))
     img = np.empty((height, width, 3), dtype=np.uint8)
     img[:, :] = EMPTY_RGB
     painted = set()
@@ -105,24 +106,14 @@ def test_colliding_nodes_last_one_wins(tmp_path):
     grid = GridSpec(lat=lat[pairs // lon.size], lon=lon[pairs % lon.size])
     values = rng.random(grid.n)
     values[rng.random(grid.n) < 0.1] = np.nan
-    for palette in ("heat", "grayscale"):
-        p = tmp_path / f"{palette}.ppm"
-        render_map(values, grid, p, palette=palette)
-        expected, overwritten = paint_per_node(values, grid, palette)
-        assert overwritten > 500
-        np.testing.assert_array_equal(read_ppm(p), expected)
+    p = tmp_path / "heat.ppm"
+    render_map(values, grid, p)
+    expected, overwritten = paint_per_node(values, grid)
+    assert overwritten > 500
+    np.testing.assert_array_equal(read_ppm(p), expected)
 
 
 def test_empty_field_rejected(tmp_path):
     grid = regular_grid(1, 2)
     with pytest.raises(ValueError, match="match"):
         render_map(np.array([1.0]), grid, tmp_path / "x.ppm")
-
-
-def test_grayscale_palette(tmp_path):
-    grid = regular_grid(1, 2)
-    p = tmp_path / "g.ppm"
-    render_map(np.array([0.0, 1.0]), grid, p, palette="grayscale")
-    img = read_ppm(p)
-    assert tuple(img[0, 0]) == (0, 0, 0)
-    assert tuple(img[0, 1]) == (255, 255, 255)

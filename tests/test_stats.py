@@ -59,7 +59,6 @@ def test_t_identical_samples_degenerate():
     r = paired_t_test(x, x)
     assert r.statistic == 0.0
     assert r.p_value == 1.0
-    assert not r.reject
 
 
 def test_t_alternating_differences():
@@ -223,7 +222,7 @@ def test_compare_identical_fields_never_reject(rng):
     cell = report.cells[("EPE", "JJA", "DC")]
     assert cell.paired_t.p_value == 1.0
     assert cell.ks.p_value == 1.0
-    assert not cell.paired_t.reject and not cell.ks.reject
+    assert not any(t["reject"] for t in report.to_json_dict()["EPE"]["JJA"]["DC"].values())
 
 
 def test_compare_divergent_fixture_rejects():
@@ -231,9 +230,17 @@ def test_compare_divergent_fixture_rejects():
 
     x, y = gen_divergence_fixture(1000, seed=5)
     report = compare_methods({("EPE", "JJA", "DC"): (fake_corrected(x), fake_corrected(y))})
-    cell = report.cells[("EPE", "JJA", "DC")]
-    assert cell.paired_t.reject
-    assert cell.ks.reject
+    tests = report.to_json_dict()["EPE"]["JJA"]["DC"]
+    assert tests["paired_t"]["reject"]
+    assert tests["ks"]["reject"]
+
+
+def test_report_rejects_below_its_alpha():
+    # the report holds alpha once: a test rejects when its p lies below it
+    cell = ComparisonCell(paired_t=TestResult(statistic=1.0, p_value=0.04), ks=TestResult(statistic=0.1, p_value=0.01))
+    for alpha, paired_t, ks in [(0.05, True, True), (0.04, False, True), (0.01, False, False)]:
+        doc = ComparisonReport(cells={("EPE", "JJA", "DC"): cell}, alpha=alpha).to_json_dict()["EPE"]["JJA"]["DC"]
+        assert (doc["paired_t"]["reject"], doc["ks"]["reject"]) == (paired_t, ks)
 
 
 def test_compare_missing_cell_reported():
@@ -273,8 +280,9 @@ def test_report_table_mixed_outcome():
     assert "9.95e-01" in table
     assert "8.23e-03" in table
     assert "ETE network-Winter (DJF)" in table
-    assert cells[("ETE", "DJF", "CC")].ks.reject
-    assert not cells[("ETE", "DJF", "CC")].paired_t.reject
+    tests = report.to_json_dict()["ETE"]["DJF"]["CC"]
+    assert tests["ks"]["reject"]
+    assert not tests["paired_t"]["reject"]
 
 
 def test_report_table_orders_every_label_and_drops_no_season():

@@ -35,25 +35,25 @@ def mk(days, T=50):
 
 def test_es_identical_series():
     a, b = mk([10, 20, 30]), mk([10, 20, 30])
-    assert event_sync(a, b, 0) == 3
+    assert event_sync(a, b) == 3
 
 
 def test_es_disjoint():
-    assert event_sync(mk([1, 5]), mk([2, 8]), 0) == 0
+    assert event_sync(mk([1, 5]), mk([2, 8])) == 0
 
 
 def test_es_intersection_oracle(rng):
     for _ in range(200):
         a = random_events(2760, rng.uniform(0.01, 0.10), rng)
         b = random_events(2760, rng.uniform(0.01, 0.10), rng)
-        assert event_sync(a, b, 0) == shared_days(a, b)
+        assert event_sync(a, b) == shared_days(a, b)
 
 
 def test_es_symmetry(rng):
     for _ in range(30):
         a = random_events(300, 0.08, rng)
         b = random_events(300, 0.08, rng)
-        assert event_sync(a, b, 0) == event_sync(b, a, 0)
+        assert event_sync(a, b) == event_sync(b, a)
 
 
 def test_es_monotone_in_shared_days(rng):
@@ -61,7 +61,7 @@ def test_es_monotone_in_shared_days(rng):
     for trial in range(20):
         a = random_events(500, 0.05, rng)
         b = random_events(500, 0.05, rng)
-        base = event_sync(a, b, 0)
+        base = event_sync(a, b)
         taken = set(np.flatnonzero(a | b).tolist())
         candidates = [
             d
@@ -71,7 +71,7 @@ def test_es_monotone_in_shared_days(rng):
         d = candidates[0]
         a2 = mk(np.append(np.flatnonzero(a), d), T=1000)
         b2 = mk(np.append(np.flatnonzero(b), d), T=1000)
-        assert event_sync(a2, b2, 0) >= base
+        assert event_sync(a2, b2) >= base
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_build_network_two_heavy_series():
     series = empty_series(6, T)
     series[[1, 4], ::2] = True  # 200 events, deduped by construction
     grid = random_grid(6, 3)
-    net = build_network(series, grid, SyncParams(n_shuffles=200, seed=5))
+    net = build_network(series, grid, SyncParams(n_shuffles=200), seed=5)
     assert net.edge_count == 1
     assert has_edge(net, 1, 4)
     # ES = 200 dominates any null quantile
@@ -212,8 +212,8 @@ def test_build_network_rerun_deterministic(rng):
     n, T = 12, 400
     series = np.stack([random_events(T, 0.06, rng) for _ in range(n)])
     grid = random_grid(n, 4)
-    params = SyncParams(n_shuffles=200, seed=11)
-    nets = [build_network(series, grid, params) for _ in range(2)]
+    params = SyncParams(n_shuffles=200)
+    nets = [build_network(series, grid, params, seed=11) for _ in range(2)]
     assert nets[0].edge_array().tolist() == nets[1].edge_array().tolist()
 
 
@@ -221,10 +221,10 @@ def test_memoized_threshold_equals_fresh_compute(rng):
     # the cache key fixes the RNG stream, so a cached entry must equal a
     # fresh pairwise computation that uses the key-derived stream
     T = 300
-    params = SyncParams(n_shuffles=200, seed=21)
+    params = SyncParams(n_shuffles=200)
     for n_lo, n_hi in [(10, 15), (12, 12), (5, 30)]:
         a, b = mk(range(n_lo), T), mk(range(n_hi), T)
-        seed = mix64(params.seed, NULL_MODEL_TAG, T, n_lo, n_hi)
+        seed = mix64(21, NULL_MODEL_TAG, T, n_lo, n_hi)
         direct = null_threshold(a, b, params, pair_seed=seed)
         # same key, different pair objects: same stream, same threshold
         a2, b2 = mk(range(100, 100 + n_lo), T), mk(range(50, 50 + n_hi), T)
@@ -232,19 +232,19 @@ def test_memoized_threshold_equals_fresh_compute(rng):
         assert direct == again
 
 
-def key_seed(params, series, i, j):
-    """Seed of the null stream build_network uses for pair (i, j)."""
+def key_seed(seed, series, i, j):
+    """Seed of the null stream build_network(..., seed) uses for pair (i, j)."""
     lo, hi = sorted((int(series[i].sum()), int(series[j].sum())))
-    return mix64(params.seed, NULL_MODEL_TAG, series.shape[1], lo, hi)
+    return mix64(seed, NULL_MODEL_TAG, series.shape[1], lo, hi)
 
 
-def assert_matches_pair_sync(series, grid, params):
-    net = build_network(series, grid, params)
+def assert_matches_pair_sync(series, grid, params, seed):
+    net = build_network(series, grid, params, seed)
     n = len(series)
     linked = 0
     for i in range(n):
         for j in range(i + 1, n):
-            r = pair_sync(series[i], series[j], params, key_seed(params, series, i, j))
+            r = pair_sync(series[i], series[j], params, key_seed(seed, series, i, j))
             assert has_edge(net, i, j) == r.significant, (i, j, r)
             linked += r.significant
     assert net.edge_count == linked
@@ -258,7 +258,7 @@ def test_build_network_matches_pair_sync_oracle(rng):
     series = np.stack([random_events(T, rng.uniform(0.03, 0.12), rng) for _ in range(n)])
     series[3] = False
     grid = random_grid(n, 8)
-    net = assert_matches_pair_sync(series, grid, SyncParams(n_shuffles=150, seed=9))
+    net = assert_matches_pair_sync(series, grid, SyncParams(n_shuffles=150), 9)
     assert net.degrees()[3] == 0
 
 
@@ -267,7 +267,7 @@ def test_build_network_heavy_pairs_match_pair_sync_oracle():
     T = 300
     base = np.arange(0, T, 6)
     series = np.stack([mk(np.union1d(base[i % 2::2], np.arange(i + 1, T, 37)), T) for i in range(8)])
-    net = assert_matches_pair_sync(series, random_grid(8, 5), SyncParams(n_shuffles=200, seed=3))
+    net = assert_matches_pair_sync(series, random_grid(8, 5), SyncParams(n_shuffles=200), 3)
     assert net.edge_count > 0
 
 
@@ -291,14 +291,14 @@ def test_build_network_row_blocks_equal_whole_matrix(rng, monkeypatch, block_row
     n, T = 600, 300
     series = np.stack([random_events(T, rng.uniform(0.02, 0.1), rng) for _ in range(n)])
     series[[0, 255, 256, 599]] = False
-    params = SyncParams(n_shuffles=150, seed=4)
+    params = SyncParams(n_shuffles=150)
     monkeypatch.setattr(sync, "_ES_ROWS", block_rows)
     blocks = list(_es_matrix(series))
     assert [r0 for r0, _ in blocks] == list(range(0, n, block_rows))
-    net = build_network(series, random_grid(n, 2), params)
+    net = build_network(series, random_grid(n, 2), params, seed=4)
     counts = series.sum(axis=1)
     es = series.astype(np.int64) @ series.T.astype(np.int64)
-    linked = es >= _threshold_table(counts, T, params)[np.ix_(counts, counts)]
+    linked = es >= _threshold_table(counts, T, params, 4)[np.ix_(counts, counts)]
     i, j = np.nonzero(np.triu(linked, 1))
     assert net.edge_array().tolist() == np.stack([i, j], axis=1).tolist()
     assert net.edge_count > 0
@@ -311,8 +311,8 @@ def test_false_link_rate(rng):
     n, T, N = 160, 2760, 138
     series = np.stack([mk(rng.choice(T, size=N, replace=False), T) for _ in range(n)])
     grid = random_grid(n, 6)
-    params = SyncParams(n_shuffles=1000, seed=13, link_quantile=0.995)
-    net = build_network(series, grid, params)
+    params = SyncParams(n_shuffles=1000, link_quantile=0.995)
+    net = build_network(series, grid, params, seed=13)
     n_pairs = n * (n - 1) // 2  # 12,720 pairs, one shared (T, N, N) key
 
     k_star = null_threshold_exact(T, N, N, params.link_quantile)
