@@ -117,6 +117,10 @@ class ConfigError(ValueError):
         self.problems = problems
 
 
+class UsageError(ValueError):
+    """A command-line path render cannot use; exit 1, and no file written."""
+
+
 @dataclass(frozen=True)
 class RunConfig:
     input: str
@@ -421,7 +425,9 @@ def stage_compare(cfg: RunConfig, reads: dict, writes: dict) -> None:
 def stage_render(field: Path, out_path: Path) -> None:
     """Rasterize a metric or corrected field CSV to out_path, with node coordinates from the CSV."""
     if not field.is_file():
-        raise ConfigError([f"field CSV not found: {field}"])
+        raise UsageError(f"field CSV not found: {field}")
+    if out_path.is_dir() or not out_path.parent.is_dir():
+        raise UsageError(f"map must be a file in an existing directory: {out_path}")
     with open(field) as f:
         header = f.readline().strip()
     if header == METRIC_HEADER:
@@ -431,7 +437,7 @@ def stage_render(field: Path, out_path: Path) -> None:
         cf, grid = read_corrected_csv(field)
         values, defined = cf.normalized, ~cf.undefined
     else:
-        raise ConfigError([f"unrecognized field header in {field}"])
+        raise UsageError(f"unrecognized field header in {field}")
     h, w = render_map(values, grid, out_path, defined=defined)
     print(f"[render] wrote {out_path} ({w} x {h})", file=sys.stderr)
 
@@ -489,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             _run_stage(args.command, cfg, out_dir)
         return 0
-    except ConfigError as e:
+    except (ConfigError, UsageError) as e:
         print(str(e), file=sys.stderr)
         return 1
     except Exception as e:  # runtime failure; prior artifacts stay intact

@@ -26,14 +26,10 @@ BLOCK = 64  # members per member_block sum; ensemble_stats' block edges are its 
 class DistanceProfile:
     """Per-distance-bin link probability p = links / pairs."""
 
-    bin_edges: np.ndarray  # length n_bins + 1, ascending, starts at 0
+    bin_edges: np.ndarray  # length bin_prob.size + 1, ascending, starts at 0
     bin_prob: np.ndarray
     bin_pair_count: np.ndarray
     bin_link_count: np.ndarray
-
-    @property
-    def n_bins(self) -> int:
-        return int(self.bin_prob.size)
 
     @property
     def bin_width_km(self) -> float:

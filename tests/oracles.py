@@ -207,8 +207,8 @@ def pair_link_probabilities(profile, grid) -> np.ndarray:
     Pairs beyond the last bin get 0.
     """
     bins = pair_bins(grid, profile.bin_width_km)
-    prob = np.zeros(max(profile.n_bins, int(bins.max(initial=0)) + 1))
-    prob[: profile.n_bins] = profile.bin_prob
+    prob = np.zeros(max(profile.bin_prob.size, int(bins.max(initial=0)) + 1))
+    prob[: profile.bin_prob.size] = profile.bin_prob
     return prob[bins]
 
 
@@ -229,7 +229,7 @@ def surrogate_member_oracle(profile, grid, rng) -> tuple[np.ndarray, np.ndarray]
     iu, ju = np.triu_indices(grid.n, k=1)
     bins = np.floor(haversine_matrix(grid)[iu, ju] / w).astype(np.int64)
     linked = []
-    for b in range(profile.n_bins):
+    for b in range(profile.bin_prob.size):
         members = np.flatnonzero(bins == b)
         p = profile.bin_prob[b]
         if p > 0 and members.size:

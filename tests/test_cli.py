@@ -530,8 +530,37 @@ def test_render_without_a_field_file_exits_1(tmp_path, capsys, monkeypatch, fiel
     # an empty FIELD names the directory itself, which is no field CSV; render makes no out/ or map
     monkeypatch.chdir(tmp_path)
     assert main(["render", str(tmp_path / field), "map.ppm"]) == 1
-    assert f"field CSV not found: {tmp_path / field}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"field CSV not found: {tmp_path / field}" in err and "invalid configuration" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("field, map_path, message", [
+    pytest.param("table.csv", "map.ppm", "unrecognized field header in table.csv", id="unknown-header"),
+    pytest.param("metric.csv", "no/map.ppm", "map must be a file in an existing directory: no/map.ppm",
+                 id="map-directory-missing"),
+    pytest.param("metric.csv", "sub", "map must be a file in an existing directory: sub", id="map-is-directory"),
+])
+def test_render_unusable_path_is_a_usage_error(tmp_path, capsys, monkeypatch, field, map_path, message):
+    # render reads no configuration, so a path it cannot use is a usage error naming that path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.csv").write_text("x,y\n1,2\n")
+    (tmp_path / "metric.csv").write_text("node_id,lat,lon,value\n0,40.0,-100.0,1.5\n1,40.0,-99.0,2.5\n")
+    (tmp_path / "sub").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["render", field, map_path]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "invalid configuration" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_render_malformed_row_is_a_runtime_error(tmp_path, capsys):
+    # a known header promises a field CSV, so a bad row in it is a runtime failure naming the file
+    field = tmp_path / "metric.csv"
+    field.write_text("node_id,lat,lon,value\n0,40.0,-100.0,abc\n")
+    assert main(["render", str(field), str(tmp_path / "map.ppm")]) == 2
+    assert str(field) in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["metric.csv"]
 
 
 def test_exit_code_validation_error(tmp_path):

@@ -148,7 +148,7 @@ def test_profile_link_counts_equal_the_pair_bins_of_the_links(name, width):
     edges = net.edge_array()
     link_rank = pair_rank(edges[:, 0], edges[:, 1], n)
     assert edge_distances(grid, edges).tobytes() == pair_distances(grid)[link_rank].tobytes()
-    expect = np.bincount(pair_bins(grid, width)[link_rank], minlength=prof.n_bins)
+    expect = np.bincount(pair_bins(grid, width)[link_rank], minlength=prof.bin_prob.size)
     assert prof.bin_link_count.tolist() == expect.tolist()
     assert prof.bin_prob.tobytes() == (expect / np.maximum(prof.bin_pair_count, 1)).tobytes()
 
@@ -179,8 +179,8 @@ def test_profile_hard_cutoff_brute_force():
     # brute-force bin counts from the distance matrix
     d = haversine_matrix(net.grid)
     iu, ju = np.triu_indices(net.n, k=1)
-    idx = np.minimum(np.floor(d[iu, ju] / w).astype(int), prof.n_bins - 1)
-    assert np.array_equal(prof.bin_pair_count, np.bincount(idx, minlength=prof.n_bins))
+    idx = np.minimum(np.floor(d[iu, ju] / w).astype(int), prof.bin_prob.size - 1)
+    assert np.array_equal(prof.bin_pair_count, np.bincount(idx, minlength=prof.bin_prob.size))
     # probability is 1 below the cutoff bin boundary and 0 above it
     lo_bins = prof.bin_edges[1:] <= 80.0 - 1e-9
     nonempty = prof.bin_pair_count > 0
@@ -370,15 +370,15 @@ def test_profile_consistency_resampling(rng):
     p = pair_link_probabilities(prof, net.grid)
     iu, ju = np.triu_indices(net.n, k=1)
     d = haversine_matrix(net.grid)[iu, ju]
-    idx = np.minimum(np.floor(d / w).astype(int), prof.n_bins - 1)
+    idx = np.minimum(np.floor(d / w).astype(int), prof.bin_prob.size - 1)
     K = 200
-    link_sums = np.zeros(prof.n_bins)
+    link_sums = np.zeros(prof.bin_prob.size)
     for s in range(K):
         sur = sample_surrogate(prof, net.grid, mix64(99, s))
         linked = np.fromiter(
             (has_edge(sur, int(i), int(j)) for i, j in zip(iu, ju)), bool, count=iu.size
         )
-        link_sums += np.bincount(idx[linked], minlength=prof.n_bins)
+        link_sums += np.bincount(idx[linked], minlength=prof.bin_prob.size)
     mean_links = link_sums / K
     expect = prof.bin_pair_count * prof.bin_prob
     sigma = np.sqrt(np.maximum(prof.bin_pair_count * prof.bin_prob * (1 - prof.bin_prob), 1e-12) / K)
