@@ -24,15 +24,18 @@ bytes. KERNEL is:
   of a HardCutoff(BC_LOCAL_KM) network. Each run records the CPUs it ran
   on. Its numbers compare with ROADMAP's pinned (0.10.0 re-anchor) row, not
   with the unpinned medians in BENCH_0.6.0.json or BENCH_0.8.0-pair-keys.json.
-- pair_pass: netmetrics.pair_groups at 50 km on that lattice (5,276,376
-  pairs) and on the lattice with every node moved by up to PAIR_JITTER_DEG
-  in latitude and longitude (every coordinate distinct), next to a network
-  on 1% of the pairs: the first grouping, its pass included (cold_s, and
-  the RSS it adds), the median of five more (groups_s), of five
-  netmetrics.pair_distances calls, the pass alone (warm_s), and of five
-  estimate_profile calls (profile_s), and digests of the distances and the
-  groups. pair_groups is the grid's one distance memo, so grid.derived is
-  cleared before each timed grouping.
+- pair_pass: netmetrics.pair_groups at 50 km on three grids, each next to a
+  network on 1% of its pairs: that lattice (5,276,376 pairs); the lattice
+  with every node moved by up to PAIR_JITTER_DEG in latitude and longitude
+  (every coordinate distinct, so the pass computes each pair's own sines);
+  and the CPC grid's shape, the 0.5-degree cells of the 24-50 N, 125-66 W
+  box that a seeded mask keeps with PAIR_RAGGED_KEEP (about 3,270 nodes,
+  rows of differing length). For each: the first grouping, its pass
+  included (cold_s, and the RSS it adds), the median of five more
+  (groups_s), of five netmetrics.pair_distances calls, the pass alone
+  (warm_s), and of five estimate_profile calls (profile_s), and digests of
+  the distances and the groups. pair_groups is the grid's one distance
+  memo, so grid.derived is cleared before each timed grouping.
 - surrogate_members: the surrogate ensemble's one-off set-up and its members
   on the two generated bc_conus networks: the distance pass
   (pair_distances, pass_s), the one-off that the member draw needs
@@ -175,8 +178,9 @@ def bc_conus(h: Harness) -> dict:
 # pair_pass
 PAIR_BIN_KM, PAIR_DENSITY = 50.0, 0.01
 # the lattice has 57 distinct latitudes and longitudes; jittered by up to 0.1 degrees
-# (a quarter of the lattice spacing), every coordinate is distinct
-PAIR_GRIDS, PAIR_JITTER_DEG = ("lattice", "jittered"), 0.1
+# (a quarter of the lattice spacing), every coordinate is distinct; the ragged grid keeps
+# 0.533 of the box's 52 x 118 half-degree cells, near CPC's 3,276 CONUS nodes
+PAIR_GRIDS, PAIR_JITTER_DEG, PAIR_RAGGED_KEEP = ("lattice", "jittered", "ragged"), 0.1, 0.533
 
 
 def pair_grid(seed: int, name: str):
@@ -185,6 +189,10 @@ def pair_grid(seed: int, name: str):
     from gridsync.grid_io import GridSpec
     from gridsync.synth import RectLattice, lattice_grid
 
+    if name == "ragged":
+        lat, lon = np.meshgrid(np.arange(24.25, 50.0, 0.5), np.arange(-124.75, -66.0, 0.5), indexing="ij")
+        keep = np.random.default_rng(seed).random(lat.shape) < PAIR_RAGGED_KEEP
+        return GridSpec(lat=lat[keep], lon=lon[keep])
     grid = lattice_grid(RectLattice(rows=ROWS, cols=ROWS, spacing_km=SPACING_KM))
     if name == "lattice":
         return grid
@@ -223,7 +231,8 @@ def pair_measure(seed: int, name: str) -> dict:
     groups = group()
     cold = time.perf_counter() - t
     peak = rss_mb()
-    return {"cold_s": round(cold, 4), "above_input_mb": round(peak - before, 1), "groups_s": median_s(group),
+    return {"nodes": grid.n, "cold_s": round(cold, 4), "above_input_mb": round(peak - before, 1),
+            "groups_s": median_s(group),
             "warm_s": median_s(lambda: netmetrics.pair_distances(grid)),
             "profile_s": median_s(lambda: estimate_profile(net, PAIR_BIN_KM)),
             "distances_sha256": hashlib.sha256(netmetrics.pair_distances(grid).tobytes()).hexdigest()[:16],
@@ -232,12 +241,14 @@ def pair_measure(seed: int, name: str) -> dict:
 
 def pair_pass(h: Harness) -> dict:
     keys = ("cold_s", "warm_s", "above_input_mb", "groups_s", "profile_s")
-    result = {"input": {"nodes": ROWS * ROWS, "pairs": ROWS * ROWS * (ROWS * ROWS - 1) // 2,
-                        "bin_width_km": PAIR_BIN_KM, "links_drawn": PAIR_DENSITY, "jitter_deg": PAIR_JITTER_DEG},
+    result = {"input": {"bin_width_km": PAIR_BIN_KM, "links_drawn": PAIR_DENSITY, "jitter_deg": PAIR_JITTER_DEG,
+                        "ragged_keep": PAIR_RAGGED_KEEP},
               "seed": h.seed, "repeats": h.repeats, "pinned_cpus": 1, "grids": {}}
     for name in PAIR_GRIDS:
         runs = h.alternate("pair_measure", name)
-        result["grids"][name] = {"medians": median_table(runs, keys, 4),
+        nodes = runs[h.first][0]["nodes"]
+        result["grids"][name] = {"nodes": nodes, "pairs": nodes * (nodes - 1) // 2,
+                                 "medians": median_table(runs, keys, 4),
                                  **{f"{d}_sha256": digests(runs, f"{d}_sha256") for d in ("distances", "groups")},
                                  "runs": runs}
     return result

@@ -55,7 +55,7 @@ from .grid_io import (
     write_metric_csv,
 )
 from .netmetrics import EARTH_RADIUS_KM, METRIC_NAMES, MetricField, Network, compute_metric, log_bc
-from .render import render_map
+from .render import legend_path, render_map
 from .stats import compare_methods
 from .surrogate import (
     ensemble_stats,
@@ -428,6 +428,8 @@ def stage_render(field: Path, out_path: Path) -> None:
         raise UsageError(f"field CSV not found: {field}")
     if out_path.is_dir() or not out_path.parent.is_dir():
         raise UsageError(f"map must be a file in an existing directory: {out_path}")
+    if legend_path(out_path).is_dir():
+        raise UsageError(f"map legend must be a file: {legend_path(out_path)}")
     with open(field) as f:
         header = f.readline().strip()
     if header == METRIC_HEADER:

@@ -137,51 +137,102 @@ def _haversine(cos1, cos2, s_lon, s_lat2, out=None) -> np.ndarray:
 
 # pairs per block of the all-pairs distance pass, so a block and its scratch stay in cache
 _PAIR_BLOCK = 1 << 15
+# The pair pass takes its distances from coordinate classes while their tables hold fewer
+# entries than this share of the pair count. Pinned on one CPU of a 2-vCPU VM, pair_groups
+# costs about 10 ns a pair on the class path (its sort included) and 29 ns with each pair's
+# own sines, and a table entry about 6 ns: time alone breaks even near 3 entries a pair.
+# 1 bounds the tables, at most a float64, a key and an int32 an entry, by a few times the keys.
+_CLASS_SHARE = 1.0
 
 
-def _pair_blocks(grid: GridSpec):
-    """Yield (position of the block's first pair, km of its pairs) for each block of rows in turn.
+def _pair_classes(grid: GridSpec, key=np.copyto, dtype=np.float64):
+    """The coordinate-class tables of the grid's pairs, or None where they do not pay.
 
-    A block is max(1, _PAIR_BLOCK // n) rows against the columns right of its
-    first row, filled in place in one buffer by _haversine: no n x n matrix is
-    built. Its pairs i < j, in np.triu_indices(n, 1) order, are one boolean
-    compress of the block's upper triangle, a new array the caller may keep.
-    The sines come from per-block tables of sin(dlat / 2)^2 and sin(dlon / 2)
-    of each row against every distinct latitude and longitude of the grid (57
-    each on a 57 x 57 lattice), gathered per pair. A table entry is the same
-    double as the per-pair sine, so every distance keeps its bits.
+    A pair's distance bits depend only on its class: the row's latitude, the
+    column's latitude and |sin(dlon / 2)| (the pass squares it, so its sign
+    drops out). Returns (table, x, row, col): table holds key (as
+    _pair_blocks takes it) of every class's distance, by _haversine on the
+    doubles the per-pair path uses, and the pair i < j has class row[i] +
+    col[x[i], j], x[i] being node i's longitude index. None when the tables
+    (the classes and col's nx x n) would reach _CLASS_SHARE times the pairs.
     """
     n = grid.n
+    budget = _CLASS_SHARE * (n * (n - 1) // 2)
     lat = np.radians(grid.lat)
-    lon = np.radians(grid.lon)
-    cos = np.cos(lat)
+    lat_u, first, a = np.unique(lat, return_index=True, return_inverse=True)
+    lon_u, x = np.unique(np.radians(grid.lon), return_inverse=True)
+    na, nx = lat_u.size, lon_u.size
+    if nx * n >= budget:
+        return None
+    s_lon, gap = np.unique(np.abs(_sin_half_diff(lon_u[:, None], lon_u)), return_inverse=True)
+    nl = s_lon.size
+    if nx * n + na * na * nl >= budget:
+        return None
+    cos = np.cos(lat)[first]  # each latitude's cosine at its first node, as the per-pair path has it
+    s_lat2 = _sin_half_diff(lat_u[:, None], lat_u)
+    s_lat2 *= s_lat2
+    table = np.empty((na, na * nl), dtype)
+    km = np.empty((na, nl))
+    for r, part in enumerate(table):  # one row latitude at a time, so only the keys take a full table
+        key(part, _haversine(cos[r], cos[:, None], s_lon, s_lat2[r, :, None], out=km).ravel())
+    itype = np.int32 if table.size < 2**31 else np.int64
+    a, x = a.ravel().astype(itype), x.ravel().astype(itype)
+    col = gap.reshape(nx, nx).astype(itype)[:, x]
+    col += a * nl
+    return table.ravel(), x, a * (na * nl), col
+
+
+def _pair_blocks(grid: GridSpec, out: np.ndarray, key=np.copyto):
+    """Fill out with key(km) of all pairs i < j, in np.triu_indices(n, 1) order, yielding after each block.
+
+    key(dst, d) writes into dst its values of the float64 km d and may
+    overwrite d. A block is max(1, _PAIR_BLOCK // n) rows against the
+    columns right of its first row, its pairs one compress of the block's
+    upper triangle; the pass yields (position of the block's first pair, its
+    part of out) and builds no n x n matrix. With _pair_classes' tables a
+    block adds its rows' offsets to their slices of col and gathers the
+    mapped class values; otherwise it computes each pair's own sines and
+    distance in place. A class's value is the double its pairs' own sines
+    give, so both paths give every pair the same bits.
+    """
+    n = grid.n
     rows = max(1, min(_PAIR_BLOCK // max(n, 1), n - 1))
-    buf, s_lat2, s_lon = np.empty((3, rows * n))  # buf also holds a table of up to n columns
-    coords = [(x, *np.unique(x, return_inverse=True)) for x in (lat, lon)]
     upper = np.arange(n - 1) >= np.arange(rows)[:, None]  # column k of a block is row k's first partner
+    classes = _pair_classes(grid, key, out.dtype)
+    if classes is not None:
+        table, x, row, col = classes
+        buf = np.empty((1, rows * n), row.dtype)
+    else:
+        lat = np.radians(grid.lat)
+        lon = np.radians(grid.lon)
+        cos = np.cos(lat)
+        buf = np.empty((3, rows * n))
     pos = 0
     for r0 in range(0, n - 1, rows):
         r1 = min(r0 + rows, n - 1)
         m = n - r0 - 1
-        block, *factors = (a[: (r1 - r0) * m].reshape(r1 - r0, m) for a in (buf, s_lat2, s_lon))
-        for (x, values, index), factor in zip(coords, factors):
-            table = buf[: (r1 - r0) * values.size].reshape(r1 - r0, -1)  # buf is free until _haversine
-            _sin_half_diff(x[r0:r1, None], values, out=table)
-            if x is lat:
-                table *= table
+        part = out[pos : pos + (r1 - r0) * (2 * m - (r1 - r0) + 1) // 2]  # row r0 + k has m - k pairs
+        block, *sines = (b[: (r1 - r0) * m].reshape(r1 - r0, m) for b in buf)
+        if classes is not None:
+            np.add(col[x[r0:r1], r0 + 1 :], row[r0:r1, None], out=block)
             # the indices are in range; mode "clip" writes to out without a buffer
-            np.take(table, index[r0 + 1 :], axis=1, out=factor, mode="clip")
-        _haversine(cos[r0:r1, None], cos[None, r0 + 1 :], factors[1], factors[0], out=block)
-        pairs = block[upper[: r1 - r0, :m]]
-        yield pos, pairs
-        pos += pairs.size
+            np.take(table, block[upper[: r1 - r0, :m]], out=part, mode="clip")
+        else:
+            s_lat2, s_lon = sines
+            _sin_half_diff(lat[r0:r1, None], lat[r0 + 1 :], out=s_lat2)
+            s_lat2 *= s_lat2
+            _sin_half_diff(lon[r0:r1, None], lon[r0 + 1 :], out=s_lon)
+            _haversine(cos[r0:r1, None], cos[r0 + 1 :], s_lon, s_lat2, out=block)
+            key(part, block[upper[: r1 - r0, :m]])
+        yield pos, part
+        pos += part.size
 
 
 def pair_distances(grid: GridSpec) -> np.ndarray:
     """Distances in km of all pairs i < j, in np.triu_indices(n, 1) order."""
     out = np.empty(grid.n * (grid.n - 1) // 2)
-    for pos, d in _pair_blocks(grid):
-        out[pos : pos + d.size] = d
+    for _ in _pair_blocks(grid, out):
+        pass
     return out
 
 
@@ -191,12 +242,13 @@ def pair_groups(grid: GridSpec, bin_width_km: float) -> tuple[np.ndarray, np.nda
     The grid's one distance memo, read-only in grid.derived.
     ranks[starts[b]:starts[b + 1]] are the np.triu_indices(n, 1) positions of
     the pairs at distance d with floor(d / bin_width_km) = b, ascending. The
-    pass writes each pair's key bin << s | rank, s the bits of the largest
-    rank: uint32 where the bin of half the Earth's circumference keeps every
-    key below 2^32, as at 50 km on a CONUS-size grid, and uint64 otherwise.
-    The keys are unique, so one sort orders them by bin and by rank within a
-    bin; starts are searched among them, and masking turns them into the
-    ranks in place.
+    pass maps each distance to its bin << s, s the bits of the largest rank
+    (once per coordinate class where _pair_blocks has classes), and each
+    block ORs its ranks in: uint32 keys where the bin of half the Earth's
+    circumference keeps every key below 2^32, as at 50 km on a CONUS-size
+    grid, and uint64 otherwise. The keys are unique, so one sort orders them
+    by bin and by rank within a bin; starts are searched among them, and
+    masking turns them into the ranks in place.
     """
     key = ("pair_groups", float(bin_width_km))
     if key not in grid.derived:
@@ -206,12 +258,14 @@ def pair_groups(grid: GridSpec, bin_width_km: float) -> tuple[np.ndarray, np.nda
         if span >= 2**64:
             raise ValueError(f"bin width {bin_width_km} km: the pair keys of {grid.n} nodes exceed 64 bits")
         keys = np.empty(size, dtype=np.uint32 if span < 2**32 else np.uint64)
-        for pos, d in _pair_blocks(grid):
-            part = keys[pos : pos + d.size]
+
+        def bin_key(dst, d):
             d /= bin_width_km
-            np.copyto(part, d, casting="unsafe")  # the cast truncates, which is floor for d >= 0
-            part <<= shift
-            part |= np.arange(pos, pos + d.size, dtype=keys.dtype)
+            np.copyto(dst, d, casting="unsafe")  # the cast truncates, which is floor for d >= 0
+            dst <<= shift
+
+        for pos, part in _pair_blocks(grid, keys, bin_key):
+            part |= np.arange(pos, pos + part.size, dtype=keys.dtype)
         keys.sort()
         bins = (int(keys[-1:].max(initial=0)) >> shift) + 1  # the last key is the farthest pair's
         starts = np.searchsorted(keys, np.arange(bins + 1, dtype=keys.dtype) << shift)

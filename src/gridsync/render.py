@@ -41,6 +41,12 @@ def _axis_step(coords: np.ndarray) -> float:
     return float((part[k - 1] + part[k]) / 2)
 
 
+def legend_path(path) -> Path:
+    """The legend sidecar of the map at path: path with '.legend.txt' appended."""
+    path = Path(path)
+    return path.with_suffix(path.suffix + ".legend.txt")
+
+
 def render_map(values: np.ndarray, grid: GridSpec, path, *, defined: np.ndarray | None = None) -> tuple[int, int]:
     """Write a P6 PPM raster plus a '.legend.txt' sidecar.
 
@@ -78,8 +84,7 @@ def render_map(values: np.ndarray, grid: GridSpec, path, *, defined: np.ndarray 
     with open(path, "wb") as f:
         f.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
         f.write(img.tobytes())
-    legend = path.with_suffix(path.suffix + ".legend.txt")
-    with open(legend, "w") as f:
+    with open(legend_path(path), "w") as f:
         f.write(f"range: [{vmin!r}, {vmax!r}]\n")
         f.write("palette: heat\n")
         f.write(f"size: {width} x {height}\n")

@@ -15,7 +15,7 @@ def random_grid(n, seed, lat_range=(20.0, 50.0), lon_range=(-120.0, -70.0)) -> G
 
 
 def shared_coordinate_grid(name: str) -> GridSpec:
-    """Grids whose nodes share latitudes or longitudes, in the pair pass's table cases."""
+    """Grids whose nodes share latitudes or longitudes, or do not, on both paths of the pair pass."""
     rng = np.random.default_rng(17)
     lattice = lattice_grid(RectLattice(rows=33, cols=33, spacing_km=50.0))
     if name == "lattice":  # 33 latitudes and 33 longitudes, row by row
@@ -28,13 +28,18 @@ def shared_coordinate_grid(name: str) -> GridSpec:
                         lon=lattice.lon + rng.uniform(-0.1, 0.1, lattice.n))
     if name == "shared-latitudes":  # 3 latitudes, every longitude distinct
         return GridSpec(lat=rng.choice([30.0, 35.5, 41.25], 900), lon=rng.uniform(-120.0, -70.0, 900))
+    if name == "ragged-latlon":  # the 1-degree cells of a CONUS box, rows of differing length
+        lat, lon = np.meshgrid(np.arange(24.5, 50.0), np.arange(-124.5, -66.0), indexing="ij")
+        keep = rng.random(lat.shape) < 0.53
+        return GridSpec(lat=lat[keep], lon=lon[keep])
     if name == "n-2":
         return GridSpec(lat=[40.0, 40.0], lon=[-100.0, -99.0])
     assert name == "n-3"
     return GridSpec(lat=[40.0, 41.0, 40.0], lon=[-100.0, -100.0, -99.0])
 
 
-SHARED_COORDINATE_GRIDS = ("lattice", "shuffled-lattice", "jittered-lattice", "shared-latitudes", "n-2", "n-3")
+SHARED_COORDINATE_GRIDS = ("lattice", "shuffled-lattice", "ragged-latlon", "jittered-lattice", "shared-latitudes",
+                           "n-2", "n-3")
 
 
 def random_network(n, density, seed) -> Network:

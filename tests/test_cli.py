@@ -540,6 +540,7 @@ def test_render_without_a_field_file_exits_1(tmp_path, capsys, monkeypatch, fiel
     pytest.param("metric.csv", "no/map.ppm", "map must be a file in an existing directory: no/map.ppm",
                  id="map-directory-missing"),
     pytest.param("metric.csv", "sub", "map must be a file in an existing directory: sub", id="map-is-directory"),
+    pytest.param("metric.csv", "lg.ppm", "map legend must be a file: lg.ppm.legend.txt", id="legend-is-directory"),
 ])
 def test_render_unusable_path_is_a_usage_error(tmp_path, capsys, monkeypatch, field, map_path, message):
     # render reads no configuration, so a path it cannot use is a usage error naming that path
@@ -547,6 +548,7 @@ def test_render_unusable_path_is_a_usage_error(tmp_path, capsys, monkeypatch, fi
     (tmp_path / "table.csv").write_text("x,y\n1,2\n")
     (tmp_path / "metric.csv").write_text("node_id,lat,lon,value\n0,40.0,-100.0,1.5\n1,40.0,-99.0,2.5\n")
     (tmp_path / "sub").mkdir()
+    (tmp_path / "lg.ppm.legend.txt").mkdir()
     before = sorted(tmp_path.rglob("*"))
     assert main(["render", field, map_path]) == 1
     err = capsys.readouterr().err

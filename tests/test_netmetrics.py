@@ -22,6 +22,7 @@ from gridsync.netmetrics import (
     log_bc,
     mean_geo_distance,
     pair_distances,
+    pair_groups,
 )
 from gridsync.synth import Exponential, RectLattice, SynthNetSpec, gen_embedded_network, lattice_grid
 
@@ -442,10 +443,35 @@ def test_pair_bins_equal_floor_of_matrix_distances(width, dtype):
 
 @pytest.mark.parametrize("name", SHARED_COORDINATE_GRIDS)
 def test_pair_pass_bitwise_equal_to_per_pair_oracle_on_shared_coordinates(name):
-    # the oracle computes each pair's own sines; the pass gathers them from per-block tables
+    # the oracle computes each pair's own sines; the pass takes them from its coordinate-class
+    # tables on the first three grids and computes them per pair on the others
     grid = shared_coordinate_grid(name)
     got = pair_distances(grid)
     assert got.tobytes() == haversine_matrix(grid)[np.triu_indices(grid.n, 1)].tobytes()
+
+
+@pytest.mark.parametrize("width", [50.0, 0.07])
+@pytest.mark.parametrize("name", SHARED_COORDINATE_GRIDS)
+def test_pair_groups_equal_stable_argsort_of_matrix_bins(name, width):
+    # an oracle independent of the pass on both of its paths; at 0.07 km the keys of the
+    # larger grids need uint64
+    grid = shared_coordinate_grid(name)
+    assert (netmetrics._pair_classes(grid) is not None) == (name in ("lattice", "shuffled-lattice", "ragged-latlon"))
+    bins = np.floor(haversine_matrix(grid)[np.triu_indices(grid.n, 1)] / width).astype(np.int64)
+    ranks, starts = pair_groups(grid, width)
+    assert np.array_equal(ranks, np.argsort(bins, kind="stable"))
+    assert np.array_equal(starts, np.concatenate([[0], np.cumsum(np.bincount(bins))]))
+
+
+def test_pair_pass_per_pair_path_gives_the_class_path_bytes(monkeypatch):
+    grid = shared_coordinate_grid("lattice")
+    by_class = pair_distances(grid), pair_groups(grid, 50.0)
+    monkeypatch.setattr(netmetrics, "_CLASS_SHARE", 0.0)
+    assert netmetrics._pair_classes(grid) is None
+    grid.derived.clear()
+    per_pair = pair_distances(grid), pair_groups(grid, 50.0)
+    assert b"".join(a.tobytes() for a in (by_class[0], *by_class[1])) == \
+        b"".join(a.tobytes() for a in (per_pair[0], *per_pair[1]))
 
 
 @pytest.mark.parametrize("block", [100, 7 * 1500, 1 << 30])
@@ -460,6 +486,7 @@ def test_pair_pass_at_other_block_sizes(monkeypatch, block):
     test_pair_bins_equal_floor_of_matrix_distances(100.0, np.uint8)
     for name in SHARED_COORDINATE_GRIDS:
         test_pair_pass_bitwise_equal_to_per_pair_oracle_on_shared_coordinates(name)
+        test_pair_groups_equal_stable_argsort_of_matrix_bins(name, 50.0)
 
 
 def test_network_structure_invariants(rng):

@@ -206,17 +206,18 @@ def test_pair_pass_summary_per_grid_and_label():
 
     def spawn(step, label, *args):
         calls.append((step, label, args))
-        return {"cold_s": 0.2, "warm_s": 0.1 if label == "change" else 0.15, "above_input_mb": 9.7,
+        return {"nodes": 4, "cold_s": 0.2, "warm_s": 0.1 if label == "change" else 0.15, "above_input_mb": 9.7,
                 "groups_s": 0.05, "profile_s": 0.01, "distances_sha256": args[0], "groups_sha256": "g"}
 
     h.spawn = spawn
     out = side_bench.pair_pass(h)
-    assert set(out["grids"]) == set(side_bench.PAIR_GRIDS) == {"lattice", "jittered"}
+    assert set(out["grids"]) == set(side_bench.PAIR_GRIDS) == {"lattice", "jittered", "ragged"}
     g = out["grids"]["jittered"]
+    assert g["nodes"] == 4 and g["pairs"] == 6
     assert g["medians"]["parent"]["warm_s"] == 0.15 and g["medians"]["change"]["groups_s"] == 0.05
     assert g["distances_sha256"] == {"change": ["jittered"], "parent": ["jittered"]}
     assert g["groups_sha256"] == {"change": ["g"], "parent": ["g"]}
-    assert [c[2] for c in calls] == [("lattice",)] * 4 + [("jittered",)] * 4
+    assert [c[2] for c in calls] == [("lattice",)] * 4 + [("jittered",)] * 4 + [("ragged",)] * 4
 
 
 def test_jittered_pair_grid_has_distinct_coordinates():
@@ -224,3 +225,11 @@ def test_jittered_pair_grid_has_distinct_coordinates():
     assert len(set(lattice.lat.tolist())) == len(set(lattice.lon.tolist())) == side_bench.ROWS
     assert len(set(jittered.lat.tolist())) == len(set(jittered.lon.tolist())) == jittered.n == lattice.n
     assert abs(jittered.lat - lattice.lat).max() <= side_bench.PAIR_JITTER_DEG
+
+
+def test_ragged_pair_grid_has_the_cpc_grid_shape():
+    # the 0.5-degree cells of the CONUS box: 52 latitudes, 118 longitudes, rows of differing length
+    grid = side_bench.pair_grid(3, "ragged")
+    lat = grid.lat.tolist()
+    assert len(set(lat)) == 52 and len(set(grid.lon.tolist())) == 118 and 3150 < grid.n < 3400
+    assert len({lat.count(v) for v in set(lat)}) > 1

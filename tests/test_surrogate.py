@@ -343,7 +343,7 @@ def test_member_link_frequency_within_binomial_bounds():
 def test_profile_and_ensemble_share_one_distance_pass(monkeypatch):
     passes = []
     blocks = netmetrics._pair_blocks
-    monkeypatch.setattr(netmetrics, "_pair_blocks", lambda grid: passes.append(grid) or blocks(grid))
+    monkeypatch.setattr(netmetrics, "_pair_blocks", lambda grid, *args: passes.append(grid) or blocks(grid, *args))
     net = random_network(40, 0.2, 3)
     prof = estimate_profile(net, bin_width_km=100.0)
     ensemble_stats(prof, net.grid, metrics=("DC",), ensemble_size=3, seed=4)
